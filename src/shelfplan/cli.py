@@ -12,6 +12,19 @@ from .scene import SceneConfig, generate_scene, scene_from_json, scene_to_json
 from .svg import render_svg
 
 
+class InputError(Exception):
+    """A scene or plan file that cannot be parsed into a valid object."""
+
+
+def _read(path: str, parse, what: str):
+    """Parse a scene or plan file; malformed content raises ``InputError``."""
+    with open(path) as fh:
+        try:
+            return parse(fh.read())
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"{path}: not a valid {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
         print(text)
@@ -46,8 +59,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    with open(args.scene) as fh:
-        scene = scene_from_json(fh.read())
+    scene = _read(args.scene, scene_from_json, "scene")
     report = plan(scene, _budget_from_args(args), seed=args.seed)
     if not report.success:
         print(f"planning failed: {report.failure_kind} ({report.wall_time:.2f}s)", file=sys.stderr)
@@ -99,10 +111,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.scene) as fh:
-        scene = scene_from_json(fh.read())
-    with open(args.plan) as fh:
-        candidate = plan_from_json(fh.read())
+    scene = _read(args.scene, scene_from_json, "scene")
+    candidate = _read(args.plan, plan_from_json, "plan")
     check = validate_plan(scene, candidate)
     if check.valid:
         print("plan is valid")
@@ -153,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,14 @@
 """Single-stage Monte Carlo tree search that drives one focus object to its goal.
 
-Tree nodes carry full object arrangements; edges are single relocations.
-Expansion is subgoal-focused: it only proposes relocations that clear the
-focus object's pickup and placement tunnels (or, recursively, the pickup
-tunnels of the objects doing the clearing). Rewards are negated displacement
-distances, so the search prefers short detours and nearby buffer regions.
+Tree nodes carry full object arrangements as index vectors: entry ``k`` is
+the index of object ``k``'s position among the points of the plan's
+``OcclusionTable``, and every collision question is a bit-set lookup in that
+table. Edges are single relocations, recorded as ``Action``s over the scene's
+own points. Expansion is subgoal-focused: it only proposes relocations that
+clear the focus object's pickup and placement tunnels (or, recursively, the
+pickup tunnels of the objects doing the clearing). Rewards are negated
+displacement distances, so the search prefers short detours and nearby buffer
+regions.
 
 A stage is complete once the focus object rests at its goal and no remaining
 movable object would have its pickup tunnel blocked by the finished focus;
@@ -20,11 +24,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Disc, Point, tunnel_disc_mask, tunnel_intersects_disc
-from .motion import Action, action_valid, collision_objs, home_tunnel, placement_sweep_mask
+from .geometry import Point
+from .motion import Action
+from .occlusion import OcclusionTable
 from .scene import Arrangement, ObjectId, Scene
 
 _EPS = 1e-12
+
+# A relocation: object, destination index, destination point. The point is the
+# scene's own goal or candidate Point, so plan JSON prints it as the scene does.
+Move = tuple[ObjectId, int, Point]
 
 
 class StageFailure(RuntimeError):
@@ -45,14 +54,14 @@ class ExpansionExhausted(StageFailure):
 
 @dataclass(frozen=True)
 class StageContext:
-    """Fixed data of one stage: who moves, who is done, and the goal."""
+    """Fixed data of one stage: who moves, who is done, and the plan's table."""
 
     scene: Scene
     focus: ObjectId
     static_ids: frozenset[ObjectId]
     movable_ids: frozenset[ObjectId]
-    goal: Arrangement
     order: tuple[ObjectId, ...]
+    table: OcclusionTable
 
     def __post_init__(self) -> None:
         everything = self.static_ids | self.movable_ids
@@ -60,21 +69,34 @@ class StageContext:
             raise ValueError("static and movable sets must partition the scene's objects")
         if self.focus not in self.movable_ids:
             raise ValueError("focus object must be movable")
+        if self.table.scene is not self.scene:
+            raise ValueError("occlusion table belongs to another scene")
 
     @classmethod
-    def for_stage(cls, scene: Scene, order: list[ObjectId], index: int) -> "StageContext":
+    def for_stage(
+        cls,
+        scene: Scene,
+        order: list[ObjectId],
+        index: int,
+        table: OcclusionTable | None = None,
+    ) -> "StageContext":
+        """Context of stage ``index``; stages of one plan should share one table."""
         return cls(
             scene=scene,
             focus=order[index],
             static_ids=frozenset(order[:index]),
             movable_ids=frozenset(order[index:]),
-            goal=scene.goal,
             order=tuple(order),
+            table=OcclusionTable(scene) if table is None else table,
         )
 
     @cached_property
-    def goal_array(self) -> np.ndarray:
-        return np.asarray(self.goal, dtype=float)
+    def goal_indices(self) -> list[int]:
+        return self.table.indices(self.scene.goal)
+
+    @cached_property
+    def focus_goal(self) -> int:
+        return self.goal_indices[self.focus]
 
     @cached_property
     def topo_index(self) -> dict[ObjectId, int]:
@@ -83,6 +105,12 @@ class StageContext:
     @cached_property
     def movers_except_focus(self) -> tuple[ObjectId, ...]:
         return tuple(sorted(self.movable_ids - {self.focus}))
+
+    @cached_property
+    def others(self) -> tuple[tuple[ObjectId, ...], ...]:
+        """For each object, the ids of all other objects."""
+        ids = range(self.scene.n_objects)
+        return tuple(tuple(o for o in ids if o != obj) for obj in ids)
 
 
 @dataclass
@@ -104,7 +132,7 @@ class SearchBudget:
 
 
 class SearchNode:
-    """One tree node: an arrangement plus search statistics."""
+    """One tree node: an arrangement as an index vector, plus search statistics."""
 
     __slots__ = (
         "positions",
@@ -120,7 +148,7 @@ class SearchNode:
 
     def __init__(
         self,
-        positions: np.ndarray,
+        positions: list[int],
         incoming: Action | None = None,
         parent: "SearchNode | None" = None,
     ) -> None:
@@ -135,55 +163,46 @@ class SearchNode:
         self.dead = False
 
     @property
-    def arrangement(self) -> Arrangement:
-        return tuple(Point(float(x), float(y)) for x, y in self.positions)
-
-    @property
     def mean_reward(self) -> float:
         return self.total_reward / self.visits if self.visits else 0.0
 
 
-def _point_at(pos: np.ndarray, obj: ObjectId) -> Point:
-    return Point(float(pos[obj, 0]), float(pos[obj, 1]))
+def _occupied(positions: list[int], ids) -> int:
+    """Bit set of the points the given objects stand on."""
+    bits = 0
+    for o in ids:
+        bits |= 1 << positions[o]
+    return bits
 
 
-def blocked_pickups_at_goal(ctx: StageContext, positions: np.ndarray) -> set[ObjectId]:
+def blocked_pickups_at_goal(ctx: StageContext, positions: list[int]) -> set[ObjectId]:
     """Movable objects whose pickup tunnel the focus would block once at its goal."""
-    goal_disc = Disc(ctx.goal[ctx.focus], ctx.scene.object_radius)
-    out = set()
-    for obj in ctx.movers_except_focus:
-        t = home_tunnel(ctx.scene, _point_at(positions, obj))
-        if tunnel_intersects_disc(t, goal_disc):
-            out.add(obj)
-    return out
+    rows = ctx.table.row
+    goal = ctx.focus_goal
+    return {obj for obj in ctx.movers_except_focus if rows(positions[obj]) >> goal & 1}
 
 
-def stage_complete(ctx: StageContext, positions: np.ndarray) -> bool:
+def stage_complete(ctx: StageContext, positions: list[int]) -> bool:
     """Focus rests at its goal and traps nobody's pickup tunnel there."""
-    if not (positions[ctx.focus] == ctx.goal_array[ctx.focus]).all():
+    if positions[ctx.focus] != ctx.focus_goal:
         return False
     return not blocked_pickups_at_goal(ctx, positions)
 
 
-def get_blocking_objects(ctx: StageContext, arrangement) -> set[ObjectId]:
+def get_blocking_objects(ctx: StageContext, positions: list[int]) -> set[ObjectId]:
     """Movable objects standing between the focus and its finished goal.
 
     Collected are objects that touch the focus's pickup tunnel, objects that
     touch its goal placing tunnel, and objects whose own pickup tunnel would be
     blocked by the focus disc parked at the goal.
     """
-    pos = np.asarray(arrangement, dtype=float)
     movers = ctx.movers_except_focus
     if not movers:
         return set()
-    scene = ctx.scene
-    b = scene.object_radius
-    centers = pos[list(movers)]
-    pick = home_tunnel(scene, _point_at(pos, ctx.focus))
-    place = home_tunnel(scene, ctx.goal[ctx.focus])
-    hit = tunnel_disc_mask(pick, centers, b) | tunnel_disc_mask(place, centers, b)
-    out = {obj for obj, h in zip(movers, hit) if h}
-    out |= blocked_pickups_at_goal(ctx, pos)
+    table = ctx.table
+    hit = table.row(positions[ctx.focus]) | table.row(ctx.focus_goal)
+    out = {obj for obj in movers if hit >> positions[obj] & 1}
+    out |= blocked_pickups_at_goal(ctx, positions)
     return out
 
 
@@ -191,11 +210,11 @@ def new_region(
     ctx: StageContext,
     obj: ObjectId,
     deps: set[ObjectId],
-    arrangement,
+    positions: list[int],
     m: int,
     keep_goal_access: bool = False,
-) -> list[Point]:
-    """Up to ``m`` buffer regions for ``obj``, nearest first.
+) -> list[int]:
+    """Up to ``m`` buffer regions for ``obj`` as candidate indices, nearest first.
 
     A candidate is accepted when its disc avoids every other object, stays off
     the focus's pickup and goal-placing tunnels and off the current pickup
@@ -205,60 +224,57 @@ def new_region(
     does not land in a spot it could never leave once the stage finishes.
     Ties in distance fall to the lower grid index.
     """
-    pos = np.asarray(arrangement, dtype=float)
-    scene = ctx.scene
-    b = scene.object_radius
-    grid = scene.candidate_array
-    d2 = ((grid - pos[obj]) ** 2).sum(axis=1)
-    ok = d2 > _EPS  # staying put is not a relocation
-    others = np.delete(pos, obj, axis=0)
-    if len(others):
-        gaps = grid[:, None, :] - others[None, :, :]
-        ok &= ((gaps**2).sum(axis=-1) >= (2.0 * b) ** 2).all(axis=1)
-    tunnels = [
-        home_tunnel(scene, _point_at(pos, ctx.focus)),
-        home_tunnel(scene, ctx.goal[ctx.focus]),
-    ]
-    tunnels.extend(home_tunnel(scene, _point_at(pos, d)) for d in sorted(deps) if d != obj)
-    for t in tunnels:
-        ok &= ~tunnel_disc_mask(t, grid, b)
-    if ok.any():
-        obstacles = others
-        if keep_goal_access and obj != ctx.focus:
-            goal_disc = np.asarray(ctx.goal[ctx.focus], dtype=float)[None, :]
-            obstacles = np.vstack([others, goal_disc]) if len(others) else goal_disc
-        if len(obstacles):
-            ok &= placement_sweep_mask(scene, grid, obstacles)
-    order = np.argsort(d2, kind="stable")
-    chosen = order[ok[order]][:m]
-    return [scene.candidates[int(i)] for i in chosen]
-
-
-def _direct_move(ctx: StageContext, pos: np.ndarray) -> list[tuple[ObjectId, Point]]:
-    src = _point_at(pos, ctx.focus)
-    dst = ctx.goal[ctx.focus]
-    if src == dst:
+    table = ctx.table
+    order, own_spot = table.nearest(positions[obj])
+    ok = ((1 << table.n_candidates) - 1) & ~own_spot  # staying put is not a relocation
+    others = [positions[o] for o in ctx.others[obj]]
+    for j in others:
+        ok &= table.far(j)
+    blocked = table.row(positions[ctx.focus]) | table.row(ctx.focus_goal)
+    for d in deps - {obj}:
+        blocked |= table.row(positions[d])
+    ok &= ~blocked
+    if not ok:
         return []
-    if action_valid(ctx.scene, pos, Action(ctx.focus, src, dst)):
-        return [(ctx.focus, dst)]
+    for j in others:
+        ok &= table.clear(j)
+    if keep_goal_access and obj != ctx.focus:
+        ok &= table.clear(ctx.focus_goal)
+    accepted = table.candidate_mask(ok)[order]
+    return order[np.flatnonzero(accepted)[:m]].tolist()
+
+
+def _move_valid(ctx: StageContext, positions: list[int], obj: ObjectId, dst: int) -> bool:
+    """``action_valid`` for moving ``obj`` to its goal point ``dst``, looked up in the table.
+
+    The scene already checked that every goal disc lies inside the workspace.
+    """
+    table = ctx.table
+    occupied = _occupied(positions, ctx.others[obj])
+    swept = table.row(positions[obj]) | table.row(dst)
+    return (table.far(dst) & occupied) == occupied and not swept & occupied
+
+
+def _direct_move(ctx: StageContext, positions: list[int]) -> list[Move]:
+    focus, goal = ctx.focus, ctx.focus_goal
+    if positions[focus] != goal and _move_valid(ctx, positions, focus, goal):
+        return [(focus, goal, ctx.scene.goal[focus])]
     return []
 
 
-def _accessible_movables(ctx: StageContext, pos: np.ndarray) -> set[ObjectId]:
+def _accessible_movables(ctx: StageContext, positions: list[int]) -> set[ObjectId]:
     """Movable objects whose pickup tunnel currently touches no other disc."""
-    scene = ctx.scene
-    out = set()
-    for obj in sorted(ctx.movable_ids):
-        t = home_tunnel(scene, _point_at(pos, obj))
-        others = np.delete(pos, obj, axis=0)
-        if not tunnel_disc_mask(t, others, scene.object_radius).any():
-            out.add(obj)
-    return out
+    rows = ctx.table.row
+    return {
+        obj
+        for obj in sorted(ctx.movable_ids)
+        if not rows(positions[obj]) & _occupied(positions, ctx.others[obj])
+    }
 
 
 def _relocation_moves(
-    ctx: StageContext, pos: np.ndarray, width: int, blockers: set[ObjectId]
-) -> list[tuple[ObjectId, Point]]:
+    ctx: StageContext, positions: list[int], width: int, blockers: set[ObjectId]
+) -> list[Move]:
     """Candidate relocations that clear the given blockers out of the way.
 
     Accessible blockers go straight to their goal when that is collision-free
@@ -268,17 +284,23 @@ def _relocation_moves(
     blocks it; anything still unreachable is retried in the next wave.
     """
     scene = ctx.scene
-    b = scene.object_radius
+    table = ctx.table
     focus = ctx.focus
-    goal_arr = ctx.goal_array
-    moves: list[tuple[ObjectId, Point]] = []
-    seen_keys: set[tuple[ObjectId, Point]] = set()
+    goal_idx = ctx.goal_indices
+    movable = sorted(ctx.movable_ids)
+    moves: list[Move] = []
+    seen_keys: set[tuple[ObjectId, int]] = set()
 
-    def push(obj: ObjectId, dst: Point) -> None:
+    def push(obj: ObjectId, dst: int, point: Point) -> None:
         key = (obj, dst)
         if key not in seen_keys:
             seen_keys.add(key)
-            moves.append((obj, dst))
+            moves.append((obj, dst, point))
+
+    def tunnel_blockers(obj: ObjectId, t: int) -> list[ObjectId]:
+        # Movable objects other than obj whose disc the home tunnel to point t touches.
+        hits = table.row(t)
+        return [o for o in movable if o != obj and hits >> positions[o] & 1]
 
     def buffer_moves(obj: ObjectId, extra_dep: ObjectId | None = None) -> None:
         # Try the longest prefix of earlier-topology objects first and relax
@@ -289,10 +311,10 @@ def _relocation_moves(
                 deps = set(ctx.order[:cut])
                 if extra_dep is not None:
                     deps.add(extra_dep)
-                points = new_region(ctx, obj, deps, pos, width, keep_goal_access=keep_access)
-                if points:
-                    for p in points:
-                        push(obj, p)
+                found = new_region(ctx, obj, deps, positions, width, keep_goal_access=keep_access)
+                if found:
+                    for i in found:
+                        push(obj, i, scene.candidates[i])
                     return
 
     current = set(blockers)
@@ -301,36 +323,24 @@ def _relocation_moves(
         next_wave: set[ObjectId] = set()
         for o_i in sorted(current):
             processed.add(o_i)
-            pick_i = home_tunnel(scene, _point_at(pos, o_i))
-            pick_blockers = collision_objs(scene, pos, ctx.movable_ids - {o_i}, pick_i)
+            pick_blockers = tunnel_blockers(o_i, positions[o_i])
             if not pick_blockers:
+                goal = goal_idx[o_i]
                 goal_move_ok = False
-                at_goal = bool((pos[o_i] == goal_arr[o_i]).all())
-                if not at_goal:
-                    place_i = home_tunnel(scene, ctx.goal[o_i])
-                    place_blockers = collision_objs(scene, pos, ctx.movable_ids - {o_i}, place_i)
-                    if not place_blockers:
-                        move = Action(o_i, _point_at(pos, o_i), ctx.goal[o_i])
-                        if o_i == focus:
-                            goal_move_ok = not blocked_pickups_at_goal(ctx, pos) and action_valid(
-                                scene, pos, move
-                            )
-                        else:
-                            goal_disc = Disc(ctx.goal[o_i], b)
-                            clear_of_focus = not tunnel_intersects_disc(
-                                home_tunnel(scene, _point_at(pos, focus)), goal_disc
-                            ) and not tunnel_intersects_disc(
-                                home_tunnel(scene, ctx.goal[focus]), goal_disc
-                            )
-                            goal_move_ok = clear_of_focus and action_valid(scene, pos, move)
+                if positions[o_i] != goal and not tunnel_blockers(o_i, goal):
+                    if o_i == focus:
+                        goal_move_ok = not blocked_pickups_at_goal(ctx, positions)
+                    else:
+                        focus_tunnels = table.row(positions[focus]) | table.row(ctx.focus_goal)
+                        goal_move_ok = not focus_tunnels >> goal & 1
+                    goal_move_ok = goal_move_ok and _move_valid(ctx, positions, o_i, goal)
                 if goal_move_ok:
-                    push(o_i, ctx.goal[o_i])
+                    push(o_i, goal, scene.goal[o_i])
                 else:
                     buffer_moves(o_i)
             else:
-                for o_j in sorted(pick_blockers):
-                    pick_j = home_tunnel(scene, _point_at(pos, o_j))
-                    if collision_objs(scene, pos, ctx.movable_ids - {o_j}, pick_j):
+                for o_j in pick_blockers:
+                    if tunnel_blockers(o_j, positions[o_j]):
                         next_wave.add(o_j)  # not reachable yet either
                     else:
                         buffer_moves(o_j, extra_dep=o_i)
@@ -342,11 +352,11 @@ def _relocation_moves(
         current = pending
 
 
-def _candidate_moves(ctx: StageContext, pos: np.ndarray, width: int) -> list[tuple[ObjectId, Point]]:
-    blockers = get_blocking_objects(ctx, pos)
+def _candidate_moves(ctx: StageContext, positions: list[int], width: int) -> list[Move]:
+    blockers = get_blocking_objects(ctx, positions)
     if not blockers:
-        return _direct_move(ctx, pos)
-    return _relocation_moves(ctx, pos, width, blockers)
+        return _direct_move(ctx, positions)
+    return _relocation_moves(ctx, positions, width, blockers)
 
 
 def select(root: SearchNode, c: float) -> SearchNode:
@@ -388,7 +398,7 @@ def expand(ctx: StageContext, node: SearchNode, budget: SearchBudget) -> SearchN
     local dead ends. Raises ``ExpansionExhausted`` when no child exists.
     """
     pos = node.positions
-    n = pos.shape[0]
+    n = len(pos)
     if node.depth >= budget.stuck_threshold(n):
         blockers = get_blocking_objects(ctx, pos)
         if blockers:
@@ -400,10 +410,11 @@ def expand(ctx: StageContext, node: SearchNode, budget: SearchBudget) -> SearchN
         moves = _candidate_moves(ctx, pos, budget.expansion_width)
     if not moves:
         raise ExpansionExhausted(f"no relocation possible at depth {node.depth}")
-    for obj, dst in moves:
-        updated = pos.copy()
+    points = ctx.table.points
+    for obj, dst, dst_point in moves:
+        updated = list(pos)
         updated[obj] = dst
-        child = SearchNode(updated, incoming=Action(obj, _point_at(pos, obj), dst), parent=node)
+        child = SearchNode(updated, incoming=Action(obj, points[pos[obj]], dst_point), parent=node)
         node.children.append(child)
     return node.children[0]
 
@@ -419,9 +430,10 @@ def simulate(
     the cap or getting stuck costs one workspace diagonal per leftover blocker.
     """
     scene = ctx.scene
-    n = node.positions.shape[0]
+    points = ctx.table.points
+    n = len(node.positions)
     diagonal = math.hypot(scene.workspace.width, scene.workspace.depth)
-    pos = node.positions.copy()
+    pos = list(node.positions)
     cost = node.path_cost
     for _ in range(budget.rollout_limit(n)):
         if stage_complete(ctx, pos):
@@ -430,8 +442,9 @@ def simulate(
         if not moves:
             cost += diagonal * max(1, len(get_blocking_objects(ctx, pos)))
             break
-        obj, dst = moves[int(rng.integers(len(moves)))]
-        cost += math.hypot(pos[obj, 0] - dst.x, pos[obj, 1] - dst.y)
+        obj, dst, dst_point = moves[int(rng.integers(len(moves)))]
+        src = points[pos[obj]]
+        cost += math.hypot(src.x - dst_point.x, src.y - dst_point.y)
         pos[obj] = dst
     else:
         if not stage_complete(ctx, pos):
@@ -478,12 +491,14 @@ def solve_stage(
     Runs select / expand / simulate / backpropagate rounds and halts on the
     first node whose arrangement completes the stage. Raises ``StageTimeout``
     when the deadline or iteration budget runs out and ``StageExhausted`` when
-    the whole tree is dead.
+    the whole tree is dead, and ``ValueError`` when ``start`` puts an object on
+    a point that is not a candidate, start or goal point of the scene.
     """
-    positions = np.array(start, dtype=float)
-    goal_arr = ctx.goal_array
+    table = ctx.table
+    positions = table.indices(start)
+    goal_idx = ctx.goal_indices
     for obj in ctx.static_ids:
-        if np.abs(positions[obj] - goal_arr[obj]).max() > 1e-9:
+        if np.abs(table.coords[positions[obj]] - table.coords[goal_idx[obj]]).max() > 1e-9:
             raise ValueError(f"static object {obj} is not at its goal at stage entry")
     if rng is None:
         rng = np.random.default_rng(0)

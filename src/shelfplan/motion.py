@@ -54,8 +54,8 @@ def swept_volume(scene: Scene, action: Action) -> SweptVolume:
 def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     """Check the collision constraint for one relocation.
 
-    Valid iff neither sweep tunnel touches any disc other than the moved
-    object's, and the destination disc fits the workspace without overlapping
+    Valid iff neither sweep tunnel has a collision object other than the moved
+    object, and the destination disc fits the workspace without overlapping
     another object. The moved object itself travels inside the tunnels and is
     ignored on both legs.
     """
@@ -63,18 +63,14 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     if not disc_in_workspace(Disc(Point(*action.dst), b), scene.workspace):
         return False
     pos = np.asarray(arrangement, dtype=float)
-    others = np.delete(pos, action.obj, axis=0)
-    if len(others) == 0:
-        return True
-    d2 = ((others - np.asarray(action.dst, dtype=float)) ** 2).sum(axis=1)
+    d2 = ((pos - np.asarray(action.dst, dtype=float)) ** 2).sum(axis=1)
+    d2[action.obj] = np.inf  # the moved object vacates its own disc
     if (d2 < (2.0 * b) ** 2).any():
         return False
+    others = [o for o in range(len(pos)) if o != action.obj]
     vol = swept_volume(scene, action)
-    if tunnel_disc_mask(vol.pick, others, b).any():
-        return False
-    if tunnel_disc_mask(vol.place, others, b).any():
-        return False
-    return True
+    pick_hits = collision_objs(scene, pos, others, vol.pick)
+    return not (pick_hits or collision_objs(scene, pos, others, vol.place))
 
 
 def collision_objs(

@@ -1,0 +1,115 @@
+"""Per-plan occlusion table: the search's geometric queries, answered by index.
+
+Every position a plan can put an object on is a candidate grid point, a start
+point or a goal point. The table numbers these P points (the candidates
+first, in grid order, then any off-grid start or goal point) and caches the
+answers between them as bit sets, Python ints whose bit ``k`` stands for
+point ``k``. Each entry is computed on first use by the same kernel the
+search would otherwise call, so a looked-up answer equals a recomputed one
+bit for bit:
+
+- ``row(t)``: the point discs the home tunnel to point ``t`` touches
+  (``tunnel_disc_mask``);
+- ``clear(j)``: the candidates whose placing sweep misses the disc at point
+  ``j`` (``placement_sweep_mask``);
+- ``far(j)``: the point discs that do not overlap the disc at point ``j``;
+- ``nearest(j)``: the candidates in stable order of distance from point
+  ``j``, and those at point ``j``'s own spot (closer than 1e-6).
+
+A search visits only a small share of the points, so filling the whole table
+up front would cost more than most plans. A table belongs to one planning run
+and is dropped with it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .geometry import Point, tunnel_disc_mask
+from .motion import home_tunnel, placement_sweep_mask
+from .scene import Arrangement, Scene
+
+_SAME_SPOT_D2 = 1e-12  # squared distance under which a candidate is point j's own spot
+
+
+def to_bits(mask: np.ndarray) -> int:
+    """Bit set of a bool array: bit ``k`` is ``mask[k]``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+class OcclusionTable:
+    """Lazily filled collision answers between the points of one scene."""
+
+    def __init__(self, scene: Scene) -> None:
+        self.scene = scene
+        self.n_candidates = len(scene.candidates)
+        index = {p: i for i, p in enumerate(scene.candidates)}
+        if len(index) < self.n_candidates:
+            raise ValueError("scene candidates must be distinct points")
+        for p in scene.start + scene.goal:
+            index.setdefault(p, len(index))
+        self._index = index
+        # Points as the float arrays of the search saw them: Point(7, 6) reads (7.0, 6.0).
+        self.points = tuple(Point(float(p.x), float(p.y)) for p in index)
+        self.coords = np.asarray(self.points, dtype=float)
+        self._min_gap2 = (2.0 * scene.object_radius) ** 2
+        size = len(self.points)
+        self._rows: list[int | None] = [None] * size
+        self._clear: list[int | None] = [None] * size
+        self._far: list[int | None] = [None] * size
+        self._nearest: list[tuple[np.ndarray, int] | None] = [None] * size
+
+    def index_of(self, p) -> int:
+        """Index of a position; ``ValueError`` if the scene has no such point."""
+        try:
+            return self._index[Point(*p)]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"position {tuple(p)} is not a candidate, start or goal point of the scene"
+            ) from None
+
+    def indices(self, arrangement: Arrangement) -> list[int]:
+        """Index vector of an arrangement."""
+        return [self.index_of(p) for p in arrangement]
+
+    def candidate_mask(self, bits: int) -> np.ndarray:
+        """Bool array over the candidates of a bit set."""
+        raw = np.frombuffer(bits.to_bytes((self.n_candidates + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.n_candidates, bitorder="little").view(bool)
+
+    def row(self, t: int) -> int:
+        """Point discs that the home tunnel to point ``t`` touches."""
+        hits = self._rows[t]
+        if hits is None:
+            tunnel = home_tunnel(self.scene, self.points[t])
+            hits = to_bits(tunnel_disc_mask(tunnel, self.coords, self.scene.object_radius))
+            self._rows[t] = hits
+        return hits
+
+    def clear(self, j: int) -> int:
+        """Candidates whose placing sweep misses the disc at point ``j``."""
+        ok = self._clear[j]
+        if ok is None:
+            grid = self.coords[: self.n_candidates]
+            ok = to_bits(placement_sweep_mask(self.scene, grid, self.coords[j : j + 1]))
+            self._clear[j] = ok
+        return ok
+
+    def far(self, j: int) -> int:
+        """Point discs that do not overlap the disc at point ``j``."""
+        ok = self._far[j]
+        if ok is None:
+            ok = self._far[j] = to_bits(self._distances(j) >= self._min_gap2)
+        return ok
+
+    def nearest(self, j: int) -> tuple[np.ndarray, int]:
+        """Candidates by distance from point ``j`` (stable argsort), and those at its own spot."""
+        entry = self._nearest[j]
+        if entry is None:
+            d2 = self._distances(j)[: self.n_candidates]
+            entry = (np.argsort(d2, kind="stable"), to_bits(d2 <= _SAME_SPOT_D2))
+            self._nearest[j] = entry
+        return entry
+
+    def _distances(self, j: int) -> np.ndarray:
+        return ((self.coords - self.coords[j]) ** 2).sum(axis=1)

@@ -12,6 +12,7 @@ import numpy as np
 from .geometry import TOL, Point
 from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, solve_stage
 from .motion import Action, action_valid
+from .occlusion import OcclusionTable
 from .scene import Scene
 from .topology import CycleError, build_dependency_graph, stage_order
 
@@ -59,6 +60,7 @@ def _replay(scene: Scene, actions: tuple[Action, ...]):
     None when every action was applicable and collision-free.
     """
     positions = list(scene.start)
+    coords = np.array(positions, dtype=float)  # the same arrangement, as action_valid reads it
     n = len(positions)
     for step, act in enumerate(actions):
         if not 0 <= act.obj < n:
@@ -66,9 +68,10 @@ def _replay(scene: Scene, actions: tuple[Action, ...]):
         current = positions[act.obj]
         if abs(current.x - act.src.x) > TOL or abs(current.y - act.src.y) > TOL:
             return step, "pick location does not match the object's current region", None
-        if not action_valid(scene, tuple(positions), act):
+        if not action_valid(scene, coords, act):
             return step, "relocation is not collision-free", None
         positions[act.obj] = act.dst
+        coords[act.obj] = act.dst
     return None, None, positions
 
 
@@ -191,10 +194,11 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     except CycleError:
         return report(False, None, "topology-cycle")
     rng = np.random.default_rng(seed)
+    table = OcclusionTable(scene)  # lives for this run only: its entries fill as the search asks
     positions = list(scene.start)
     actions: list[Action] = []
     for index in range(len(order)):
-        ctx = StageContext.for_stage(scene, order, index)
+        ctx = StageContext.for_stage(scene, order, index, table)
         stage_deadline = None
         if deadline is not None:
             remaining = deadline - time.monotonic()

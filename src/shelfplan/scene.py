@@ -86,16 +86,8 @@ class Scene:
         return len(self.start)
 
     @cached_property
-    def start_array(self) -> np.ndarray:
-        return np.asarray(self.start, dtype=float)
-
-    @cached_property
     def goal_array(self) -> np.ndarray:
         return np.asarray(self.goal, dtype=float)
-
-    @cached_property
-    def candidate_array(self) -> np.ndarray:
-        return np.asarray(self.candidates, dtype=float)
 
 
 def make_scene(

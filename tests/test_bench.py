@@ -200,3 +200,23 @@ class TestCli:
 
     def test_missing_scene_file_is_io_error(self, tmp_path):
         assert main(["plan", str(tmp_path / "absent.json")]) == 2
+
+    def test_validate_zero_move_plan_is_input_error(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        plan_path = tmp_path / "plan.json"
+        main(["gen", "--objects", "3", "--seed", "4", "--out", str(scene_path)])
+        move = {"object": 0, "from": [2.0, 2.0], "to": [2.0, 2.0]}
+        plan_path.write_text(json.dumps({"actions": [move], "steps": 1}))
+        assert main(["validate", str(scene_path), str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a valid plan" in err
+
+    def test_plan_overlapping_start_is_input_error(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        main(["gen", "--objects", "2", "--seed", "4", "--out", str(scene_path)])
+        data = json.loads(scene_path.read_text())
+        data["start"] = [[5.0, 5.0], [6.0, 5.0]]
+        scene_path.write_text(json.dumps(data))
+        assert main(["plan", str(scene_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a valid scene" in err

@@ -1,0 +1,81 @@
+"""Golden plans: a fixed corpus must keep producing byte-identical plan JSON.
+
+The corpus is planned with the wall clock off, so the recorded output does
+not depend on machine speed. A change that alters plans on purpose
+regenerates the file and says why:
+
+    PYTHONPATH=src python tests/test_golden_plans.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from shelfplan import SceneConfig, SearchBudget, generate_scene, plan, plan_to_json
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_plans.json"
+
+# (band, scene seeds, object counts alternating by seed, grid resolution);
+# each scene is searched with its own seed, as ``shelfplan bench`` does.
+CORPUS = (
+    ("hard", range(80, 88), (7, 8), 1.0),
+    ("medium-0.5", range(0, 4), (5, 6), 0.5),
+)
+
+
+def corpus_cases() -> list[tuple[str, int, int, float]]:
+    return [
+        (band, seed, counts[k % len(counts)], grid)
+        for band, seeds, counts, grid in CORPUS
+        for k, seed in enumerate(seeds)
+    ]
+
+
+def plan_case(seed: int, n_objects: int, grid: float) -> dict:
+    scene = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed, grid_resolution=grid))
+    report = plan(scene, SearchBudget(wall_clock_limit=None), seed=seed)
+    return {
+        "success": report.success,
+        "failure_kind": report.failure_kind,
+        "plan_json": plan_to_json(report.plan) if report.success else None,
+    }
+
+
+def record_all() -> list[dict]:
+    return [
+        {"band": band, "seed": seed, "n_objects": n, "grid": grid, **plan_case(seed, n, grid)}
+        for band, seed, n, grid in corpus_cases()
+    ]
+
+
+def load_golden() -> list[dict]:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", corpus_cases(), ids=lambda case: f"{case[0]}-{case[1]}")
+def test_plan_matches_golden(case):
+    entry = next(e for e in load_golden() if (e["band"], e["seed"]) == case[:2])
+    got = plan_case(entry["seed"], entry["n_objects"], entry["grid"])
+    assert got["success"] == entry["success"]
+    assert got["failure_kind"] == entry["failure_kind"]
+    assert got["plan_json"] == entry["plan_json"]
+
+
+def test_golden_covers_corpus():
+    recorded = [(e["band"], e["seed"], e["n_objects"], e["grid"]) for e in load_golden()]
+    assert recorded == corpus_cases()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_golden_plans.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(record_all(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {GOLDEN}")

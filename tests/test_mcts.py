@@ -36,6 +36,11 @@ def ctx_for(scene, order=None, index=0):
     return StageContext.for_stage(scene, order, index)
 
 
+def at(ctx, arrangement):
+    """Index vector of an arrangement in the stage's occlusion table."""
+    return ctx.table.indices(arrangement)
+
+
 def manual_children(root, stats):
     """Attach children with prescribed (visits, total_reward) to a root node."""
     children = []
@@ -55,7 +60,7 @@ def manual_children(root, stats):
 
 class TestSelect:
     def setup_method(self):
-        self.root = SearchNode(np.zeros((1, 2)))
+        self.root = SearchNode([0])
 
     def test_unvisited_child_first(self):
         children = manual_children(self.root, [(0, 0.0), (5, -10.0)])
@@ -73,7 +78,7 @@ class TestSelect:
         stats = [(4, -12.0), (2, -11.0), (6, -30.0)]
         children = manual_children(self.root, stats)
         pick = select(self.root, 0.9)
-        shifted_root = SearchNode(np.zeros((1, 2)))
+        shifted_root = SearchNode([0])
         shifted = manual_children(shifted_root, [(v, t + 7.5 * v) for v, t in stats])
         assert shifted[children.index(pick)] is select(shifted_root, 0.9)
 
@@ -87,12 +92,12 @@ class TestGetBlockingObjects:
     def test_focus_alone(self):
         scene = make_scene([Point(10, 5)], [Point(10, 15)])
         ctx = ctx_for(scene)
-        assert get_blocking_objects(ctx, scene.start) == set()
+        assert get_blocking_objects(ctx, at(ctx, scene.start)) == set()
 
     def test_object_on_goal_placing_tunnel(self):
         scene = make_scene([Point(4, 5), Point(10, 8)], [Point(10, 12), Point(16, 14)])
         ctx = ctx_for(scene, order=[0, 1])
-        assert get_blocking_objects(ctx, scene.start) == {1}
+        assert get_blocking_objects(ctx, at(ctx, scene.start)) == {1}
 
     def test_goal_shadow_blocks_future_pickup(self):
         # focus goal (10, 6) sits between home and object 1 at (10, 12)
@@ -100,7 +105,7 @@ class TestGetBlockingObjects:
         ctx = ctx_for(scene, order=[0, 1])
         pick = home_tunnel(scene, scene.start[1])
         assert tunnel_intersects_disc(pick, Disc(scene.goal[0], 1.0))  # construction sanity
-        assert get_blocking_objects(ctx, scene.start) == {1}
+        assert get_blocking_objects(ctx, at(ctx, scene.start)) == {1}
 
 
 class TestNewRegion:
@@ -110,7 +115,7 @@ class TestNewRegion:
             [Point(4, 12), Point(10, 18), Point(16, 8)],
         )
         ctx = ctx_for(scene, order=[0, 1, 2])
-        got = new_region(ctx, 1, set(), scene.start, 1)
+        got = [scene.candidates[i] for i in new_region(ctx, 1, set(), at(ctx, scene.start), 1)]
         assert len(got) == 1
         # scalar re-derivation of the acceptance rule, nearest first
         pos = np.asarray(scene.start, float)
@@ -135,7 +140,7 @@ class TestNewRegion:
         # a tunnel as wide as the workspace rejects every candidate
         scene = make_scene([Point(4, 4), Point(16, 16)], [Point(4, 12), Point(16, 8)], tunnel_width=40)
         ctx = ctx_for(scene, order=[0, 1])
-        assert new_region(ctx, 1, set(), scene.start, 5) == []
+        assert new_region(ctx, 1, set(), at(ctx, scene.start), 5) == []
 
     def test_accepted_regions_survive_action_validation(self):
         scene = make_scene(
@@ -143,8 +148,8 @@ class TestNewRegion:
             [Point(4, 12), Point(10, 18), Point(16, 8)],
         )
         ctx = ctx_for(scene, order=[0, 1, 2])
-        for target in new_region(ctx, 1, {0}, scene.start, 5):
-            act = Action(1, scene.start[1], target)
+        for target in new_region(ctx, 1, {0}, at(ctx, scene.start), 5):
+            act = Action(1, scene.start[1], scene.candidates[target])
             assert action_valid(scene, scene.start, act)
 
 
@@ -152,7 +157,7 @@ class TestExpand:
     def test_unblocked_focus_single_goal_child(self):
         scene = make_scene([Point(10, 5)], [Point(10, 15)])
         ctx = ctx_for(scene)
-        root = SearchNode(np.asarray(scene.start, float))
+        root = SearchNode(at(ctx, scene.start))
         root.visits = 1
         child = expand(ctx, root, BUDGET)
         assert len(root.children) == 1
@@ -163,21 +168,23 @@ class TestExpand:
     def test_single_blocker_children_relocate_it_only(self):
         scene = make_scene([Point(4, 5), Point(10, 8)], [Point(10, 12), Point(16, 14)])
         ctx = ctx_for(scene, order=[0, 1])
-        root = SearchNode(np.asarray(scene.start, float))
+        root = SearchNode(at(ctx, scene.start))
         root.visits = 1
         expand(ctx, root, BUDGET)
         assert root.children
         for child in root.children:
             assert child.incoming.obj == 1
-            assert action_valid(scene, root.arrangement, child.incoming)
-            moved = [o for o in range(2) if child.arrangement[o] != root.arrangement[o]]
+            before = tuple(ctx.table.points[i] for i in root.positions)
+            after = tuple(ctx.table.points[i] for i in child.positions)
+            assert action_valid(scene, before, child.incoming)
+            moved = [o for o in range(2) if after[o] != before[o]]
             assert moved == [1]
 
     def test_focus_relocates_itself_when_it_traps_its_blocker(self):
         # object 1 occupies the focus goal; its escape tunnel crosses the focus
         scene = make_scene([Point(10, 5), Point(10, 12)], [Point(10, 12), Point(16, 5)])
         ctx = ctx_for(scene, order=[0, 1])
-        root = SearchNode(np.asarray(scene.start, float))
+        root = SearchNode(at(ctx, scene.start))
         root.visits = 1
         expand(ctx, root, BUDGET)
         assert any(child.incoming.obj == 0 for child in root.children)
@@ -187,7 +194,7 @@ class TestSimulate:
     def test_node_with_focus_at_goal(self):
         scene = make_scene([Point(10, 5)], [Point(10, 15)])
         ctx = ctx_for(scene)
-        root = SearchNode(np.asarray(scene.start, float))
+        root = SearchNode(at(ctx, scene.start))
         root.visits = 1
         child = expand(ctx, root, BUDGET)
         assert stage_complete(ctx, child.positions)
@@ -197,12 +204,12 @@ class TestSimulate:
     def test_unblocked_focus_costs_straight_line(self):
         scene = make_scene([Point(10, 5)], [Point(13, 9)])
         ctx = ctx_for(scene)
-        root = SearchNode(np.asarray(scene.start, float))
+        root = SearchNode(at(ctx, scene.start))
         assert simulate(ctx, root, BUDGET, np.random.default_rng(0)) == pytest.approx(-5.0)
 
     def test_same_seed_same_rollout(self, flip_scene):
         ctx = ctx_for(flip_scene, order=[0, 1, 2, 3])
-        root = SearchNode(np.asarray(flip_scene.start, float))
+        root = SearchNode(at(ctx, flip_scene.start))
         rewards = [
             simulate(ctx, root, BUDGET, np.random.default_rng(11)),
             simulate(ctx, root, BUDGET, np.random.default_rng(11)),
@@ -214,14 +221,14 @@ class TestSimulate:
         for seed in range(8):
             scene = generate_scene(SceneConfig(n_objects=4, rng_seed=seed))
             ctx = ctx_for(scene, order=list(range(4)))
-            root = SearchNode(np.asarray(scene.start, float))
+            root = SearchNode(at(ctx, scene.start))
             assert simulate(ctx, root, BUDGET, rng) <= 0.0
 
 
 class TestBackpropagate:
     def test_updates_whole_path(self):
         scene = make_scene([Point(10, 5)], [Point(10, 15)])
-        nodes = [SearchNode(np.asarray(scene.start, float))]
+        nodes = [SearchNode(at(ctx_for(scene), scene.start))]
         for depth in range(3):
             child = SearchNode(
                 nodes[-1].positions.copy(),
@@ -259,7 +266,7 @@ class TestSolveStage:
         for act in actions:
             assert action_valid(scene, tuple(positions), act)
             positions[act.obj] = act.dst
-        assert stage_complete(ctx, np.asarray(positions, float))
+        assert stage_complete(ctx, at(ctx, positions))
 
     def test_matches_bfs_on_swap_stage(self):
         # coarse 5x5 grid; object 1 sits on the focus goal
@@ -292,3 +299,23 @@ class TestSolveStage:
                 assert action_valid(scene, tuple(positions), act)
                 positions[act.obj] = act.dst
             assert positions[0] == scene.goal[0]
+
+
+class TestUnknownPositions:
+    def test_solve_stage_names_the_point(self):
+        scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
+        ctx = ctx_for(scene, order=[0, 1])
+        with pytest.raises(ValueError, match=r"\(16\.5, 16\.0\) is not a candidate"):
+            solve_stage(ctx, (Point(10, 5), Point(16.5, 16.0)), BUDGET)
+
+    def test_off_grid_start_and_goal_are_known(self):
+        scene = make_scene([Point(10.3, 5), Point(16, 16)], [Point(10, 15.2), Point(16, 8)])
+        ctx = ctx_for(scene, order=[0, 1])
+        actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
+        assert actions == [Action(0, Point(10.3, 5.0), Point(10, 15.2))]
+
+    def test_context_rejects_another_scenes_table(self):
+        scene = make_scene([Point(10, 5)], [Point(10, 15)])
+        other = ctx_for(make_scene([Point(10, 5)], [Point(10, 15)]))
+        with pytest.raises(ValueError, match="another scene"):
+            StageContext.for_stage(scene, [0], 0, other.table)

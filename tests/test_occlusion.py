@@ -1,0 +1,207 @@
+"""The occlusion table must answer exactly as the kernels it caches.
+
+Entries are bit sets (bit ``k`` for point ``k``). Each kind is compared with
+the kernel the search called before the table existed, over every point pair
+of a scene: ``row`` with ``tunnel_disc_mask`` (and the scalar
+``tunnel_intersects_disc``), ``clear`` with ``placement_sweep_mask``, ``far``
+with ``discs_overlap``, and ``nearest`` with a stable sort of the squared
+distances.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shelfplan import Point, SceneConfig, generate_scene, make_scene
+from shelfplan.geometry import Disc, discs_overlap, tunnel_disc_mask, tunnel_intersects_disc
+from shelfplan.motion import home_tunnel, placement_sweep_mask
+from shelfplan.occlusion import OcclusionTable, to_bits
+
+SCENES = {
+    "default-grid": lambda: make_scene([Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)]),
+    "half-grid": lambda: make_scene(
+        [Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)], grid_resolution=0.5
+    ),
+    "off-grid": lambda: make_scene(
+        [Point(4.3, 4.7), Point(15.9, 16.25), Point(10, 9.5)],
+        [Point(16.1, 3.8), Point(3.6, 16.4), Point(10.05, 14)],
+    ),
+}
+
+
+def unpack(bits, n):
+    return np.array([bool(bits >> k & 1) for k in range(n)])
+
+
+def full_rows(table):
+    return np.array([unpack(table.row(t), len(table.points)) for t in range(len(table.points))])
+
+
+def full_clear(table):
+    return np.array([unpack(table.clear(j), table.n_candidates) for j in range(len(table.points))])
+
+
+@pytest.fixture(scope="module", params=sorted(SCENES))
+def table(request):
+    return OcclusionTable(SCENES[request.param]())
+
+
+class TestPoints:
+    def test_candidates_first_then_off_grid_points(self, table):
+        scene = table.scene
+        assert table.points[: table.n_candidates] == scene.candidates
+        for p in scene.start + scene.goal:
+            assert table.points[table.index_of(p)] == p
+
+    def test_off_grid_points_are_appended(self):
+        table = OcclusionTable(SCENES["off-grid"]())
+        assert len(table.points) == table.n_candidates + 6
+
+    def test_index_round_trip(self, table):
+        idx = table.indices(table.scene.start)
+        assert all(type(i) is int for i in idx)
+        assert tuple(table.points[i] for i in idx) == table.scene.start
+
+    def test_bits_round_trip(self, table):
+        rng = np.random.default_rng(5)
+        mask = rng.random(table.n_candidates) < 0.3
+        assert np.array_equal(table.candidate_mask(to_bits(mask)), mask)
+        assert to_bits(np.zeros(0, dtype=bool)) == 0
+
+    def test_integer_points_read_as_floats(self):
+        scene = make_scene([Point(7, 6)], [Point(7, 14)])
+        table = OcclusionTable(scene)
+        p = table.points[table.index_of(Point(7, 6))]
+        assert type(p.x) is float and p == Point(7.0, 6.0)
+
+    @pytest.mark.parametrize("bad", [Point(4.5, 4.5), Point(float("nan"), 4.0), (1.0, 2.0, 3.0)])
+    def test_unknown_point_is_value_error_naming_it(self, bad):
+        table = OcclusionTable(SCENES["default-grid"]())
+        with pytest.raises(ValueError, match="not a candidate, start or goal point") as err:
+            table.index_of(bad)
+        assert str(tuple(bad)) in str(err.value)
+
+
+class TestKernelEquivalence:
+    def test_row_equals_tunnel_disc_mask(self, table):
+        scene = table.scene
+        for t, p in enumerate(table.points):
+            expected = tunnel_disc_mask(home_tunnel(scene, p), table.coords, scene.object_radius)
+            assert table.row(t) == to_bits(expected), p
+
+    def test_clear_equals_placement_sweep_mask(self, table):
+        scene = table.scene
+        grid = table.coords[: table.n_candidates]
+        for j in range(len(table.points)):
+            expected = placement_sweep_mask(scene, grid, table.coords[j : j + 1])
+            assert table.clear(j) == to_bits(expected), table.points[j]
+
+    def test_far_equals_not_discs_overlap(self, table):
+        b = table.scene.object_radius
+        sample = range(0, len(table.points), 7)
+        for j in sample:
+            disc = Disc(table.points[j], b)
+            expected = [not discs_overlap(disc, Disc(q, b)) for q in table.points]
+            assert table.far(j) == to_bits(np.array(expected))
+
+    def test_nearest_is_stable_distance_order(self, table):
+        grid = np.asarray(table.scene.candidates, dtype=float)
+        for j in range(0, len(table.points), 11):
+            order, own_spot = table.nearest(j)
+            d2 = ((grid - table.coords[j]) ** 2).sum(axis=1)
+            assert np.array_equal(order, np.argsort(d2, kind="stable"))
+            assert own_spot == to_bits(d2 <= 1e-12)
+
+    def test_own_spot_covers_a_candidate_closer_than_1e_6(self):
+        scene = make_scene([Point(4.0000001, 4.0)], [Point(16, 16)])
+        table = OcclusionTable(scene)
+        j = table.index_of(scene.start[0])
+        assert j >= table.n_candidates
+        assert table.nearest(j)[1] == 1 << table.index_of(Point(4.0, 4.0))
+
+    @pytest.mark.parametrize("name", ["default-grid", "off-grid"])
+    def test_row_equals_scalar_test(self, name):
+        table = OcclusionTable(SCENES[name]())
+        scene = table.scene
+        b = scene.object_radius
+        discs = [Disc(q, b) for q in table.points]
+        for t, p in enumerate(table.points):
+            tunnel = home_tunnel(scene, p)
+            expected = [tunnel_intersects_disc(tunnel, d) for d in discs]
+            assert table.row(t) == to_bits(np.array(expected)), p
+
+
+class TestTangentPairs:
+    """The two tunnel kernels disagree on some exactly tangent grid pairs.
+
+    ``row`` replaces the rotation by ``atan2`` angle and ``clear`` the
+    normalised direction; each table keeps its own kernel's answer, so the
+    search behaves exactly as it did before the table.
+    """
+
+    def test_kernels_disagree_and_table_keeps_both(self):
+        table = OcclusionTable(SCENES["default-grid"]())
+        g = table.n_candidates
+        rows = full_rows(table)[:g, :g]  # [target, disc]
+        clear = full_clear(table)[:g, :g]  # [disc, target]
+        disagree = np.argwhere(rows == clear.T)  # touching in one, clear in the other
+        assert len(disagree) > 0
+        for t, j in disagree:
+            target, disc = table.points[t], table.points[j]
+            tunnel = home_tunnel(table.scene, target)
+            angle_path = tunnel_intersects_disc(tunnel, Disc(disc, table.scene.object_radius))
+            assert rows[t, j] == angle_path
+            sweep = placement_sweep_mask(table.scene, np.array([target]), np.array([disc]))[0]
+            assert clear[j, t] == sweep
+
+    def test_known_tangent_case(self):
+        # The tunnel straight ahead to (10, y) is tangent to the disc at (7, 1):
+        # cos(pi/2) is about 6e-17, so the angle path misses the contact.
+        table = OcclusionTable(SCENES["default-grid"]())
+        disc = table.index_of(Point(7.0, 1.0))
+        target = table.index_of(Point(10.0, 18.0))
+        assert not table.row(target) >> disc & 1  # angle path: no contact
+        assert not table.clear(disc) >> target & 1  # normalised path: contact
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_objects=st.integers(1, 6),
+    grid=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=30
+    ),
+)
+def test_random_entries_match_kernels(seed, n_objects, grid, picks):
+    config = SceneConfig(
+        n_objects=n_objects, rng_seed=seed, grid_resolution=grid, min_center_separation=2.0
+    )
+    scene = generate_scene(config)
+    table = OcclusionTable(scene)
+    b = scene.object_radius
+    for a, c in picks:
+        t, j = a % len(table.points), c % len(table.points)
+        p, q = table.points[t], table.points[j]
+        assert table.row(t) >> j & 1 == tunnel_intersects_disc(home_tunnel(scene, p), Disc(q, b))
+        assert table.far(t) >> j & 1 == (not discs_overlap(Disc(p, b), Disc(q, b)))
+        i = c % table.n_candidates
+        target = table.coords[i : i + 1]
+        sweep = placement_sweep_mask(scene, target, table.coords[j : j + 1])[0]
+        assert table.clear(j) >> i & 1 == sweep
+    # Reductions over an arrangement equal the batched kernels the search called.
+    grid = table.coords[: table.n_candidates]
+    occupied = table.indices(scene.start)
+    centers = table.coords[occupied]
+    swept = spaced = (1 << table.n_candidates) - 1
+    for j in occupied:
+        swept &= table.clear(j)
+        spaced &= table.far(j)
+    assert swept == to_bits(placement_sweep_mask(scene, grid, centers))
+    gaps = grid[:, None, :] - centers[None, :, :]
+    assert spaced == to_bits(((gaps**2).sum(axis=-1) >= (2.0 * b) ** 2).all(axis=1))
+    # Lazy filling in any order gives the same table as filling in index order.
+    fresh = OcclusionTable(scene)
+    for t in sorted({a % len(table.points) for a, _ in picks}):
+        assert fresh.row(t) == table.row(t)

@@ -245,14 +245,9 @@ def new_region(
 
 
 def _move_valid(ctx: StageContext, positions: list[int], obj: ObjectId, dst: int) -> bool:
-    """``action_valid`` for moving ``obj`` to its goal point ``dst``, looked up in the table.
-
-    The scene already checked that every goal disc lies inside the workspace.
-    """
-    table = ctx.table
+    """``action_valid`` for moving ``obj`` to point ``dst``, looked up in the table."""
     occupied = _occupied(positions, ctx.others[obj])
-    swept = table.row(positions[obj]) | table.row(dst)
-    return (table.far(dst) & occupied) == occupied and not swept & occupied
+    return ctx.table.move_valid(positions[obj], dst, occupied)
 
 
 def _direct_move(ctx: StageContext, positions: list[int]) -> list[Move]:

@@ -1,8 +1,9 @@
 """Per-plan occlusion table: the search's geometric queries, answered by index.
 
-Every position a plan can put an object on is a candidate grid point, a start
-point or a goal point. The table numbers these P points (the candidates
-first, in grid order, then any off-grid start or goal point) and caches the
+Every position a search can put an object on is a candidate grid point, a
+start point or a goal point. The table numbers these P points (the candidates
+first, in grid order, then any off-grid start or goal point, then any extra
+points it is given, such as the points of a plan to optimise) and caches the
 answers between them as bit sets, Python ints whose bit ``k`` stands for
 point ``k``. Each entry is computed on first use by the same kernel the
 search would otherwise call, so a looked-up answer equals a recomputed one
@@ -14,7 +15,10 @@ bit for bit:
   ``j`` (``placement_sweep_mask``);
 - ``far(j)``: the point discs that do not overlap the disc at point ``j``;
 - ``nearest(j)``: the candidates in stable order of distance from point
-  ``j``, and those at point ``j``'s own spot (closer than 1e-6).
+  ``j``, and those at point ``j``'s own spot (closer than 1e-6);
+- ``inside(j)``: the disc at point ``j`` lies in the workspace.
+
+``move_valid`` combines them into ``action_valid`` for one relocation.
 
 A search visits only a small share of the points, so filling the whole table
 up front would cost more than most plans. A table belongs to one planning run
@@ -23,9 +27,11 @@ and is dropped with it.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from .geometry import Point, tunnel_disc_mask
+from .geometry import Disc, Point, disc_in_workspace, tunnel_disc_mask
 from .motion import home_tunnel, placement_sweep_mask
 from .scene import Arrangement, Scene
 
@@ -40,7 +46,7 @@ def to_bits(mask: np.ndarray) -> int:
 class OcclusionTable:
     """Lazily filled collision answers between the points of one scene."""
 
-    def __init__(self, scene: Scene) -> None:
+    def __init__(self, scene: Scene, extra_points: Iterable[Point] = ()) -> None:
         self.scene = scene
         self.n_candidates = len(scene.candidates)
         index = {p: i for i, p in enumerate(scene.candidates)}
@@ -48,6 +54,8 @@ class OcclusionTable:
             raise ValueError("scene candidates must be distinct points")
         for p in scene.start + scene.goal:
             index.setdefault(p, len(index))
+        for p in extra_points:
+            index.setdefault(Point(*p), len(index))
         self._index = index
         # Points as the float arrays of the search saw them: Point(7, 6) reads (7.0, 6.0).
         self.points = tuple(Point(float(p.x), float(p.y)) for p in index)
@@ -58,9 +66,14 @@ class OcclusionTable:
         self._clear: list[int | None] = [None] * size
         self._far: list[int | None] = [None] * size
         self._nearest: list[tuple[np.ndarray, int] | None] = [None] * size
+        self._inside: list[bool | None] = [None] * size
 
     def index_of(self, p) -> int:
         """Index of a position; ``ValueError`` if the scene has no such point."""
+        try:
+            return self._index[p]  # a Point, or any tuple equal to one
+        except (KeyError, TypeError):
+            pass
         try:
             return self._index[Point(*p)]
         except (KeyError, TypeError):
@@ -110,6 +123,27 @@ class OcclusionTable:
             entry = (np.argsort(d2, kind="stable"), to_bits(d2 <= _SAME_SPOT_D2))
             self._nearest[j] = entry
         return entry
+
+    def inside(self, j: int) -> bool:
+        """The disc at point ``j`` lies in the workspace (extra points may not)."""
+        ok = self._inside[j]
+        if ok is None:
+            disc = Disc(self.points[j], self.scene.object_radius)
+            ok = self._inside[j] = disc_in_workspace(disc, self.scene.workspace)
+        return ok
+
+    def move_valid(self, src: int, dst: int, others: int) -> bool:
+        """``action_valid`` for an object picked at point ``src`` and placed at point ``dst``.
+
+        ``others`` is the bit set of the points the other objects stand on. The
+        move is valid iff the destination disc lies in the workspace, overlaps
+        none of them, and neither home tunnel touches any of them.
+        """
+        return (
+            self.inside(dst)
+            and self.far(dst) & others == others
+            and not (self.row(src) | self.row(dst)) & others
+        )
 
     def _distances(self, j: int) -> np.ndarray:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)

@@ -6,10 +6,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import TOL, Point
+from .geometry import TOL, Disc, Point, disc_in_workspace
 from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable
@@ -53,34 +54,80 @@ class PlanReport:
     failure_kind: str | None  # "timeout" | "stage-exhausted" | "topology-cycle"
 
 
-def _replay(scene: Scene, actions: tuple[Action, ...]):
-    """Replay actions from the start arrangement.
+# Why a step cannot be applied to the current points of all objects, or None.
+StepCheck = Callable[[list[Point], Action], "str | None"]
 
-    Returns ``(failed_step, reason, final_positions)``; the step and reason are
-    None when every action was applicable and collision-free.
+_LEAVES = "destination leaves the workspace"
+_COLLIDES = "relocation is not collision-free"
+
+
+def _replay(
+    actions: Sequence[Action],
+    positions: list[Point],
+    check: StepCheck,
+    trail: list[tuple[Point, ...]] | None = None,
+) -> tuple[int | None, str | None]:
+    """Replay actions on ``positions``, the current point of every object, in place.
+
+    Each step must name a known object and pick it up within ``TOL`` of its
+    current point, and then pass ``check``. Returns ``(failed_step, reason)``,
+    both None when every action applied. With ``trail``, appends the
+    arrangement before each applied step.
     """
-    positions = list(scene.start)
-    coords = np.array(positions, dtype=float)  # the same arrangement, as action_valid reads it
     n = len(positions)
     for step, act in enumerate(actions):
         if not 0 <= act.obj < n:
-            return step, f"unknown object {act.obj}", None
+            return step, f"unknown object {act.obj}"
         current = positions[act.obj]
         if abs(current.x - act.src.x) > TOL or abs(current.y - act.src.y) > TOL:
-            return step, "pick location does not match the object's current region", None
-        if not action_valid(scene, coords, act):
-            return step, "relocation is not collision-free", None
+            return step, "pick location does not match the object's current region"
+        reason = check(positions, act)
+        if reason is not None:
+            return step, reason
+        if trail is not None:
+            trail.append(tuple(positions))
         positions[act.obj] = act.dst
-        coords[act.obj] = act.dst
-    return None, None, positions
+    return None, None
+
+
+def _float_check(scene: Scene) -> StepCheck:
+    """Step check on the float geometry: the validator's, independent of the table."""
+    b, workspace = scene.object_radius, scene.workspace
+
+    def check(positions: list[Point], act: Action) -> str | None:
+        if not disc_in_workspace(Disc(Point(*act.dst), b), workspace):
+            return _LEAVES
+        if not action_valid(scene, positions, act):
+            return _COLLIDES
+        return None
+
+    return check
+
+
+def _table_check(table: OcclusionTable) -> StepCheck:
+    """Step check looked up in an occlusion table that indexes every point of the plan."""
+    index_of = table.index_of
+
+    def check(positions: list[Point], act: Action) -> str | None:
+        others = 0
+        for obj, p in enumerate(positions):
+            if obj != act.obj:
+                others |= 1 << index_of(p)
+        dst = index_of(act.dst)
+        if table.move_valid(index_of(act.src), dst, others):
+            return None
+        return _COLLIDES if table.inside(dst) else _LEAVES
+
+    return check
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
-    """Independent replay check: every step valid and the goal reached."""
-    step, reason, final = _replay(scene, plan.actions)
+    """Independent replay check on the float geometry: every step valid and the goal reached."""
+    positions = list(scene.start)
+    step, reason = _replay(plan.actions, positions, _float_check(scene))
     if step is not None:
         return PlanCheck(False, step, reason)
-    final_arr = np.asarray(final, dtype=float)
+    final_arr = np.asarray(positions, dtype=float)
     if np.abs(final_arr - scene.goal_array).max() > _GOAL_TOL:
         return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
     return PlanCheck(True)
@@ -102,63 +149,93 @@ def _collapse_runs(actions: list[Action]) -> list[Action]:
     return out
 
 
-def _same_outcome(scene: Scene, candidate: list[Action], reference_final) -> bool:
-    step, _, final = _replay(scene, tuple(candidate))
-    if step is not None:
-        return False
-    return all(
-        abs(a.x - b.x) <= TOL and abs(a.y - b.y) <= TOL for a, b in zip(final, reference_final)
-    )
+def _within_tol(a: Sequence[Point], b: Sequence[Point]) -> bool:
+    return all(abs(p.x - q.x) <= TOL and abs(p.y - q.y) <= TOL for p, q in zip(a, b))
 
 
-def _sweep_merge(scene: Scene, actions: list[Action]) -> tuple[list[Action], bool]:
+def _sweep_merge(
+    actions: list[Action], start: Sequence[Point], check: StepCheck
+) -> tuple[list[Action], bool]:
     """One merge attempt per object over non-adjacent same-object pairs.
 
     Pairs are scanned left-to-right, outermost partner first; a merge is kept
     only when the shortened plan still replays collision-free to the same
-    final arrangement.
+    final arrangement (within ``TOL``) as the plan at the start of the sweep.
+
+    The sweep keeps the plan's trail: ``trail[k]`` is the arrangement before
+    step ``k``, and ``trail[-1]`` the final one. Merging the pair ``(t, s)``
+    leaves the steps before ``t`` alone, so only the merged move and
+    ``actions[t+1:s]`` are replayed, from ``trail[t]``. When that replay ends
+    exactly on ``trail[s+1]``, the unchanged suffix replays exactly as before
+    and the merge is kept without replaying it. Otherwise the suffix is
+    replayed as well, so every decision is that of a full replay.
     """
-    _, _, reference_final = _replay(scene, tuple(actions))
+    positions = list(start)
+    trail: list[tuple[Point, ...]] = []
+    if _replay(actions, positions, check, trail)[0] is not None:
+        # Only a collapsed run that left an object within TOL of, not at, its
+        # pick-up point can get here; such a plan is not merged further.
+        return actions, False
+    reference_final = tuple(positions)
+    trail.append(reference_final)
     changed = False
     for obj in sorted({a.obj for a in actions}):
         indices = [i for i, a in enumerate(actions) if a.obj == obj]
-        if len(indices) < 2:
-            continue
-        merged = False
         for ti in range(len(indices) - 1):
+            merged = False
             for si in range(len(indices) - 1, ti, -1):
                 t, s = indices[ti], indices[si]
                 if s == t + 1:
                     continue  # adjacent runs belong to the collapse pass
                 first, last = actions[t], actions[s]
-                if first.src == last.dst:
-                    candidate = actions[:t] + actions[t + 1 : s] + actions[s + 1 :]
+                middle = actions[t + 1 : s]
+                if first.src != last.dst:
+                    middle = [Action(obj, first.src, last.dst)] + middle
+                positions = list(trail[t])
+                steps: list[tuple[Point, ...]] = []
+                if _replay(middle, positions, check, steps)[0] is not None:
+                    continue
+                if tuple(positions) == trail[s + 1]:
+                    tail = trail[s + 1 :]
                 else:
-                    candidate = (
-                        actions[:t]
-                        + [Action(obj, first.src, last.dst)]
-                        + actions[t + 1 : s]
-                        + actions[s + 1 :]
-                    )
-                if _same_outcome(scene, candidate, reference_final):
-                    actions = candidate
-                    changed = True
-                    merged = True
-                    break
+                    if _replay(actions[s + 1 :], positions, check, steps)[0] is not None:
+                        continue
+                    if not _within_tol(positions, reference_final):
+                        continue
+                    tail = [tuple(positions)]
+                actions = actions[:t] + middle + actions[s + 1 :]
+                trail = trail[:t] + steps + tail
+                changed = merged = True
+                break
             if merged:
                 break
     return actions, changed
 
 
-def optimize_plan(plan: Plan, scene: Scene) -> Plan:
+def optimize_plan(plan: Plan, scene: Scene, *, table: OcclusionTable | None = None) -> Plan:
     """Shorten a plan without breaking it.
 
     First collapses consecutive same-object moves, then repeatedly merges
     non-adjacent same-object pairs whenever the plan in between still replays
     without collision, iterating both passes to a fixpoint. Never increases
-    the step count or the total displacement.
+    the step count or the total displacement. Raises ``InvalidPlanError``,
+    with the step and reason ``validate_plan`` reports, when the input plan
+    does not replay.
+
+    Every replay checks its steps in an occlusion table, and a merge replays
+    only the steps it changes (see ``_sweep_merge``). By default the table
+    covers the scene plus every pick-up and destination point of the plan, so
+    off-grid points and pick-ups within ``TOL`` of an object's position keep
+    their exact geometry. ``plan()`` passes its search table instead, whose
+    rows the search has mostly filled already; a table must belong to
+    ``scene`` and index every point of the plan.
     """
-    step, reason, _ = _replay(scene, plan.actions)
+    if table is None:
+        table = OcclusionTable(scene, [p for a in plan.actions for p in (a.src, a.dst)])
+    elif table.scene is not scene:
+        raise ValueError("occlusion table belongs to another scene")
+    check = _table_check(table)
+    step, reason = _replay(plan.actions, list(scene.start), check)
     if step is not None:
         raise InvalidPlanError(f"input plan invalid at step {step}: {reason}")
     actions = list(plan.actions)
@@ -166,7 +243,7 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
         collapsed = _collapse_runs(actions)
         changed = collapsed != actions
         actions = collapsed
-        actions, swept = _sweep_merge(scene, actions)
+        actions, swept = _sweep_merge(actions, scene.start, check)
         if not (changed or swept):
             return Plan(tuple(actions))
 
@@ -214,7 +291,7 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
         for act in chunk:
             positions[act.obj] = act.dst
         actions.extend(chunk)
-    optimized = optimize_plan(Plan(tuple(actions)), scene)
+    optimized = optimize_plan(Plan(tuple(actions)), scene, table=table)
     return report(True, optimized, None)
 
 

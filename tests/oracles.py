@@ -125,7 +125,8 @@ def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6):
     guard = 0
     while len(actions) < steps and guard < 400:
         guard += 1
-        obj = int(rng.integers(max(2, n_objects - 1)))  # bias toward repeat movers
+        # From three objects on, the last one never moves: the others repeat more.
+        obj = int(rng.integers(min(n_objects, max(2, n_objects - 1))))
         dst = base.candidates[int(rng.integers(len(base.candidates)))]
         if dst == positions[obj]:
             continue
@@ -135,3 +136,61 @@ def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6):
             actions.append(act)
     scene = make_scene(base.start, tuple(positions))
     return scene, actions
+
+
+def _replays_to(scene: Scene, actions, final=None) -> tuple[Point, ...] | None:
+    """End arrangement of a full float replay from the start, or None if a step fails.
+
+    Pick-ups may be off by ``TOL`` per coordinate, as in ``validate_plan``.
+    With ``final``, the end must also lie within ``TOL`` of it.
+    """
+    tol = 1e-9
+    positions = list(scene.start)
+    for act in actions:
+        cur = positions[act.obj]
+        if abs(cur.x - act.src.x) > tol or abs(cur.y - act.src.y) > tol:
+            return None
+        if not action_valid(scene, tuple(positions), act):
+            return None
+        positions[act.obj] = act.dst
+    if final is not None and any(
+        abs(p.x - q.x) > tol or abs(p.y - q.y) > tol for p, q in zip(positions, final)
+    ):
+        return None
+    return tuple(positions)
+
+
+def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
+    """The optimiser's collapse and merge rules, each candidate replayed in full.
+
+    Brute force: every merge candidate is replayed from step 0 on the float
+    geometry, with no occlusion table and no trail.
+    """
+    actions = list(actions)
+    while True:
+        collapsed: list[Action] = []
+        for act in actions:
+            if collapsed and collapsed[-1].obj == act.obj:
+                prev = collapsed.pop()
+                if prev.src != act.dst:
+                    collapsed.append(Action(act.obj, prev.src, act.dst))
+            else:
+                collapsed.append(act)
+        changed = collapsed != actions
+        actions = collapsed
+        reference = _replays_to(scene, actions)
+        for obj in sorted({a.obj for a in actions}):
+            idx = [i for i, a in enumerate(actions) if a.obj == obj]
+            pairs = [
+                (t, s) for ti, t in enumerate(idx) for s in reversed(idx[ti + 1 :]) if s > t + 1
+            ]
+            for t, s in pairs:
+                first, last = actions[t], actions[s]
+                merged = [] if first.src == last.dst else [Action(obj, first.src, last.dst)]
+                candidate = actions[:t] + merged + actions[t + 1 : s] + actions[s + 1 :]
+                if _replays_to(scene, candidate, reference) is not None:
+                    actions = candidate
+                    changed = True
+                    break
+        if not changed:
+            return actions

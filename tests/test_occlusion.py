@@ -10,10 +10,10 @@ distances.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shelfplan import Point, SceneConfig, generate_scene, make_scene
+from shelfplan import Action, Point, SceneConfig, action_valid, generate_scene, make_scene
 from shelfplan.geometry import Disc, discs_overlap, tunnel_disc_mask, tunnel_intersects_disc
 from shelfplan.motion import home_tunnel, placement_sweep_mask
 from shelfplan.occlusion import OcclusionTable, to_bits
@@ -205,3 +205,102 @@ def test_random_entries_match_kernels(seed, n_objects, grid, picks):
     fresh = OcclusionTable(scene)
     for t in sorted({a % len(table.points) for a, _ in picks}):
         assert fresh.row(t) == table.row(t)
+
+
+def move_check(scene, arrangement, act):
+    """The table's move check on a table that indexes every point involved."""
+    table = OcclusionTable(scene, list(arrangement) + [act.src, act.dst])
+    others = 0
+    for o, p in enumerate(arrangement):
+        if o != act.obj:
+            others |= 1 << table.index_of(p)
+    return table.move_valid(table.index_of(act.src), table.index_of(act.dst), others)
+
+
+def tangent_pairs(table):
+    """(target, disc) point pairs where the two tunnel kernels disagree."""
+    g = table.n_candidates
+    rows = full_rows(table)[:g, :g]
+    clear = full_clear(table)[:g, :g]
+    return [(table.points[t], table.points[j]) for t, j in np.argwhere(rows == clear.T)]
+
+
+class TestMoveValid:
+    """``move_valid`` answers exactly as the float ``action_valid``."""
+
+    def test_tangent_pairs_on_both_legs(self):
+        scene = SCENES["default-grid"]()
+        pairs = tangent_pairs(OcclusionTable(scene))
+        assert pairs
+        accepted = 0
+        for target, disc in pairs:
+            parked = Point(1.0, 1.0) if target != Point(1.0, 1.0) else Point(19.0, 1.0)
+            arrangement = (parked, disc)
+            place = Action(0, parked, target)  # placing leg to the tangent target
+            pick = Action(0, target, parked)  # picking leg from it
+            for act, arr in ((place, arrangement), (pick, (target, disc))):
+                expected = action_valid(scene, arr, act)
+                assert move_check(scene, arr, act) == expected, (act, disc)
+                accepted += expected
+        assert accepted > 0
+
+    def test_known_tangent_case_is_valid(self):
+        # The angle path misses the contact of the tunnel to (10, 18) with the disc at (7, 1).
+        scene = SCENES["default-grid"]()
+        arrangement = (Point(16.0, 4.0), Point(7.0, 1.0))
+        act = Action(0, Point(16.0, 4.0), Point(10.0, 18.0))
+        assert action_valid(scene, arrangement, act)
+        assert move_check(scene, arrangement, act)
+
+    @pytest.mark.parametrize(
+        "dst", [(0.5, 10.0), (10.0, 19.5), (np.nan, np.nan), (np.inf, 5.0), (5.0, -np.inf)]
+    )
+    def test_destination_outside_workspace(self, dst):
+        scene = SCENES["default-grid"]()
+        arrangement = (Point(4.0, 4.0), Point(16.0, 16.0))
+        act = Action(0, Point(4.0, 4.0), Point(*dst))
+        assert not action_valid(scene, arrangement, act)
+        assert not move_check(scene, arrangement, act)
+
+
+def grid_or_off_grid_points(scene):
+    inside = st.floats(scene.object_radius, 20.0 - scene.object_radius)
+    return st.one_of(
+        st.sampled_from(scene.candidates),
+        st.builds(Point, inside, inside),
+        st.builds(Point, st.floats(-2.0, 22.0), st.floats(-2.0, 22.0)),  # may leave the floor
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_move_valid_equals_action_valid(data):
+    scene = SCENES[data.draw(st.sampled_from(sorted(SCENES)))]()
+    n = data.draw(st.integers(1, 6), label="n_objects")
+    points = grid_or_off_grid_points(scene)
+    on_floor = points.filter(lambda p: 1 <= p.x <= 19 and 1 <= p.y <= 19)
+    arrangement = tuple(data.draw(st.lists(on_floor, min_size=n, max_size=n), label="arrangement"))
+    obj = data.draw(st.integers(0, n - 1), label="obj")
+    src = arrangement[obj]
+    if data.draw(st.booleans(), label="shift src"):
+        src = Point(src.x + 5e-10, src.y - 5e-10)  # within TOL of the object's point
+    offset = st.one_of(st.floats(-2.5, 2.5), st.sampled_from([-2.0, 0.0, 2.0]))
+    dst = data.draw(
+        st.one_of(
+            points,
+            st.sampled_from(arrangement),  # onto an object: overlap
+            st.builds(
+                lambda p, dx, dy: Point(p.x + dx, p.y + dy),
+                st.sampled_from(arrangement),
+                offset,
+                offset,
+            ),  # near an object: overlap, or tangency at a distance of exactly 2
+            st.sampled_from(
+                [Point(np.nan, np.nan), Point(np.nan, 5.0), Point(np.inf, 5.0), Point(5.0, -np.inf)]
+            ),
+        ),
+        label="dst",
+    )
+    assume(dst != src)
+    act = Action(obj, src, dst)
+    assert move_check(scene, arrangement, act) == action_valid(scene, arrangement, act)

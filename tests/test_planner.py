@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from shelfplan import (
     validate_plan,
 )
 
-from oracles import random_walk_instance, replay_plan
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import optimize_by_full_replay, random_walk_instance, replay_plan
 
 NO_TIMEOUT = SearchBudget(wall_clock_limit=None)
 
@@ -76,6 +80,27 @@ class TestPlan:
         assert not report.success
         assert report.failure_kind == "timeout"
         assert report.plan is None
+
+
+# Object 0 first moves from (4, 5) to (4, 10); its second move is broken.
+# Object 1 stands at (10, 12), straight ahead of the robot home at (10, -3).
+BAD_SECOND_STEPS = {
+    "unknown-object": (2, (4, 10), (16, 5)),
+    "pick-mismatch": (0, (5, 10), (16, 5)),
+    "tunnel-collision": (0, (4, 10), (10, 16)),
+    "overlap": (0, (4, 10), (10.5, 12.5)),
+    "off-floor": (0, (4, 10), (0.5, 10)),
+    "nan": (0, (4, 10), (math.nan, math.nan)),
+    "inf": (0, (4, 10), (math.inf, 5)),
+    "-inf": (0, (4, 10), (-math.inf, 5)),
+}
+
+
+def bad_second_step(name):
+    scene = make_scene([Point(4, 5), Point(10, 12)], [Point(16, 5), Point(10, 12)])
+    obj, src, dst = BAD_SECOND_STEPS[name]
+    first = Action(0, Point(4, 5), Point(4, 10))
+    return scene, Plan((first, Action(obj, Point(*src), Point(*dst))))
 
 
 class TestOptimizePlan:
@@ -142,6 +167,32 @@ class TestOptimizePlan:
         with pytest.raises(InvalidPlanError):
             optimize_plan(broken, scene)
 
+    @pytest.mark.parametrize("n_objects", [1, 2, 3, 5])
+    def test_random_walks_of_every_size(self, n_objects):
+        for seed in range(4):
+            scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=8)
+            raw = Plan(tuple(actions))
+            assert validate_plan(scene, raw).valid
+            out = optimize_plan(raw, scene)
+            assert out.steps <= raw.steps
+            assert validate_plan(scene, out).valid
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_objects=st.integers(1, 5), steps=st.integers(1, 24))
+    def test_equals_full_replay_oracle(self, seed, n_objects, steps):
+        scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=steps)
+        out = optimize_plan(Plan(tuple(actions)), scene)
+        assert list(out.actions) == optimize_by_full_replay(scene, actions)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_SECOND_STEPS), ids=str)
+    def test_invalid_input_error_matches_validator(self, bad):
+        scene, raw = bad_second_step(bad)
+        check = validate_plan(scene, raw)
+        assert not check.valid and check.failed_step == 1
+        with pytest.raises(InvalidPlanError) as err:
+            optimize_plan(raw, scene)
+        assert str(err.value) == f"input plan invalid at step 1: {check.reason}"
+
     def test_never_worse_and_validity_preserving(self):
         for seed in range(25):
             scene, actions = random_walk_instance(seed)
@@ -166,6 +217,18 @@ class TestValidatePlan:
         check = validate_plan(scene, bad)
         assert not check.valid
         assert check.failed_step == 0
+
+    @pytest.mark.parametrize("bad", ["off-floor", "nan", "inf", "-inf"])
+    def test_destination_leaving_workspace_has_its_own_reason(self, bad):
+        check = validate_plan(*bad_second_step(bad))
+        assert (check.valid, check.failed_step) == (False, 1)
+        assert check.reason == "destination leaves the workspace"
+
+    @pytest.mark.parametrize("bad", ["tunnel-collision", "overlap"])
+    def test_collision_reason(self, bad):
+        check = validate_plan(*bad_second_step(bad))
+        assert (check.valid, check.failed_step) == (False, 1)
+        assert check.reason == "relocation is not collision-free"
 
     def test_empty_plan_misses_goal(self):
         scene = make_scene([Point(4, 5)], [Point(10, 10)])

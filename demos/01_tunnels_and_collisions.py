@@ -6,8 +6,6 @@ rectangular tunnel, and an object is reachable exactly when its tunnel is
 free of other objects.
 """
 
-import math
-
 from shelfplan import (
     Action,
     Disc,
@@ -23,7 +21,10 @@ from shelfplan import (
 # A tunnel is aimed at its target and overshoots it by one object radius so
 # the far end covers the whole footprint.
 t = tunnel_to(target=Point(3, 4), anchor=Point(0, 0), object_radius=1.0, tunnel_width=4.0)
-print(f"tunnel to (3,4): length={t.length:.3f} (=5+1), angle={math.degrees(t.angle):.1f} deg")
+print(
+    f"tunnel to (3,4): length={t.length:.3f} (=5+1), "
+    f"direction=({t.direction.x:.1f}, {t.direction.y:.1f}) (=(3,4)/5)"
+)
 
 print("\ndisc on the spine     ->", tunnel_intersects_disc(t, Disc(Point(1.5, 2.0), 1.0)))
 print("disc far to the side  ->", tunnel_intersects_disc(t, Disc(Point(8.0, 0.0), 1.0)))

@@ -6,9 +6,14 @@ and total displacement distance. The full 80-case-per-level run lives behind
 ``shelfplan bench``; this keeps the demo under a minute.
 """
 
-from shelfplan import SuiteConfig, run_suite
+from shelfplan import SearchBudget, SuiteConfig, run_suite
 
-cfg = SuiteConfig(difficulty="all", cases_per_level=5, base_seed=42, timeout_s=30.0)
+cfg = SuiteConfig(
+    difficulty="all",
+    cases_per_level=5,
+    base_seed=42,
+    budget=SearchBudget(wall_clock_limit=30.0),
+)
 rows, records = run_suite(cfg)
 
 failures = [r for r in records if not r["success"]]

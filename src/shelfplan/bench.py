@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,11 +36,8 @@ class SuiteConfig:
     difficulty: str = "all"  # easy | medium | hard | all
     cases_per_level: int = 80
     base_seed: int = 0
-    timeout_s: float | None = 30.0
     grid_resolution: float = 1.0
-    expansion_width: int = 5
-    exploration_constant: float = math.sqrt(2.0)
-    max_iterations: int = 10_000
+    budget: SearchBudget = field(default_factory=SearchBudget)
 
     def __post_init__(self) -> None:
         if self.difficulty not in LEVELS + ("all",):
@@ -52,14 +48,6 @@ class SuiteConfig:
     @property
     def levels(self) -> tuple[str, ...]:
         return LEVELS if self.difficulty == "all" else (self.difficulty,)
-
-    def budget(self) -> SearchBudget:
-        return SearchBudget(
-            max_iterations=self.max_iterations,
-            wall_clock_limit=self.timeout_s,
-            expansion_width=self.expansion_width,
-            exploration_constant=self.exploration_constant,
-        )
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,7 @@ def run_case(cfg: SuiteConfig, level: str, n_objects: int, case_index: int) -> d
     scene = generate_scene(
         SceneConfig(n_objects=n_objects, rng_seed=seed, grid_resolution=cfg.grid_resolution)
     )
-    result = plan(scene, cfg.budget(), seed=seed)
+    result = plan(scene, cfg.budget, seed=seed)
     record = {
         "case": case_index,
         "level": level,

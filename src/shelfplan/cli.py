@@ -81,10 +81,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         difficulty=args.difficulty,
         cases_per_level=args.cases,
         base_seed=args.seed,
-        timeout_s=None if args.timeout_s <= 0 else args.timeout_s,
         grid_resolution=args.grid_res,
-        expansion_width=args.expansion_width,
-        exploration_constant=args.ucb_c,
+        budget=_budget_from_args(args),
     )
 
     def progress(record: dict) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,23 +42,18 @@ class Tunnel:
     """Swept volume of one linear gripper motion.
 
     A rectangle anchored at the robot home: it extends ``length`` along the
-    direction ``angle`` (signed radians measured from +x, in (-pi, pi]) and
-    spans ``width / 2`` to either side of that spine.
+    unit vector ``direction`` and spans ``width / 2`` to either side of that
+    spine.
     """
 
     anchor: Point
     length: float
     width: float
-    angle: float
-
-    @cached_property
-    def _frame(self) -> tuple[float, float, float, float]:
-        # One tunnel is tested against many discs; cache the rotation once.
-        return (self.anchor[0], self.anchor[1], math.cos(self.angle), math.sin(self.angle))
+    direction: Point
 
     def corners(self) -> list[Point]:
         """Rectangle corners in counter-clockwise order."""
-        ax, ay, c, s = self._frame
+        (ax, ay), (c, s) = self.anchor, self.direction
         h = 0.5 * self.width
         return [
             Point(ax + u * c - v * s, ay + u * s + v * c)
@@ -85,28 +79,51 @@ def tunnel_to(
     """
     dx = target[0] - anchor[0]
     dy = target[1] - anchor[1]
-    dist = math.hypot(dx, dy)
+    # numpy's hypot, as in the batched ``placement_sweep_mask``: the same bits.
+    dist = float(np.hypot(dx, dy))
     if dist == 0.0:
         raise ValueError("tunnel target coincides with its anchor")
     return Tunnel(
         anchor=Point(anchor[0], anchor[1]),
         length=dist + object_radius,
         width=tunnel_width,
-        angle=math.atan2(dy, dx),
+        direction=Point(dx / dist, dy / dist),
     )
+
+
+def tunnel_hits(
+    anchor, direction, length, width: float, centers: np.ndarray, radius: float
+) -> np.ndarray:
+    """The one tunnel--disc kernel: which closed discs touch the closed rectangle.
+
+    Boundary contact counts, so a sweep is treated conservatively. ``centers``
+    is (m, 2). One tunnel: ``direction`` is a unit ``(c, s)`` pair and ``length``
+    a float; returns (m,) bools. k tunnels from one anchor: ``c``, ``s`` and
+    ``length`` are (k, 1) columns; returns (k, m).
+    """
+    c, s = direction
+    dx = centers[:, 0] - anchor[0]
+    dy = centers[:, 1] - anchor[1]
+    u = dx * c + dy * s  # along the spine
+    v = -dx * s + dy * c  # lateral offset
+    uc = np.clip(u, 0.0, length)
+    h = 0.5 * width
+    vc = np.clip(v, -h, h)
+    return (u - uc) ** 2 + (v - vc) ** 2 <= radius * radius
 
 
 def tunnel_intersects_disc(t: Tunnel, d: Disc) -> bool:
     """True iff the closed rectangle and the closed disc share a point.
 
-    Boundary contact counts as an intersection: the sweep is treated
-    conservatively.
+    ``tunnel_hits`` written out on floats: the same operations in the same
+    order, so both give the same answer bit for bit, exact tangencies
+    included. Plain floats keep the one-disc test cheap.
     """
-    ax, ay, c, s = t._frame
+    (ax, ay), (c, s) = t.anchor, t.direction
     dx = d.center[0] - ax
     dy = d.center[1] - ay
-    u = dx * c + dy * s  # along the spine
-    v = -dx * s + dy * c  # lateral offset
+    u = dx * c + dy * s
+    v = -dx * s + dy * c
     uc = min(max(u, 0.0), t.length)
     h = 0.5 * t.width
     vc = min(max(v, -h), h)
@@ -114,19 +131,8 @@ def tunnel_intersects_disc(t: Tunnel, d: Disc) -> bool:
 
 
 def tunnel_disc_mask(t: Tunnel, centers: np.ndarray, radius: float) -> np.ndarray:
-    """Vectorized ``tunnel_intersects_disc`` for many same-radius discs.
-
-    ``centers`` is an (n, 2) array of disc centers; returns an (n,) bool array.
-    """
-    ax, ay, c, s = t._frame
-    dx = centers[:, 0] - ax
-    dy = centers[:, 1] - ay
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
-    uc = np.clip(u, 0.0, t.length)
-    h = 0.5 * t.width
-    vc = np.clip(v, -h, h)
-    return (u - uc) ** 2 + (v - vc) ** 2 <= radius * radius
+    """``tunnel_hits`` of one tunnel against an (n, 2) array of disc centers."""
+    return tunnel_hits(t.anchor, t.direction, t.length, t.width, centers, radius)
 
 
 def discs_overlap(a: Disc, b: Disc) -> bool:

@@ -162,10 +162,6 @@ class SearchNode:
         self.total_reward = 0.0
         self.dead = False
 
-    @property
-    def mean_reward(self) -> float:
-        return self.total_reward / self.visits if self.visits else 0.0
-
 
 def _occupied(positions: list[int], ids) -> int:
     """Bit set of the points the given objects stand on."""

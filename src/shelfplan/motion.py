@@ -12,7 +12,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .geometry import Disc, Point, Tunnel, disc_in_workspace, tunnel_disc_mask, tunnel_to
+from .geometry import (
+    Disc,
+    Point,
+    Tunnel,
+    disc_in_workspace,
+    tunnel_disc_mask,
+    tunnel_hits,
+    tunnel_to,
+)
 from .scene import ObjectId, Scene
 
 
@@ -96,20 +104,12 @@ def placement_sweep_mask(scene: Scene, targets: np.ndarray, obstacles: np.ndarra
     b = scene.object_radius
     home = np.asarray(scene.robot_home, dtype=float)
     vec = targets - home
-    dist = np.sqrt((vec**2).sum(axis=1))
+    dist = np.hypot(vec[:, :1], vec[:, 1:])  # one tunnel per row
     # Targets coinciding with the home anchor cannot be aimed at; mark blocked.
-    degenerate = dist == 0.0
+    degenerate = dist[:, 0] == 0.0
     dist[degenerate] = 1.0
-    cos = vec[:, 0] / dist
-    sin = vec[:, 1] / dist
-    rel = obstacles - home
-    u = rel[:, 0] * cos[:, None] + rel[:, 1] * sin[:, None]
-    v = -rel[:, 0] * sin[:, None] + rel[:, 1] * cos[:, None]
-    lengths = dist + b
-    uc = np.clip(u, 0.0, lengths[:, None])
-    h = 0.5 * scene.tunnel_width
-    vc = np.clip(v, -h, h)
-    hit = (u - uc) ** 2 + (v - vc) ** 2 <= b * b
+    direction = (vec[:, :1] / dist, vec[:, 1:] / dist)
+    hit = tunnel_hits(home, direction, dist + b, scene.tunnel_width, obstacles, b)
     clear = ~hit.any(axis=1)
     clear[degenerate] = False
     return clear

@@ -5,7 +5,7 @@ start point or a goal point. The table numbers these P points (the candidates
 first, in grid order, then any off-grid start or goal point, then any extra
 points it is given, such as the points of a plan to optimise) and caches the
 answers between them as bit sets, Python ints whose bit ``k`` stands for
-point ``k``. Each entry is computed on first use by the same kernel the
+point ``k``. Each entry is computed on first use by the same function the
 search would otherwise call, so a looked-up answer equals a recomputed one
 bit for bit:
 
@@ -19,6 +19,10 @@ bit for bit:
 - ``inside(j)``: the disc at point ``j`` lies in the workspace.
 
 ``move_valid`` combines them into ``action_valid`` for one relocation.
+
+Both tunnel entries come from one kernel (``geometry.tunnel_hits``), so for a
+candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
+``row(t)`` is not, exact tangencies included.
 
 A search visits only a small share of the points, so filling the whole table
 up front would cost more than most plans. A table belongs to one planning run

@@ -79,7 +79,7 @@ def _replay(
         if not 0 <= act.obj < n:
             return step, f"unknown object {act.obj}"
         current = positions[act.obj]
-        if abs(current.x - act.src.x) > TOL or abs(current.y - act.src.y) > TOL:
+        if not (abs(current.x - act.src.x) <= TOL and abs(current.y - act.src.y) <= TOL):
             return step, "pick location does not match the object's current region"
         reason = check(positions, act)
         if reason is not None:
@@ -133,10 +133,12 @@ def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
     return PlanCheck(True)
 
 
-def _collapse_runs(actions: list[Action]) -> list[Action]:
+def _collapse_runs(actions: list[Action], start: Sequence[Point]) -> list[Action]:
     """Merge consecutive moves of the same object into one relocation.
 
-    A run that returns the object to where it started disappears entirely.
+    A run that returns the object exactly to the point it stood on disappears.
+    A return only within ``TOL`` of that point keeps its last two moves, since
+    later pick-ups may rely on the point it was returned to.
     """
     out: list[Action] = []
     for act in actions:
@@ -144,6 +146,10 @@ def _collapse_runs(actions: list[Action]) -> list[Action]:
             prev = out.pop()
             if prev.src != act.dst:
                 out.append(Action(act.obj, prev.src, act.dst))
+            elif act.dst != next(
+                (a.dst for a in reversed(out) if a.obj == act.obj), start[act.obj]
+            ):
+                out += [prev, act]
         else:
             out.append(act)
     return out
@@ -172,10 +178,8 @@ def _sweep_merge(
     """
     positions = list(start)
     trail: list[tuple[Point, ...]] = []
-    if _replay(actions, positions, check, trail)[0] is not None:
-        # Only a collapsed run that left an object within TOL of, not at, its
-        # pick-up point can get here; such a plan is not merged further.
-        return actions, False
+    step, reason = _replay(actions, positions, check, trail)
+    assert step is None, f"collapsing broke the plan at step {step}: {reason}"
     reference_final = tuple(positions)
     trail.append(reference_final)
     changed = False
@@ -240,7 +244,7 @@ def optimize_plan(plan: Plan, scene: Scene, *, table: OcclusionTable | None = No
         raise InvalidPlanError(f"input plan invalid at step {step}: {reason}")
     actions = list(plan.actions)
     while True:
-        collapsed = _collapse_runs(actions)
+        collapsed = _collapse_runs(actions, scene.start)
         changed = collapsed != actions
         actions = collapsed
         actions, swept = _sweep_merge(actions, scene.start, check)

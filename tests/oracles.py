@@ -29,7 +29,7 @@ def sampled_tunnel_disc_hit(t: Tunnel, d: Disc, pitch: float) -> bool:
     inside = (gx - cx) ** 2 + (gy - cy) ** 2 <= r * r
     px = gx[inside]
     py = gy[inside]
-    c, s = math.cos(t.angle), math.sin(t.angle)
+    c, s = t.direction
     dx = px - t.anchor.x
     dy = py - t.anchor.y
     u = dx * c + dy * s
@@ -45,7 +45,7 @@ def rect_disc_clearance(t: Tunnel, d: Disc) -> float:
     Positive means separated, negative means overlapping; used only to filter
     out grazing pairs before comparing against the sampling oracle.
     """
-    c, s = math.cos(t.angle), math.sin(t.angle)
+    c, s = t.direction
     dx = d.center.x - t.anchor.x
     dy = d.center.y - t.anchor.y
     u = dx * c + dy * s
@@ -169,12 +169,17 @@ def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
     actions = list(actions)
     while True:
         collapsed: list[Action] = []
+        at = list(scene.start)  # where each object stands before its current run
         for act in actions:
             if collapsed and collapsed[-1].obj == act.obj:
                 prev = collapsed.pop()
                 if prev.src != act.dst:
                     collapsed.append(Action(act.obj, prev.src, act.dst))
+                elif act.dst != at[act.obj]:
+                    collapsed += [prev, act]  # back only within TOL: keep the return
             else:
+                if collapsed:
+                    at[collapsed[-1].obj] = collapsed[-1].dst
                 collapsed.append(act)
         changed = collapsed != actions
         actions = collapsed

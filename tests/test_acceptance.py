@@ -127,12 +127,9 @@ def test_geometry_oracle():
     disagreements = 0
     while checked < 10_000:
         anchor = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        tunnel = Tunnel(
-            anchor,
-            length=rng.uniform(1.0, 12.0),
-            width=rng.uniform(1.0, 6.0),
-            angle=rng.uniform(-math.pi, math.pi),
-        )
+        length, width = rng.uniform(1.0, 12.0), rng.uniform(1.0, 6.0)
+        angle = rng.uniform(-math.pi, math.pi)
+        tunnel = Tunnel(anchor, length, width, direction=Point(math.cos(angle), math.sin(angle)))
         disc = Disc(Point(rng.uniform(-10, 10), rng.uniform(-10, 10)), rng.uniform(0.3, 1.5))
         if abs(rect_disc_clearance(tunnel, disc)) <= clearance_floor:
             continue  # grazing pair: the sampling oracle itself is unreliable

@@ -25,7 +25,12 @@ from shelfplan.mcts import SearchBudget
 
 
 def tiny_suite(**overrides):
-    defaults = dict(difficulty="easy", cases_per_level=3, base_seed=100, timeout_s=30.0)
+    defaults = dict(
+        difficulty="easy",
+        cases_per_level=3,
+        base_seed=100,
+        budget=SearchBudget(wall_clock_limit=30.0),
+    )
     defaults.update(overrides)
     return SuiteConfig(**defaults)
 

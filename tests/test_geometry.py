@@ -23,11 +23,22 @@ from oracles import rect_disc_clearance, sampled_tunnel_disc_hit
 ORIGIN = Point(0, 0)
 
 
+def along(angle):
+    """Unit direction at ``angle`` radians from +x."""
+    return Point(math.cos(angle), math.sin(angle))
+
+
+def heading(t):
+    """Signed angle of a tunnel's direction from +x, in (-pi, pi]."""
+    return math.atan2(t.direction.y, t.direction.x)
+
+
 class TestTunnelTo:
     def test_axis_aligned(self):
         t = tunnel_to(Point(0, 5), ORIGIN, 1.0, 4.0)
         assert t.length == pytest.approx(6.0, abs=1e-9)
-        assert t.angle == pytest.approx(math.pi / 2, abs=1e-9)
+        assert heading(t) == pytest.approx(math.pi / 2, abs=1e-9)
+        assert t.direction == Point(0.0, 1.0)
         assert t.width == 4.0
         assert t.anchor == ORIGIN
 
@@ -35,14 +46,15 @@ class TestTunnelTo:
         # distance 5, so length 5 + 1; angle from the arccos closed form
         t = tunnel_to(Point(3, 4), ORIGIN, 1.0, 4.0)
         assert t.length == pytest.approx(6.0, abs=1e-9)
-        assert t.angle == pytest.approx(math.acos(3 / 5), abs=1e-9)
-        assert t.angle == pytest.approx(0.9272952180016122, abs=1e-9)
+        assert heading(t) == pytest.approx(math.acos(3 / 5), abs=1e-9)
+        assert heading(t) == pytest.approx(0.9272952180016122, abs=1e-9)
+        assert t.direction == Point(0.6, 0.8)
 
     def test_angle_is_signed(self):
         below = tunnel_to(Point(3, -4), ORIGIN, 1.0, 4.0)
-        assert below.angle == pytest.approx(-math.acos(3 / 5), abs=1e-9)
+        assert heading(below) == pytest.approx(-math.acos(3 / 5), abs=1e-9)
         left = tunnel_to(Point(-3, 4), ORIGIN, 1.0, 4.0)
-        assert left.angle == pytest.approx(math.pi - math.acos(3 / 5), abs=1e-9)
+        assert heading(left) == pytest.approx(math.pi - math.acos(3 / 5), abs=1e-9)
 
     def test_degenerate_target(self):
         with pytest.raises(ValueError):
@@ -65,7 +77,7 @@ class TestTunnelTo:
 
 
 class TestTunnelDisc:
-    TUNNEL = Tunnel(ORIGIN, 6.0, 4.0, math.pi / 2)
+    TUNNEL = Tunnel(ORIGIN, 6.0, 4.0, along(math.pi / 2))
 
     def test_disc_on_spine(self):
         assert tunnel_intersects_disc(self.TUNNEL, Disc(Point(0, 3), 1.0))
@@ -81,7 +93,7 @@ class TestTunnelDisc:
     def test_mask_matches_scalar(self):
         rng = np.random.default_rng(5)
         centers = rng.uniform(-8, 8, size=(200, 2))
-        t = Tunnel(Point(1, -2), 7.0, 3.0, 0.7)
+        t = Tunnel(Point(1, -2), 7.0, 3.0, along(0.7))
         mask = tunnel_disc_mask(t, centers, 1.2)
         for (x, y), hit in zip(centers, mask):
             assert hit == tunnel_intersects_disc(t, Disc(Point(x, y), 1.2))
@@ -92,7 +104,8 @@ class TestTunnelDisc:
         checked = 0
         while checked < 2000:
             anchor = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            t = Tunnel(anchor, rng.uniform(1, 12), rng.uniform(1, 6), rng.uniform(-math.pi, math.pi))
+            length, width = rng.uniform(1, 12), rng.uniform(1, 6)
+            t = Tunnel(anchor, length, width, along(rng.uniform(-math.pi, math.pi)))
             d = Disc(Point(rng.uniform(-10, 10), rng.uniform(-10, 10)), rng.uniform(0.3, 2.0))
             if abs(rect_disc_clearance(t, d)) <= 2 * pitch:
                 continue  # grazing pair, oracle unreliable
@@ -114,7 +127,7 @@ class TestTunnelDisc:
     )
     @settings(max_examples=150)
     def test_rigid_transform_invariance(self, ax, ay, ln, w, ang, cx, cy, r, rot, sx, sy):
-        t = Tunnel(Point(ax, ay), ln, w, ang)
+        t = Tunnel(Point(ax, ay), ln, w, along(ang))
         d = Disc(Point(cx, cy), r)
         # exact tangency is not preserved by finite-precision isometries
         assume(abs(rect_disc_clearance(t, d)) > 1e-6)
@@ -124,7 +137,7 @@ class TestTunnelDisc:
         def moved(p):
             return Point(c * p.x - s * p.y + sx, s * p.x + c * p.y + sy)
 
-        t2 = Tunnel(moved(t.anchor), ln, w, ang + rot)
+        t2 = Tunnel(moved(t.anchor), ln, w, along(ang + rot))
         d2 = Disc(moved(d.center), r)
         assert tunnel_intersects_disc(t2, d2) == base
 

@@ -1,11 +1,12 @@
 """The occlusion table must answer exactly as the kernels it caches.
 
 Entries are bit sets (bit ``k`` for point ``k``). Each kind is compared with
-the kernel the search called before the table existed, over every point pair
-of a scene: ``row`` with ``tunnel_disc_mask`` (and the scalar
+the function the search called before the table existed, over every point
+pair of a scene: ``row`` with ``tunnel_disc_mask`` (and the scalar
 ``tunnel_intersects_disc``), ``clear`` with ``placement_sweep_mask``, ``far``
 with ``discs_overlap``, and ``nearest`` with a stable sort of the squared
-distances.
+distances. All tunnel paths share one kernel, so ``row`` and ``clear`` agree
+with each other too, exact tangencies included.
 """
 
 import numpy as np
@@ -31,7 +32,8 @@ SCENES = {
 
 
 def unpack(bits, n):
-    return np.array([bool(bits >> k & 1) for k in range(n)])
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
 
 
 def full_rows(table):
@@ -132,37 +134,55 @@ class TestKernelEquivalence:
             assert table.row(t) == to_bits(np.array(expected)), p
 
 
+# (target, disc) points of the default grid where the home tunnel to the
+# target touches the disc exactly: the rectangle lies at a distance of exactly
+# one radius from the disc center. Straight-ahead tunnels and tilted ones.
+LATTICE_TANGENCIES = [
+    (Point(10.0, 18.0), Point(7.0, 1.0)),
+    (Point(10.0, 4.0), Point(7.0, 5.0)),
+    (Point(13.0, 1.0), Point(10.0, 2.0)),
+    (Point(16.0, 5.0), Point(13.0, 6.0)),
+    (Point(19.0, 9.0), Point(16.0, 10.0)),
+    (Point(2.0, 12.0), Point(7.0, 9.0)),
+    (Point(5.0, 9.0), Point(3.0, 6.0)),
+    (Point(4.0, 5.0), Point(1.0, 4.0)),
+    (Point(1.0, 9.0), Point(1.0, 4.0)),
+]
+
+
 class TestTangentPairs:
-    """The two tunnel kernels disagree on some exactly tangent grid pairs.
+    """Every tunnel path gives the same answer on every point pair, exact tangencies included."""
 
-    ``row`` replaces the rotation by ``atan2`` angle and ``clear`` the
-    normalised direction; each table keeps its own kernel's answer, so the
-    search behaves exactly as it did before the table.
-    """
-
-    def test_kernels_disagree_and_table_keeps_both(self):
-        table = OcclusionTable(SCENES["default-grid"]())
+    def test_every_path_agrees(self, table):
+        scene, b, points = table.scene, table.scene.object_radius, table.points
         g = table.n_candidates
-        rows = full_rows(table)[:g, :g]  # [target, disc]
-        clear = full_clear(table)[:g, :g]  # [disc, target]
-        disagree = np.argwhere(rows == clear.T)  # touching in one, clear in the other
-        assert len(disagree) > 0
-        for t, j in disagree:
-            target, disc = table.points[t], table.points[j]
-            tunnel = home_tunnel(table.scene, target)
-            angle_path = tunnel_intersects_disc(tunnel, Disc(disc, table.scene.object_radius))
-            assert rows[t, j] == angle_path
-            sweep = placement_sweep_mask(table.scene, np.array([target]), np.array([disc]))[0]
-            assert clear[j, t] == sweep
+        tunnels = [home_tunnel(scene, p) for p in points]
+        rows = full_rows(table)  # [target, disc] over every point
+        clear = full_clear(table)  # [disc, candidate target]
+        masks = np.array([tunnel_disc_mask(t, table.coords, b) for t in tunnels])
+        scalar = np.array([[tunnel_intersects_disc(t, Disc(q, b)) for q in points] for t in tunnels])
+        grid = table.coords[:g]
+        sweeps = np.array(
+            [placement_sweep_mask(scene, grid, table.coords[j : j + 1]) for j in range(len(points))]
+        )
+        assert np.array_equal(masks, rows)
+        assert np.array_equal(scalar, rows)
+        assert np.array_equal(sweeps, clear)
+        assert np.array_equal(~clear.T, rows[:g])
 
     def test_known_tangent_case(self):
-        # The tunnel straight ahead to (10, y) is tangent to the disc at (7, 1):
-        # cos(pi/2) is about 6e-17, so the angle path misses the contact.
+        # Each listed contact is a hit on every path; cos(pi/2) is about 6e-17,
+        # so a rotation by the tunnel's angle used to miss the straight-ahead ones.
         table = OcclusionTable(SCENES["default-grid"]())
-        disc = table.index_of(Point(7.0, 1.0))
-        target = table.index_of(Point(10.0, 18.0))
-        assert not table.row(target) >> disc & 1  # angle path: no contact
-        assert not table.clear(disc) >> target & 1  # normalised path: contact
+        scene, b = table.scene, table.scene.object_radius
+        for target, disc in LATTICE_TANGENCIES:
+            t, j = table.index_of(target), table.index_of(disc)
+            tunnel = home_tunnel(scene, target)
+            assert table.row(t) >> j & 1, (target, disc)
+            assert not table.clear(j) >> t & 1
+            assert tunnel_intersects_disc(tunnel, Disc(disc, b))
+            assert tunnel_disc_mask(tunnel, np.array([disc]), b)[0]
+            assert not placement_sweep_mask(scene, np.array([target]), np.array([disc]))[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,6 +227,38 @@ def test_random_entries_match_kernels(seed, n_objects, grid, picks):
         assert fresh.row(t) == table.row(t)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 10_000),
+    grid=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    angles=st.lists(
+        st.one_of(st.floats(0.0, np.pi), st.just(np.pi / 2)), min_size=1, max_size=8
+    ),
+)
+def test_scalar_mask_and_sweep_agree(data, seed, grid, angles):
+    config = SceneConfig(n_objects=4, rng_seed=seed, grid_resolution=grid)
+    scene = generate_scene(config)
+    b, home = scene.object_radius, scene.robot_home
+    centers = np.asarray(scene.candidates, dtype=float)
+    # Grid targets, and targets at random directions and distances from home;
+    # straight ahead at a whole distance, a target is tangent to discs on the grid.
+    reach = st.one_of(st.floats(0.5, 25.0), st.integers(1, 22).map(float))
+    targets = data.draw(st.lists(st.sampled_from(scene.candidates), max_size=8), label="grid")
+    for angle in angles:
+        r = data.draw(reach, label="reach")
+        targets.append(Point(home.x + r * np.cos(angle), home.y + r * np.sin(angle)))
+    sweeps = np.array(
+        [placement_sweep_mask(scene, np.asarray(targets, float), c[None]) for c in centers]
+    )  # [disc, target]
+    for k, target in enumerate(targets):
+        tunnel = home_tunnel(scene, target)
+        mask = tunnel_disc_mask(tunnel, centers, b)
+        scalar = [tunnel_intersects_disc(tunnel, Disc(q, b)) for q in scene.candidates]
+        assert mask.tolist() == scalar, target
+        assert np.array_equal(mask, ~sweeps[:, k]), target
+
+
 def move_check(scene, arrangement, act):
     """The table's move check on a table that indexes every point involved."""
     table = OcclusionTable(scene, list(arrangement) + [act.src, act.dst])
@@ -217,40 +269,35 @@ def move_check(scene, arrangement, act):
     return table.move_valid(table.index_of(act.src), table.index_of(act.dst), others)
 
 
-def tangent_pairs(table):
-    """(target, disc) point pairs where the two tunnel kernels disagree."""
-    g = table.n_candidates
-    rows = full_rows(table)[:g, :g]
-    clear = full_clear(table)[:g, :g]
-    return [(table.points[t], table.points[j]) for t, j in np.argwhere(rows == clear.T)]
+def parked_clear_of(scene, disc):
+    """A corner point whose home tunnel misses the disc at ``disc``."""
+    for parked in (Point(1.0, 1.0), Point(19.0, 1.0)):
+        if not tunnel_intersects_disc(home_tunnel(scene, parked), Disc(disc, scene.object_radius)):
+            return parked
+    raise AssertionError(f"no clear corner for {disc}")
 
 
 class TestMoveValid:
     """``move_valid`` answers exactly as the float ``action_valid``."""
 
     def test_tangent_pairs_on_both_legs(self):
+        # A leg that only touches another object's disc makes the move invalid.
         scene = SCENES["default-grid"]()
-        pairs = tangent_pairs(OcclusionTable(scene))
-        assert pairs
-        accepted = 0
-        for target, disc in pairs:
-            parked = Point(1.0, 1.0) if target != Point(1.0, 1.0) else Point(19.0, 1.0)
-            arrangement = (parked, disc)
+        for target, disc in LATTICE_TANGENCIES:
+            parked = parked_clear_of(scene, disc)
             place = Action(0, parked, target)  # placing leg to the tangent target
             pick = Action(0, target, parked)  # picking leg from it
-            for act, arr in ((place, arrangement), (pick, (target, disc))):
-                expected = action_valid(scene, arr, act)
-                assert move_check(scene, arr, act) == expected, (act, disc)
-                accepted += expected
-        assert accepted > 0
+            for act, arrangement in ((place, (parked, disc)), (pick, (target, disc))):
+                assert not action_valid(scene, arrangement, act), (act, disc)
+                assert not move_check(scene, arrangement, act), (act, disc)
 
-    def test_known_tangent_case_is_valid(self):
-        # The angle path misses the contact of the tunnel to (10, 18) with the disc at (7, 1).
+    def test_known_tangent_case_is_rejected(self):
+        # The tunnel to (10, 18) touches the disc at (7, 1) on its side.
         scene = SCENES["default-grid"]()
         arrangement = (Point(16.0, 4.0), Point(7.0, 1.0))
         act = Action(0, Point(16.0, 4.0), Point(10.0, 18.0))
-        assert action_valid(scene, arrangement, act)
-        assert move_check(scene, arrangement, act)
+        assert not action_valid(scene, arrangement, act)
+        assert not move_check(scene, arrangement, act)
 
     @pytest.mark.parametrize(
         "dst", [(0.5, 10.0), (10.0, 19.5), (np.nan, np.nan), (np.inf, 5.0), (5.0, -np.inf)]

@@ -87,6 +87,7 @@ class TestPlan:
 BAD_SECOND_STEPS = {
     "unknown-object": (2, (4, 10), (16, 5)),
     "pick-mismatch": (0, (5, 10), (16, 5)),
+    "nan-pick": (0, (math.nan, math.nan), (16, 5)),
     "tunnel-collision": (0, (4, 10), (10, 16)),
     "overlap": (0, (4, 10), (10.5, 12.5)),
     "off-floor": (0, (4, 10), (0.5, 10)),
@@ -161,6 +162,19 @@ class TestOptimizePlan:
         assert out.steps == 2
         assert validate_plan(scene, out).valid
 
+    def test_round_trip_to_a_pick_up_within_tol_keeps_the_plan_valid(self):
+        # The object stands at (4, 5); it is picked and put back 6e-10 to the
+        # right, and the last pick-up, 1.4e-9 to the right, relies on that.
+        scene = make_scene([Point(4, 5)], [Point(16, 5)])
+        near, nearer, away = Point(4 + 6e-10, 5), Point(4 + 1.4e-9, 5), Point(10, 10)
+        raw = Plan(
+            (Action(0, near, away), Action(0, away, near), Action(0, nearer, Point(16, 5)))
+        )
+        assert validate_plan(scene, raw).valid
+        out = optimize_plan(raw, scene)
+        assert validate_plan(scene, out).valid
+        assert out.actions == (Action(0, near, Point(16, 5)),)
+
     def test_invalid_input_rejected(self):
         scene = make_scene([Point(4, 5)], [Point(10, 10)])
         broken = Plan((Action(0, Point(9, 9), Point(10, 10)),))
@@ -217,6 +231,14 @@ class TestValidatePlan:
         check = validate_plan(scene, bad)
         assert not check.valid
         assert check.failed_step == 0
+
+    def test_nan_pick_location_is_a_mismatch(self):
+        check = validate_plan(*bad_second_step("nan-pick"))
+        assert (check.valid, check.failed_step) == (False, 1)
+        assert check.reason == "pick location does not match the object's current region"
+        lone = make_scene([Point(4, 5)], [Point(16, 5)])
+        plan_ = Plan((Action(0, Point(math.nan, math.nan), Point(16, 5)),))
+        assert not validate_plan(lone, plan_).valid
 
     @pytest.mark.parametrize("bad", ["off-floor", "nan", "inf", "-inf"])
     def test_destination_leaving_workspace_has_its_own_reason(self, bad):

@@ -6,17 +6,9 @@ rectangular tunnel, and an object is reachable exactly when its tunnel is
 free of other objects.
 """
 
-from shelfplan import (
-    Action,
-    Disc,
-    Point,
-    action_valid,
-    collision_objs,
-    home_tunnel,
-    make_scene,
-    tunnel_intersects_disc,
-    tunnel_to,
-)
+from shelfplan import Action, Point, action_valid, make_scene
+from shelfplan.geometry import Disc, tunnel_intersects_disc, tunnel_to
+from shelfplan.motion import collision_objs, home_tunnel
 
 # A tunnel is aimed at its target and overshoots it by one object radius so
 # the far end covers the whole footprint.

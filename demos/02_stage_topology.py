@@ -5,7 +5,8 @@ the workspace, so deep goals are finished first (the longitude heuristic),
 and explicit goal-vs-goal blockings add ordering edges on top.
 """
 
-from shelfplan import Point, build_dependency_graph, make_scene, stage_order
+from shelfplan import Point, make_scene
+from shelfplan.topology import build_dependency_graph, stage_order
 
 scene = make_scene(
     start=[Point(3, 3), Point(17, 3), Point(3, 17), Point(17, 17)],

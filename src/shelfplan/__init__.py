@@ -3,37 +3,18 @@
 A multi-stage Monte Carlo tree search moves uniquely labeled cylindrical
 objects between start and goal arrangements using linear pick-and-place
 motions whose swept volumes are tilted rectangular tunnels.
+
+The package root exports the user API. Internals stay importable from their
+own modules: ``shelfplan.geometry`` (discs, tunnels, collision kernels),
+``shelfplan.motion`` (home tunnels, collision sets), ``shelfplan.topology``
+(dependency graph, stage order), ``shelfplan.mcts`` (the single-stage search)
+and ``shelfplan.occlusion`` (the per-plan collision table).
 """
 
-from .bench import MetricsRow, SuiteConfig, aggregate, run_suite, summarize
-from .geometry import (
-    Disc,
-    Point,
-    Tunnel,
-    Workspace,
-    disc_in_workspace,
-    discs_overlap,
-    distance,
-    tunnel_intersects_disc,
-    tunnel_to,
-)
-from .mcts import (
-    SearchBudget,
-    SearchNode,
-    StageContext,
-    StageExhausted,
-    StageFailure,
-    StageTimeout,
-    backpropagate,
-    expand,
-    get_blocking_objects,
-    new_region,
-    select,
-    simulate,
-    solve_stage,
-    stage_complete,
-)
-from .motion import Action, SweptVolume, action_valid, collision_objs, home_tunnel, swept_volume
+from .bench import MetricsRow, SuiteConfig, run_suite
+from .geometry import Point
+from .mcts import SearchBudget
+from .motion import Action, action_valid
 from .planner import (
     InvalidPlanError,
     Plan,
@@ -48,13 +29,9 @@ from .planner import (
     validate_plan,
 )
 from .scene import (
-    Arrangement,
-    ObjectId,
     Scene,
     SceneConfig,
     SceneGenerationError,
-    arrangement_valid,
-    candidate_grid,
     generate_scene,
     make_scene,
     scene_from_dict,
@@ -63,19 +40,13 @@ from .scene import (
     scene_to_json,
 )
 from .svg import render_svg
-from .topology import CycleError, DependencyGraph, build_dependency_graph, stage_order
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "Arrangement",
-    "CycleError",
-    "DependencyGraph",
-    "Disc",
     "InvalidPlanError",
     "MetricsRow",
-    "ObjectId",
     "Plan",
     "PlanCheck",
     "PlanReport",
@@ -84,31 +55,10 @@ __all__ = [
     "SceneConfig",
     "SceneGenerationError",
     "SearchBudget",
-    "SearchNode",
-    "StageContext",
-    "StageExhausted",
-    "StageFailure",
-    "StageTimeout",
     "SuiteConfig",
-    "SweptVolume",
-    "Tunnel",
-    "Workspace",
     "action_valid",
-    "aggregate",
-    "arrangement_valid",
-    "backpropagate",
-    "build_dependency_graph",
-    "candidate_grid",
-    "collision_objs",
-    "disc_in_workspace",
-    "discs_overlap",
-    "distance",
-    "expand",
     "generate_scene",
-    "get_blocking_objects",
-    "home_tunnel",
     "make_scene",
-    "new_region",
     "optimize_plan",
     "plan",
     "plan_from_dict",
@@ -121,14 +71,5 @@ __all__ = [
     "scene_from_json",
     "scene_to_dict",
     "scene_to_json",
-    "select",
-    "simulate",
-    "solve_stage",
-    "stage_complete",
-    "stage_order",
-    "summarize",
-    "swept_volume",
-    "tunnel_intersects_disc",
-    "tunnel_to",
     "validate_plan",
 ]

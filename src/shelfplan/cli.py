@@ -36,18 +36,16 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _budget_from_args(args: argparse.Namespace) -> SearchBudget:
-    timeout = None if args.timeout_s <= 0 else args.timeout_s
-    return SearchBudget(
-        wall_clock_limit=timeout,
-        expansion_width=args.expansion_width,
-        exploration_constant=args.ucb_c,
+    return SearchBudget(wall_clock_limit=None if args.timeout_s <= 0 else args.timeout_s)
+
+
+def _add_timeout_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--timeout-s",
+        type=float,
+        default=SearchBudget().wall_clock_limit,
+        help="wall-clock budget in seconds; <=0 disables (default: %(default)s)",
     )
-
-
-def _add_planner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout-s", type=float, default=30.0, help="wall-clock budget; <=0 disables")
-    p.add_argument("--expansion-width", type=int, default=5, help="buffer candidates per blocker")
-    p.add_argument("--ucb-c", type=float, default=1.414, help="exploration constant")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="plan a scene JSON file")
     p_plan.add_argument("scene", help="scene JSON path")
     p_plan.add_argument("--seed", type=int, default=0, help="search seed")
-    _add_planner_flags(p_plan)
+    _add_timeout_flag(p_plan)
     p_plan.add_argument("--out", default=None, help="plan JSON path (default: stdout)")
     p_plan.add_argument("--svg", default=None, help="also render the plan trace to this SVG path")
     p_plan.set_defaults(func=cmd_plan)
@@ -146,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--cases", type=int, default=80, help="cases per difficulty level")
     p_bench.add_argument("--seed", type=int, default=0, help="base seed; case i uses seed + i")
     p_bench.add_argument("--grid-res", type=float, default=1.0)
-    _add_planner_flags(p_bench)
+    _add_timeout_flag(p_bench)
     p_bench.add_argument("--out", default=None, help="directory for metrics.csv and cases.jsonl")
     p_bench.set_defaults(func=cmd_bench)
 

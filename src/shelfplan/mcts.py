@@ -24,12 +24,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Point
+from .geometry import TOL, Point
 from .motion import Action
 from .occlusion import OcclusionTable
 from .scene import Arrangement, ObjectId, Scene
 
 _EPS = 1e-12
+
+# Search settings of the paper's MS-MCTS; every workload runs these values.
+EXPANSION_WIDTH = 5  # buffer regions proposed per blocker
+EXPLORATION_CONSTANT = math.sqrt(2.0)  # UCB constant on min-max normalised rewards
+STUCK_DEPTH_PER_OBJECT = 3  # from depth 3·n on, expansion moves any accessible object
+ROLLOUT_STEPS_PER_OBJECT = 4  # a rollout stops after 4·n relocations
 
 # A relocation: object, destination index, destination point. The point is the
 # scene's own goal or candidate Point, so plan JSON prints it as the scene does.
@@ -115,20 +121,10 @@ class StageContext:
 
 @dataclass
 class SearchBudget:
-    """Knobs bounding one planning run."""
+    """Limits of one planning run: MCTS iterations per stage and wall-clock seconds."""
 
     max_iterations: int = 10_000
     wall_clock_limit: float | None = 30.0
-    expansion_width: int = 5
-    stuck_depth_threshold: int | None = None  # defaults to 3 * n_objects
-    exploration_constant: float = math.sqrt(2.0)
-    rollout_step_cap: int | None = None  # defaults to 4 * n_objects
-
-    def stuck_threshold(self, n_objects: int) -> int:
-        return self.stuck_depth_threshold if self.stuck_depth_threshold is not None else 3 * n_objects
-
-    def rollout_limit(self, n_objects: int) -> int:
-        return self.rollout_step_cap if self.rollout_step_cap is not None else 4 * n_objects
 
 
 class SearchNode:
@@ -264,7 +260,7 @@ def _accessible_movables(ctx: StageContext, positions: list[int]) -> set[ObjectI
 
 
 def _relocation_moves(
-    ctx: StageContext, positions: list[int], width: int, blockers: set[ObjectId]
+    ctx: StageContext, positions: list[int], blockers: set[ObjectId]
 ) -> list[Move]:
     """Candidate relocations that clear the given blockers out of the way.
 
@@ -302,7 +298,9 @@ def _relocation_moves(
                 deps = set(ctx.order[:cut])
                 if extra_dep is not None:
                     deps.add(extra_dep)
-                found = new_region(ctx, obj, deps, positions, width, keep_goal_access=keep_access)
+                found = new_region(
+                    ctx, obj, deps, positions, EXPANSION_WIDTH, keep_goal_access=keep_access
+                )
                 if found:
                     for i in found:
                         push(obj, i, scene.candidates[i])
@@ -343,11 +341,18 @@ def _relocation_moves(
         current = pending
 
 
-def _candidate_moves(ctx: StageContext, positions: list[int], width: int) -> list[Move]:
+def _candidate_moves(ctx: StageContext, positions: list[int], stuck: bool = False) -> list[Move]:
+    """Relocations that clear the focus's blockers, or its direct move once none is left.
+
+    In ``stuck`` mode the blockers are replaced by every currently accessible
+    movable object, widening the tree enough to escape local dead ends.
+    """
     blockers = get_blocking_objects(ctx, positions)
     if not blockers:
         return _direct_move(ctx, positions)
-    return _relocation_moves(ctx, positions, width, blockers)
+    if stuck:
+        blockers = _accessible_movables(ctx, positions)
+    return _relocation_moves(ctx, positions, blockers)
 
 
 def select(root: SearchNode, c: float) -> SearchNode:
@@ -381,24 +386,15 @@ def select(root: SearchNode, c: float) -> SearchNode:
     return node
 
 
-def expand(ctx: StageContext, node: SearchNode, budget: SearchBudget) -> SearchNode:
+def expand(ctx: StageContext, node: SearchNode) -> SearchNode:
     """Create all children of a visited node and return the first one.
 
-    Past the stuck-depth threshold the blocker set is replaced by every
-    currently accessible movable object, widening the tree enough to escape
-    local dead ends. Raises ``ExpansionExhausted`` when no child exists.
+    From depth ``STUCK_DEPTH_PER_OBJECT`` times the object count on, candidate
+    moves are generated in stuck mode. Raises ``ExpansionExhausted`` when no
+    child exists.
     """
     pos = node.positions
-    n = len(pos)
-    if node.depth >= budget.stuck_threshold(n):
-        blockers = get_blocking_objects(ctx, pos)
-        if blockers:
-            reachable = _accessible_movables(ctx, pos)
-            moves = _relocation_moves(ctx, pos, budget.expansion_width, reachable) if reachable else []
-        else:
-            moves = _direct_move(ctx, pos)
-    else:
-        moves = _candidate_moves(ctx, pos, budget.expansion_width)
+    moves = _candidate_moves(ctx, pos, stuck=node.depth >= STUCK_DEPTH_PER_OBJECT * len(pos))
     if not moves:
         raise ExpansionExhausted(f"no relocation possible at depth {node.depth}")
     points = ctx.table.points
@@ -410,9 +406,7 @@ def expand(ctx: StageContext, node: SearchNode, budget: SearchBudget) -> SearchN
     return node.children[0]
 
 
-def simulate(
-    ctx: StageContext, node: SearchNode, budget: SearchBudget, rng: np.random.Generator
-) -> float:
+def simulate(ctx: StageContext, node: SearchNode, rng: np.random.Generator) -> float:
     """Random single-branch rollout; returns the (negative) reward.
 
     The rollout picks uniformly among the node's candidate relocations until
@@ -426,10 +420,10 @@ def simulate(
     diagonal = math.hypot(scene.workspace.width, scene.workspace.depth)
     pos = list(node.positions)
     cost = node.path_cost
-    for _ in range(budget.rollout_limit(n)):
+    for _ in range(ROLLOUT_STEPS_PER_OBJECT * n):
         if stage_complete(ctx, pos):
             break
-        moves = _candidate_moves(ctx, pos, budget.expansion_width)
+        moves = _candidate_moves(ctx, pos)
         if not moves:
             cost += diagonal * max(1, len(get_blocking_objects(ctx, pos)))
             break
@@ -489,7 +483,7 @@ def solve_stage(
     positions = table.indices(start)
     goal_idx = ctx.goal_indices
     for obj in ctx.static_ids:
-        if np.abs(table.coords[positions[obj]] - table.coords[goal_idx[obj]]).max() > 1e-9:
+        if np.abs(table.coords[positions[obj]] - table.coords[goal_idx[obj]]).max() > TOL:
             raise ValueError(f"static object {obj} is not at its goal at stage entry")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -503,17 +497,17 @@ def solve_stage(
             raise StageTimeout("stage wall-clock budget exhausted")
         if root.dead:
             raise StageExhausted("every branch of the stage tree is dead")
-        leaf = select(root, budget.exploration_constant)
+        leaf = select(root, EXPLORATION_CONSTANT)
         if leaf.visits == 0:
-            backpropagate(leaf, simulate(ctx, leaf, budget, rng))
+            backpropagate(leaf, simulate(ctx, leaf, rng))
             continue
         try:
-            first_child = expand(ctx, leaf, budget)
+            first_child = expand(ctx, leaf)
         except ExpansionExhausted:
             _mark_dead(leaf)
             continue
         for child in leaf.children:
             if stage_complete(ctx, child.positions):
                 return _action_chain(child)
-        backpropagate(first_child, simulate(ctx, first_child, budget, rng))
+        backpropagate(first_child, simulate(ctx, first_child, rng))
     raise StageTimeout("stage iteration budget exhausted")

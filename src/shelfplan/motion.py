@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -41,22 +41,9 @@ class Action:
         return math.hypot(self.dst.x - self.src.x, self.dst.y - self.src.y)
 
 
-class SweptVolume(NamedTuple):
-    pick: Tunnel
-    place: Tunnel
-
-
 def home_tunnel(scene: Scene, target: Point) -> Tunnel:
     """Tunnel swept by one gripper leg from the robot home to ``target``."""
     return tunnel_to(target, scene.robot_home, scene.object_radius, scene.tunnel_width)
-
-
-def swept_volume(scene: Scene, action: Action) -> SweptVolume:
-    """Pick and place tunnels of a relocation, both anchored at the robot home."""
-    return SweptVolume(
-        pick=home_tunnel(scene, action.src),
-        place=home_tunnel(scene, action.dst),
-    )
 
 
 def action_valid(scene: Scene, arrangement, action: Action) -> bool:
@@ -76,9 +63,9 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     if (d2 < (2.0 * b) ** 2).any():
         return False
     others = [o for o in range(len(pos)) if o != action.obj]
-    vol = swept_volume(scene, action)
-    pick_hits = collision_objs(scene, pos, others, vol.pick)
-    return not (pick_hits or collision_objs(scene, pos, others, vol.place))
+    pick, place = home_tunnel(scene, action.src), home_tunnel(scene, action.dst)
+    pick_hits = collision_objs(scene, pos, others, pick)
+    return not (pick_hits or collision_objs(scene, pos, others, place))
 
 
 def collision_objs(

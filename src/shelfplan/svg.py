@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .motion import swept_volume
+from .motion import home_tunnel
 from .planner import InvalidPlanError, Plan, validate_plan
 from .scene import Scene
 
@@ -74,9 +74,10 @@ def render_svg(scene: Scene, plan: Plan, scale: float = 24.0) -> str:
     ]
 
     if plan.actions:
-        vol = swept_volume(scene, plan.actions[0])
-        for tunnel, fill in ((vol.pick, "#4a90d9"), (vol.place, "#d95b4a")):
-            pts = " ".join(f"{_fmt(sx(p.x))},{_fmt(sy(p.y))}" for p in tunnel.corners())
+        first = plan.actions[0]
+        for target, fill in ((first.src, "#4a90d9"), (first.dst, "#d95b4a")):
+            corners = home_tunnel(scene, target).corners()
+            pts = " ".join(f"{_fmt(sx(p.x))},{_fmt(sy(p.y))}" for p in corners)
             parts.append(f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.15" stroke="none"/>')
 
     hx, hy = sx(scene.robot_home.x), sy(scene.robot_home.y)

@@ -12,7 +12,8 @@ from collections import deque
 
 import numpy as np
 
-from shelfplan import Action, Disc, Point, Scene, Tunnel, action_valid
+from shelfplan import Action, Point, Scene, action_valid
+from shelfplan.geometry import Disc, Tunnel
 
 
 def sampled_tunnel_disc_hit(t: Tunnel, d: Disc, pitch: float) -> bool:

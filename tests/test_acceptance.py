@@ -10,20 +10,18 @@ import time
 import numpy as np
 
 from shelfplan import (
-    Disc,
     Plan,
     Point,
     SceneConfig,
     SearchBudget,
-    Tunnel,
     generate_scene,
     make_scene,
     optimize_plan,
     plan,
     plan_to_json,
-    tunnel_intersects_disc,
     validate_plan,
 )
+from shelfplan.geometry import Disc, Tunnel, tunnel_intersects_disc
 
 from oracles import (
     arrangement_goal_test,
@@ -34,6 +32,9 @@ from oracles import (
 )
 
 TIMEOUT_BUDGET = SearchBudget(wall_clock_limit=30.0)
+# Stops only at the per-stage iteration cap, so its verdict does not depend on
+# machine speed.
+ITERATION_BUDGET = SearchBudget(wall_clock_limit=None)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -41,14 +42,14 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _run_batch(seeds, counts):
+def _run_batch(seeds, counts, budget):
     solved = 0
     steps = []
     displacement = []
     t0 = time.perf_counter()
     for i, seed in enumerate(seeds):
         scene = generate_scene(SceneConfig(n_objects=counts[i % len(counts)], rng_seed=seed))
-        result = plan(scene, TIMEOUT_BUDGET, seed=seed)
+        result = plan(scene, budget, seed=seed)
         if result.success:
             check = validate_plan(scene, result.plan)
             assert check.valid, f"seed {seed}: {check.reason}"
@@ -60,26 +61,42 @@ def _run_batch(seeds, counts):
     return rate, float(np.mean(steps)), float(np.mean(displacement)), elapsed
 
 
-def test_easy_medium_reproduction():
-    rate, mean_steps, mean_disp, elapsed = _run_batch(range(80), counts=(4, 5, 6))
+def _check_easy_medium(budget, label):
+    rate, mean_steps, mean_disp, elapsed = _run_batch(range(80), (4, 5, 6), budget)
     ok = rate >= 95.0 and mean_steps <= 12.0 and mean_disp <= 100.0
     _report(
-        "easy/medium reproduction (80 cases, 4-6 objects)",
+        f"easy/medium reproduction (80 cases, 4-6 objects, {label})",
         ok,
         f"success {rate:.1f}% (>=95), steps {mean_steps:.2f} (<=12), "
         f"displacement {mean_disp:.1f} (<=100), {elapsed:.0f}s",
     )
 
 
-def test_hard_reproduction():
-    rate, mean_steps, mean_disp, elapsed = _run_batch(range(80, 160), counts=(7, 8))
+def _check_hard(budget, label):
+    rate, mean_steps, mean_disp, elapsed = _run_batch(range(80, 160), (7, 8), budget)
     ok = rate >= 85.0 and mean_steps <= 22.0 and mean_disp <= 180.0
     _report(
-        "hard reproduction (80 cases, 7-8 objects)",
+        f"hard reproduction (80 cases, 7-8 objects, {label})",
         ok,
         f"success {rate:.1f}% (>=85), steps {mean_steps:.2f} (<=22), "
         f"displacement {mean_disp:.1f} (<=180), {elapsed:.0f}s",
     )
+
+
+def test_easy_medium_reproduction():
+    _check_easy_medium(TIMEOUT_BUDGET, "30 s wall clock")
+
+
+def test_easy_medium_reproduction_iteration_capped():
+    _check_easy_medium(ITERATION_BUDGET, "iteration cap only")
+
+
+def test_hard_reproduction():
+    _check_hard(TIMEOUT_BUDGET, "30 s wall clock")
+
+
+def test_hard_reproduction_iteration_capped():
+    _check_hard(ITERATION_BUDGET, "iteration cap only")
 
 
 def test_flip_case():

@@ -1,27 +1,32 @@
 import csv
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import shelfplan
 from shelfplan import (
     InvalidPlanError,
     Plan,
     Point,
+    SceneConfig,
+    SearchBudget,
     SuiteConfig,
-    aggregate,
+    generate_scene,
     make_scene,
     plan,
     plan_from_dict,
+    plan_to_dict,
     render_svg,
     run_suite,
     scene_from_dict,
+    scene_to_json,
     validate_plan,
 )
-from shelfplan.bench import CSV_COLUMNS
+from shelfplan.bench import CSV_COLUMNS, aggregate
 from shelfplan.cli import main
-from shelfplan.mcts import SearchBudget
 
 
 def tiny_suite(**overrides):
@@ -144,7 +149,58 @@ class TestRenderSvg:
             render_svg(scene, bogus)
 
 
+class TestPublicApi:
+    def test_root_exports_the_user_api(self):
+        assert sorted(shelfplan.__all__) == [
+            "Action",
+            "InvalidPlanError",
+            "MetricsRow",
+            "Plan",
+            "PlanCheck",
+            "PlanReport",
+            "Point",
+            "Scene",
+            "SceneConfig",
+            "SceneGenerationError",
+            "SearchBudget",
+            "SuiteConfig",
+            "action_valid",
+            "generate_scene",
+            "make_scene",
+            "optimize_plan",
+            "plan",
+            "plan_from_dict",
+            "plan_from_json",
+            "plan_to_dict",
+            "plan_to_json",
+            "render_svg",
+            "run_suite",
+            "scene_from_dict",
+            "scene_from_json",
+            "scene_to_dict",
+            "scene_to_json",
+            "validate_plan",
+        ]
+        assert all(hasattr(shelfplan, name) for name in shelfplan.__all__)
+
+    def test_search_budget_holds_only_the_budget(self):
+        fields = [f.name for f in dataclasses.fields(SearchBudget)]
+        assert fields == ["max_iterations", "wall_clock_limit"]
+
+
 class TestCli:
+    def test_default_plan_equals_api_plan(self, tmp_path):
+        # Hard-band seed 82 (7 objects, as `bench --difficulty hard --seed 80` draws
+        # it) is a scene whose plan changes with the last digits of the UCB constant.
+        scene = generate_scene(SceneConfig(n_objects=7, rng_seed=82))
+        scene_path = tmp_path / "scene.json"
+        plan_path = tmp_path / "plan.json"
+        scene_path.write_text(scene_to_json(scene))
+        args = ["--seed", "82", "--timeout-s", "0", "--out", str(plan_path)]
+        assert main(["plan", str(scene_path), *args]) == 0
+        expected = plan_to_dict(plan(scene, SearchBudget(wall_clock_limit=None), seed=82).plan)
+        assert json.loads(plan_path.read_text())["actions"] == expected["actions"]
+
     def test_gen_plan_validate_pipeline(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         plan_path = tmp_path / "plan.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shelfplan import (
+from shelfplan.geometry import (
     Disc,
     Point,
     Tunnel,
@@ -13,10 +13,10 @@ from shelfplan import (
     disc_in_workspace,
     discs_overlap,
     distance,
+    tunnel_disc_mask,
     tunnel_intersects_disc,
     tunnel_to,
 )
-from shelfplan.geometry import tunnel_disc_mask
 
 from oracles import rect_disc_clearance, sampled_tunnel_disc_hit
 

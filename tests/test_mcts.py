@@ -7,22 +7,23 @@ from shelfplan import (
     Point,
     SceneConfig,
     SearchBudget,
+    action_valid,
+    generate_scene,
+    make_scene,
+)
+from shelfplan.geometry import Disc, distance, tunnel_intersects_disc
+from shelfplan.mcts import (
     SearchNode,
     StageContext,
-    action_valid,
     backpropagate,
-    distance,
     expand,
-    generate_scene,
     get_blocking_objects,
-    make_scene,
     new_region,
     select,
     simulate,
     solve_stage,
     stage_complete,
 )
-from shelfplan.geometry import Disc, tunnel_intersects_disc
 from shelfplan.motion import home_tunnel
 
 from oracles import bfs_min_steps
@@ -159,10 +160,10 @@ class TestExpand:
         ctx = ctx_for(scene)
         root = SearchNode(at(ctx, scene.start))
         root.visits = 1
-        child = expand(ctx, root, BUDGET)
+        child = expand(ctx, root)
         assert len(root.children) == 1
         assert child.incoming == Action(0, Point(10, 5), Point(10, 15))
-        reward = simulate(ctx, child, BUDGET, np.random.default_rng(0))
+        reward = simulate(ctx, child, np.random.default_rng(0))
         assert reward == pytest.approx(-10.0)
 
     def test_single_blocker_children_relocate_it_only(self):
@@ -170,7 +171,7 @@ class TestExpand:
         ctx = ctx_for(scene, order=[0, 1])
         root = SearchNode(at(ctx, scene.start))
         root.visits = 1
-        expand(ctx, root, BUDGET)
+        expand(ctx, root)
         assert root.children
         for child in root.children:
             assert child.incoming.obj == 1
@@ -186,7 +187,7 @@ class TestExpand:
         ctx = ctx_for(scene, order=[0, 1])
         root = SearchNode(at(ctx, scene.start))
         root.visits = 1
-        expand(ctx, root, BUDGET)
+        expand(ctx, root)
         assert any(child.incoming.obj == 0 for child in root.children)
 
 
@@ -196,23 +197,23 @@ class TestSimulate:
         ctx = ctx_for(scene)
         root = SearchNode(at(ctx, scene.start))
         root.visits = 1
-        child = expand(ctx, root, BUDGET)
+        child = expand(ctx, root)
         assert stage_complete(ctx, child.positions)
         # rollout length 0: reward is the root-to-node distance, negated
-        assert simulate(ctx, child, BUDGET, np.random.default_rng(3)) == pytest.approx(-10.0)
+        assert simulate(ctx, child, np.random.default_rng(3)) == pytest.approx(-10.0)
 
     def test_unblocked_focus_costs_straight_line(self):
         scene = make_scene([Point(10, 5)], [Point(13, 9)])
         ctx = ctx_for(scene)
         root = SearchNode(at(ctx, scene.start))
-        assert simulate(ctx, root, BUDGET, np.random.default_rng(0)) == pytest.approx(-5.0)
+        assert simulate(ctx, root, np.random.default_rng(0)) == pytest.approx(-5.0)
 
     def test_same_seed_same_rollout(self, flip_scene):
         ctx = ctx_for(flip_scene, order=[0, 1, 2, 3])
         root = SearchNode(at(ctx, flip_scene.start))
         rewards = [
-            simulate(ctx, root, BUDGET, np.random.default_rng(11)),
-            simulate(ctx, root, BUDGET, np.random.default_rng(11)),
+            simulate(ctx, root, np.random.default_rng(11)),
+            simulate(ctx, root, np.random.default_rng(11)),
         ]
         assert rewards[0] == rewards[1]
 
@@ -222,7 +223,7 @@ class TestSimulate:
             scene = generate_scene(SceneConfig(n_objects=4, rng_seed=seed))
             ctx = ctx_for(scene, order=list(range(4)))
             root = SearchNode(at(ctx, scene.start))
-            assert simulate(ctx, root, BUDGET, rng) <= 0.0
+            assert simulate(ctx, root, rng) <= 0.0
 
 
 class TestBackpropagate:

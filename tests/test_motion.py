@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from shelfplan import (
-    Action,
-    Disc,
-    Point,
-    SceneConfig,
-    action_valid,
-    arrangement_valid,
-    collision_objs,
-    generate_scene,
-    home_tunnel,
-    make_scene,
-    swept_volume,
-    tunnel_intersects_disc,
-)
+from shelfplan import Action, Point, SceneConfig, action_valid, generate_scene, make_scene
+from shelfplan.geometry import Disc, tunnel_intersects_disc
+from shelfplan.motion import collision_objs, home_tunnel
+from shelfplan.scene import arrangement_valid
 
 
 def single_object_scene():
@@ -24,11 +14,12 @@ def single_object_scene():
 class TestSweptVolume:
     def test_vertical_relocation_lengths(self):
         scene = single_object_scene()  # home defaults to (10, -3)
-        vol = swept_volume(scene, Action(0, Point(10, 5), Point(10, 15)))
-        assert vol.pick.length == pytest.approx(9.0, abs=1e-9)  # 8 + radius
-        assert vol.place.length == pytest.approx(19.0, abs=1e-9)  # 18 + radius
-        assert vol.pick.anchor == scene.robot_home
-        assert vol.place.anchor == scene.robot_home
+        act = Action(0, Point(10, 5), Point(10, 15))
+        pick, place = home_tunnel(scene, act.src), home_tunnel(scene, act.dst)
+        assert pick.length == pytest.approx(9.0, abs=1e-9)  # 8 + radius
+        assert place.length == pytest.approx(19.0, abs=1e-9)  # 18 + radius
+        assert pick.anchor == scene.robot_home
+        assert place.anchor == scene.robot_home
 
     def test_zero_displacement_rejected(self):
         with pytest.raises(ValueError):
@@ -37,8 +28,8 @@ class TestSweptVolume:
     def test_anchored_at_home_for_arbitrary_actions(self):
         scene = generate_scene(SceneConfig(n_objects=3, rng_seed=8))
         act = Action(1, scene.start[1], Point(4, 7))
-        vol = swept_volume(scene, act)
-        assert vol.pick.anchor == vol.place.anchor == scene.robot_home
+        pick, place = home_tunnel(scene, act.src), home_tunnel(scene, act.dst)
+        assert pick.anchor == place.anchor == scene.robot_home
 
 
 class TestActionValid:

@@ -7,14 +7,13 @@ from shelfplan import (
     Point,
     SceneConfig,
     SceneGenerationError,
-    Workspace,
-    arrangement_valid,
-    candidate_grid,
     generate_scene,
     make_scene,
     scene_from_json,
     scene_to_json,
 )
+from shelfplan.geometry import Workspace
+from shelfplan.scene import arrangement_valid, candidate_grid
 
 
 class TestCandidateGrid:

@@ -1,18 +1,9 @@
 import pytest
 
-from shelfplan import (
-    CycleError,
-    DependencyGraph,
-    Disc,
-    Point,
-    SceneConfig,
-    build_dependency_graph,
-    generate_scene,
-    home_tunnel,
-    make_scene,
-    stage_order,
-    tunnel_intersects_disc,
-)
+from shelfplan import Point, SceneConfig, generate_scene, make_scene
+from shelfplan.geometry import Disc, tunnel_intersects_disc
+from shelfplan.motion import home_tunnel
+from shelfplan.topology import CycleError, DependencyGraph, build_dependency_graph, stage_order
 
 
 class TestDependencyGraph:

@@ -17,11 +17,15 @@ class InputError(Exception):
 
 
 def _read(path: str, parse, what: str):
-    """Parse a scene or plan file; malformed content raises ``InputError``."""
+    """Parse a scene or plan file; malformed content raises ``InputError``.
+
+    ``RecursionError`` is the json module's answer to arrays or objects nested
+    too deeply.
+    """
     with open(path) as fh:
         try:
             return parse(fh.read())
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise InputError(f"{path}: not a valid {what}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -60,7 +60,12 @@ class ExpansionExhausted(StageFailure):
 
 @dataclass(frozen=True)
 class StageContext:
-    """Fixed data of one stage: who moves, who is done, and the plan's table."""
+    """One stage: who moves, who is done, the plan's table, and a memo of moves.
+
+    The fields are fixed for the stage. ``move_memo`` is the stage's
+    transposition table: it fills as the search reaches arrangements, and it
+    is dropped with the context, since ``plan()`` builds one per stage.
+    """
 
     scene: Scene
     focus: ObjectId
@@ -111,6 +116,11 @@ class StageContext:
     @cached_property
     def movers_except_focus(self) -> tuple[ObjectId, ...]:
         return tuple(sorted(self.movable_ids - {self.focus}))
+
+    @cached_property
+    def move_memo(self) -> dict[tuple[tuple[int, ...], bool], tuple[Move, ...]]:
+        """``_candidate_moves`` results, keyed by ``(arrangement, stuck)``."""
+        return {}
 
     @cached_property
     def others(self) -> tuple[tuple[ObjectId, ...], ...]:
@@ -242,11 +252,11 @@ def _move_valid(ctx: StageContext, positions: list[int], obj: ObjectId, dst: int
     return ctx.table.move_valid(positions[obj], dst, occupied)
 
 
-def _direct_move(ctx: StageContext, positions: list[int]) -> list[Move]:
+def _direct_move(ctx: StageContext, positions: list[int]) -> tuple[Move, ...]:
     focus, goal = ctx.focus, ctx.focus_goal
     if positions[focus] != goal and _move_valid(ctx, positions, focus, goal):
-        return [(focus, goal, ctx.scene.goal[focus])]
-    return []
+        return ((focus, goal, ctx.scene.goal[focus]),)
+    return ()
 
 
 def _accessible_movables(ctx: StageContext, positions: list[int]) -> set[ObjectId]:
@@ -261,7 +271,7 @@ def _accessible_movables(ctx: StageContext, positions: list[int]) -> set[ObjectI
 
 def _relocation_moves(
     ctx: StageContext, positions: list[int], blockers: set[ObjectId]
-) -> list[Move]:
+) -> tuple[Move, ...]:
     """Candidate relocations that clear the given blockers out of the way.
 
     Accessible blockers go straight to their goal when that is collision-free
@@ -334,19 +344,36 @@ def _relocation_moves(
                     else:
                         buffer_moves(o_j, extra_dep=o_i)
         if moves:
-            return moves
+            return tuple(moves)
         pending = next_wave - processed
         if not pending:
-            return []
+            return ()
         current = pending
 
 
-def _candidate_moves(ctx: StageContext, positions: list[int], stuck: bool = False) -> list[Move]:
+def _candidate_moves(
+    ctx: StageContext, positions: list[int], stuck: bool = False
+) -> tuple[Move, ...]:
     """Relocations that clear the focus's blockers, or its direct move once none is left.
 
     In ``stuck`` mode the blockers are replaced by every currently accessible
     movable object, widening the tree enough to escape local dead ends.
+
+    The moves depend only on the stage, the arrangement and ``stuck`` (the
+    table is a cache of pure geometry, and no rng is drawn), so each result
+    is kept in ``ctx.move_memo`` and an arrangement the stage reaches again,
+    in a rollout or an expansion, reuses it.
     """
+    key = (tuple(positions), stuck)
+    moves = ctx.move_memo.get(key)
+    if moves is None:
+        moves = ctx.move_memo[key] = _fresh_candidate_moves(ctx, positions, stuck)
+    return moves
+
+
+def _fresh_candidate_moves(
+    ctx: StageContext, positions: list[int], stuck: bool
+) -> tuple[Move, ...]:
     blockers = get_blocking_objects(ctx, positions)
     if not blockers:
         return _direct_move(ctx, positions)

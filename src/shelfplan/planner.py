@@ -14,7 +14,7 @@ from .geometry import TOL, Disc, Point, disc_in_workspace
 from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable
-from .scene import Scene
+from .scene import Scene, list_from_json, point_from_json
 from .topology import CycleError, build_dependency_graph, stage_order
 
 _GOAL_TOL = 1e-6  # per-coordinate tolerance for the terminal arrangement
@@ -311,17 +311,21 @@ def plan_to_dict(plan: Plan, wall_time: float | None = None) -> dict:
     }
 
 
+def _action_from_dict(entry: dict, step: int) -> Action:
+    obj = entry["object"]
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise TypeError(f"actions[{step}] object must be an integer, not {type(obj).__name__}")
+    src = point_from_json(entry["from"], f"actions[{step}] from")
+    return Action(obj, src, point_from_json(entry["to"], f"actions[{step}] to"))
+
+
 def plan_from_dict(data: dict) -> Plan:
-    return Plan(
-        tuple(
-            Action(
-                int(entry["object"]),
-                Point(float(entry["from"][0]), float(entry["from"][1])),
-                Point(float(entry["to"][0]), float(entry["to"][1])),
-            )
-            for entry in data["actions"]
-        )
-    )
+    """Plan of a ``plan_to_dict`` mapping.
+
+    Malformed input raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    """
+    actions = list_from_json(data["actions"], "actions")
+    return Plan(tuple(_action_from_dict(entry, i) for i, entry in enumerate(actions)))
 
 
 def plan_to_json(plan: Plan, wall_time: float | None = None, indent: int | None = None) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,12 +23,26 @@ class SceneGenerationError(RuntimeError):
     """Rejection sampling could not place all objects."""
 
 
+def _require_finite(*fields: tuple[str, float]) -> None:
+    """Raise ``ValueError`` naming the first ``(name, value)`` that is NaN or infinite."""
+    for name, value in fields:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
 def candidate_grid(workspace: Workspace, object_radius: float, resolution: float) -> list[Point]:
     """All grid points (pitch ``resolution``) whose disc fits inside the workspace.
 
     Points are returned row-major: x varies fastest, y slowest, both ascending.
-    Raises ``ValueError`` when no placement fits.
+    Raises ``ValueError`` when a dimension is NaN or infinite, or when no
+    placement fits.
     """
+    _require_finite(
+        ("workspace width", workspace.width),
+        ("workspace depth", workspace.depth),
+        ("object_radius", object_radius),
+        ("grid_resolution", resolution),
+    )
     if resolution <= 0:
         raise ValueError("grid resolution must be positive")
     span_x = workspace.width - 2.0 * object_radius
@@ -69,6 +84,15 @@ class Scene:
     candidates: tuple[Point, ...]
 
     def __post_init__(self) -> None:
+        _require_finite(
+            ("object_radius", self.object_radius),
+            ("tunnel_width", self.tunnel_width),
+            ("grid_resolution", self.grid_resolution),
+            ("workspace width", self.workspace.width),
+            ("workspace depth", self.workspace.depth),
+            ("robot_home x", self.robot_home.x),
+            ("robot_home y", self.robot_home.y),
+        )
         if self.object_radius <= 0 or self.tunnel_width <= 0:
             raise ValueError("object radius and tunnel width must be positive")
         if self.robot_home.y >= 0:
@@ -209,16 +233,52 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def number_from_json(value, what: str) -> float:
+    """A finite JSON number as a float; anything else raises ``TypeError``/``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, not {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require_finite((what, number))
+    return number
+
+
+def list_from_json(value, what: str) -> list | tuple:
+    """A JSON array; anything else raises ``TypeError``."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def point_from_json(value, what: str) -> Point:
+    """A JSON ``[x, y]`` pair of finite numbers as a ``Point``."""
+    if len(list_from_json(value, what)) != 2:
+        raise ValueError(f"{what} must have 2 coordinates, not {len(value)}")
+    return Point(number_from_json(value[0], f"{what} x"), number_from_json(value[1], f"{what} y"))
+
+
+def _points_from_json(value, what: str) -> Arrangement:
+    points = list_from_json(value, what)
+    return tuple(point_from_json(p, f"{what}[{i}]") for i, p in enumerate(points))
+
+
 def scene_from_dict(data: dict) -> Scene:
+    """Scene of a ``scene_to_dict`` mapping.
+
+    Malformed input raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    """
+    workspace = data["workspace"]
     return make_scene(
-        start=tuple(Point(float(x), float(y)) for x, y in data["start"]),
-        goal=tuple(Point(float(x), float(y)) for x, y in data["goal"]),
-        width=float(data["workspace"]["width"]),
-        depth=float(data["workspace"]["depth"]),
-        object_radius=float(data["object_radius"]),
-        tunnel_width=float(data["tunnel_width"]),
-        grid_resolution=float(data["grid_resolution"]),
-        robot_home=Point(float(data["robot_home"][0]), float(data["robot_home"][1])),
+        start=_points_from_json(data["start"], "start"),
+        goal=_points_from_json(data["goal"], "goal"),
+        width=number_from_json(workspace["width"], "workspace width"),
+        depth=number_from_json(workspace["depth"], "workspace depth"),
+        object_radius=number_from_json(data["object_radius"], "object_radius"),
+        tunnel_width=number_from_json(data["tunnel_width"], "tunnel_width"),
+        grid_resolution=number_from_json(data["grid_resolution"], "grid_resolution"),
+        robot_home=point_from_json(data["robot_home"], "robot_home"),
     )
 
 

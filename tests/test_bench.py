@@ -281,3 +281,32 @@ class TestCli:
         assert main(["plan", str(scene_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not a valid scene" in err
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("validate", lambda scene, moves: scene.update(tunnel_width=math.nan)),
+            ("plan", lambda scene, moves: scene["workspace"].update(width=math.inf)),
+            ("validate", lambda scene, moves: moves[0].update(object=1.7)),
+            ("validate", lambda scene, moves: moves[0].update(object=math.inf)),
+            ("validate", lambda scene, moves: moves[0].update({"from": [*moves[0]["from"], 0.0]})),
+        ],
+        ids=["nan-tunnel-width", "inf-width", "fractional-object", "inf-object", "3d-from"],
+    )
+    def test_malformed_scene_or_plan_is_input_error(self, tmp_path, capsys, command, edit):
+        scene = generate_scene(SceneConfig(n_objects=2, rng_seed=4))
+        result = plan(scene, SearchBudget(wall_clock_limit=None), seed=4)
+        scene_data, plan_data = json.loads(scene_to_json(scene)), plan_to_dict(result.plan)
+        edit(scene_data, plan_data["actions"])
+        scene_path, plan_path = tmp_path / "scene.json", tmp_path / "plan.json"
+        scene_path.write_text(json.dumps(scene_data))  # as NaN / Infinity tokens
+        plan_path.write_text(json.dumps(plan_data))
+        args = [str(scene_path), str(plan_path)] if command == "validate" else [str(scene_path)]
+        assert main([command, *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["plan", str(scene_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

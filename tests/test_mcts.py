@@ -15,6 +15,7 @@ from shelfplan.geometry import Disc, distance, tunnel_intersects_disc
 from shelfplan.mcts import (
     SearchNode,
     StageContext,
+    _candidate_moves,
     backpropagate,
     expand,
     get_blocking_objects,
@@ -25,6 +26,8 @@ from shelfplan.mcts import (
     stage_complete,
 )
 from shelfplan.motion import home_tunnel
+from shelfplan.occlusion import OcclusionTable
+from shelfplan.topology import build_dependency_graph, stage_order
 
 from oracles import bfs_min_steps
 
@@ -320,3 +323,33 @@ class TestUnknownPositions:
         other = ctx_for(make_scene([Point(10, 5)], [Point(10, 15)]))
         with pytest.raises(ValueError, match="another scene"):
             StageContext.for_stage(scene, [0], 0, other.table)
+
+
+class TestMoveMemo:
+    @pytest.mark.parametrize("seed, n_objects", [(82, 7), (99, 8)])
+    def test_memo_equals_a_fresh_context_on_every_visited_arrangement(self, seed, n_objects):
+        # A hard-band scene planned stage by stage as plan() does: every stage
+        # shares the plan's table but starts with an empty memo, and every
+        # arrangement its search asked about gets the same moves from a fresh
+        # context (so a fresh memo) over a fresh table, stuck or not.
+        scene = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+        order = stage_order(build_dependency_graph(scene), scene)
+        table = OcclusionTable(scene)
+        rng = np.random.default_rng(seed)
+        positions = list(scene.start)
+        visited = 0
+        for index in range(len(order)):
+            ctx = StageContext.for_stage(scene, order, index, table)
+            assert ctx.move_memo == {}
+            for act in solve_stage(ctx, tuple(positions), BUDGET, rng):
+                positions[act.obj] = act.dst
+            assert all(type(moves) is tuple for moves in ctx.move_memo.values())
+            fresh_table = OcclusionTable(scene)
+            arrangements = {arrangement for arrangement, _ in ctx.move_memo}
+            for arrangement in arrangements:
+                for stuck in (False, True):
+                    fresh = StageContext.for_stage(scene, order, index, fresh_table)
+                    warm = _candidate_moves(ctx, list(arrangement), stuck)
+                    assert warm == _candidate_moves(fresh, list(arrangement), stuck)
+            visited += len(arrangements)
+        assert visited > 100

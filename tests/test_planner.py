@@ -15,7 +15,9 @@ from shelfplan import (
     make_scene,
     optimize_plan,
     plan,
+    plan_from_dict,
     plan_from_json,
+    plan_to_dict,
     plan_to_json,
     validate_plan,
 )
@@ -23,6 +25,7 @@ from shelfplan import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from json_fuzz import hostile_edits
 from oracles import optimize_by_full_replay, random_walk_instance, replay_plan
 
 NO_TIMEOUT = SearchBudget(wall_clock_limit=None)
@@ -281,3 +284,51 @@ class TestPlanJson:
         a = plan(scene, NO_TIMEOUT, seed=40)
         b = plan(scene, NO_TIMEOUT, seed=40)
         assert plan_to_json(a.plan) == plan_to_json(b.plan)
+
+
+FUZZ_SCENE = make_scene([Point(4, 5), Point(10, 12)], [Point(10, 12), Point(16, 5)])
+
+
+@st.composite
+def plan_dicts(draw):
+    """Plan mappings: relocations between grid and off-grid points, then hostile edits."""
+    spot = st.one_of(
+        st.sampled_from(FUZZ_SCENE.candidates), st.tuples(st.floats(-2, 22), st.floats(-2, 22))
+    )
+    moves = st.fixed_dictionaries(
+        {
+            "object": st.one_of(st.integers(-1, 3), st.floats(-1, 3)),
+            "from": spot.map(list),
+            "to": spot.map(list),
+        }
+    )
+    data = {"actions": draw(st.lists(moves, max_size=4)), "steps": 0, "wall_time": None}
+    return draw(hostile_edits(data))
+
+
+class TestPlanFromDict:
+    @pytest.mark.parametrize("obj", [1.7, 1.0, math.inf, math.nan, True, "1", None, [1]], ids=repr)
+    def test_object_must_be_a_json_integer(self, obj):
+        move = {"object": obj, "from": [4.0, 5.0], "to": [4.0, 8.0]}
+        with pytest.raises(TypeError, match=r"actions\[0\] object must be an integer"):
+            plan_from_dict({"actions": [move]})
+
+    @pytest.mark.parametrize("field", ["from", "to"])
+    @pytest.mark.parametrize("point", [[4.0], [4.0, 8.0, 1.0], []])
+    def test_points_must_have_two_coordinates(self, field, point):
+        move = {"object": 0, "from": [4.0, 5.0], "to": [4.0, 8.0], field: point}
+        with pytest.raises(ValueError, match=f"actions\\[0\\] {field} must have 2 coordinates"):
+            plan_from_dict({"actions": [move]})
+
+    @settings(max_examples=400, deadline=None)
+    @given(plan_dicts())
+    def test_parses_to_a_plan_or_raises_an_input_error(self, data):
+        try:
+            parsed = plan_from_dict(data)
+        except (ValueError, KeyError, TypeError):
+            return
+        assert plan_to_dict(parsed)["actions"] == data["actions"]  # nothing truncated or dropped
+        for act in parsed.actions:
+            assert type(act.obj) is int
+            assert all(math.isfinite(v) for v in (*act.src, *act.dst))
+        validate_plan(FUZZ_SCENE, parsed)  # a verdict, never an exception

@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_fuzz import hostile_edits
 
 from shelfplan import (
     Point,
@@ -9,7 +13,9 @@ from shelfplan import (
     SceneGenerationError,
     generate_scene,
     make_scene,
+    scene_from_dict,
     scene_from_json,
+    scene_to_dict,
     scene_to_json,
 )
 from shelfplan.geometry import Workspace
@@ -38,6 +44,20 @@ class TestCandidateGrid:
     def test_too_small_workspace(self):
         with pytest.raises(ValueError):
             candidate_grid(Workspace(1, 1), 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("workspace width", lambda v: (Workspace(v, 20), 1.0, 1.0)),
+            ("workspace depth", lambda v: (Workspace(20, v), 1.0, 1.0)),
+            ("object_radius", lambda v: (Workspace(20, 20), v, 1.0)),
+            ("grid_resolution", lambda v: (Workspace(20, 20), 1.0, v)),
+        ],
+    )
+    def test_non_finite_dimension_is_named(self, field, args, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            candidate_grid(*args(bad))
 
 
 class TestGenerateScene:
@@ -100,6 +120,24 @@ class TestSceneChecks:
         with pytest.raises(ValueError):
             make_scene([Point(5, 5)], [Point(10, 10)], robot_home=Point(10, 5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("object_radius", lambda v: {"object_radius": v}),
+            ("tunnel_width", lambda v: {"tunnel_width": v}),
+            ("grid_resolution", lambda v: {"grid_resolution": v}),
+            ("workspace width", lambda v: {"workspace": Workspace(v, 20.0)}),
+            ("workspace depth", lambda v: {"workspace": Workspace(20.0, v)}),
+            ("robot_home x", lambda v: {"robot_home": Point(v, -3.0)}),
+            ("robot_home y", lambda v: {"robot_home": Point(10.0, v)}),
+        ],
+    )
+    def test_rejects_non_finite_parameter_by_name(self, field, change, bad):
+        scene = make_scene([Point(5, 5)], [Point(10, 10)])
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(scene, **change(bad))
+
 
 class TestSceneJson:
     def test_roundtrip_is_exact(self):
@@ -136,3 +174,75 @@ class TestSceneJson:
             "goal",
         }
         assert set(data["workspace"]) == {"width", "depth"}
+
+
+def spot(width: float):
+    """A point on the grid of pitch 1 or anywhere on a width × width floor."""
+    return st.one_of(
+        st.lists(st.integers(1, max(1, int(width) - 1)), min_size=2, max_size=2),
+        st.lists(st.floats(0, width), min_size=2, max_size=2),
+    )
+
+
+@st.composite
+def scene_dicts(draw):
+    """Scene mappings: a well-formed one, then up to three hostile edits.
+
+    An edit puts NaN, ±inf, an unrepresentable integer, a non-number, a list
+    of the wrong length, or nothing at all (a deleted key) into any field,
+    coordinate or point. Workspace sizes and grid pitches stay bounded so any
+    grid the parser builds is small.
+    """
+    width = draw(st.floats(4, 24))
+    n = draw(st.integers(0, 3))
+    starts = draw(st.lists(spot(width), min_size=n, max_size=n))
+    goals = draw(st.lists(spot(width), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        goals[draw(st.integers(0, n - 1))] = list(draw(st.sampled_from(starts)))
+    data = {
+        "workspace": {"width": width, "depth": draw(st.one_of(st.just(width), st.floats(4, 24)))},
+        "object_radius": draw(st.floats(0.3, 2)),
+        "robot_home": [draw(st.floats(0, width)), draw(st.floats(-5, -0.5))],
+        "tunnel_width": draw(st.floats(0.5, 6)),
+        "grid_resolution": draw(st.floats(0.5, 4)),
+        "start": starts,
+        "goal": goals,
+    }
+    return draw(hostile_edits(data))
+
+
+class TestSceneFromDictFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(scene_dicts())
+    def test_parses_to_a_valid_scene_or_raises_an_input_error(self, data):
+        try:
+            scene = scene_from_dict(data)
+        except (ValueError, KeyError, TypeError):
+            return
+        numbers = [
+            scene.object_radius,
+            scene.tunnel_width,
+            scene.grid_resolution,
+            *scene.workspace,
+            *scene.robot_home,
+        ]
+        assert all(math.isfinite(v) for v in numbers)
+        assert scene.object_radius > 0 and scene.tunnel_width > 0 and scene.robot_home.y < 0
+        assert arrangement_valid(scene.start, scene) and arrangement_valid(scene.goal, scene)
+        assert scene_to_dict(scene) == data  # nothing truncated or dropped
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"scene"', "{}"])
+    def test_wrong_top_level_shape_is_an_input_error(self, text):
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            scene_from_json(text)
+
+    def test_empty_scene_parses(self):
+        data = scene_to_dict(make_scene([], []))
+        assert scene_from_dict(data).n_objects == 0
+
+    @pytest.mark.parametrize("home", [[10.0, -3.0, 1.0], [10.0], "10,-3"])
+    def test_robot_home_must_be_a_pair(self, home):
+        data = scene_to_dict(make_scene([Point(5, 5)], [Point(10, 10)]))
+        data["robot_home"] = home
+        with pytest.raises((ValueError, TypeError), match="robot_home"):
+            scene_from_dict(data)

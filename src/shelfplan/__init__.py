@@ -8,7 +8,7 @@ The package root exports the user API. Internals stay importable from their
 own modules: ``shelfplan.geometry`` (discs, tunnels, collision kernels),
 ``shelfplan.motion`` (home tunnels, collision sets), ``shelfplan.topology``
 (dependency graph, stage order), ``shelfplan.mcts`` (the single-stage search)
-and ``shelfplan.occlusion`` (the per-plan collision table).
+and ``shelfplan.occlusion`` (the collision table, shared by plans on one shelf).
 """
 
 from .bench import MetricsRow, SuiteConfig, run_suite

@@ -44,6 +44,7 @@ class SuiteConfig:
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
         if self.cases_per_level < 1:
             raise ValueError("need at least one case per level")
+        SceneConfig(grid_resolution=self.grid_resolution)  # checks the cases' candidate grid
 
     @property
     def levels(self) -> tuple[str, ...]:

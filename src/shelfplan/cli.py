@@ -8,12 +8,18 @@ import sys
 from .bench import SuiteConfig, run_suite
 from .mcts import SearchBudget
 from .planner import plan, plan_from_json, plan_to_json, validate_plan
-from .scene import SceneConfig, generate_scene, scene_from_json, scene_to_json
+from .scene import (
+    SceneConfig,
+    SceneGenerationError,
+    generate_scene,
+    scene_from_json,
+    scene_to_json,
+)
 from .svg import render_svg
 
 
 class InputError(Exception):
-    """A scene or plan file that cannot be parsed into a valid object."""
+    """Command-line values, or a scene or plan file, that make no valid object."""
 
 
 def _read(path: str, parse, what: str):
@@ -53,9 +59,13 @@ def _add_timeout_flag(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    scene = generate_scene(
-        SceneConfig(n_objects=args.objects, rng_seed=args.seed, grid_resolution=args.grid_res)
-    )
+    try:
+        config = SceneConfig(
+            n_objects=args.objects, rng_seed=args.seed, grid_resolution=args.grid_res
+        )
+        scene = generate_scene(config)
+    except (ValueError, SceneGenerationError) as exc:
+        raise InputError(f"cannot generate a scene: {exc}") from exc
     _write_out(scene_to_json(scene, indent=2), args.out)
     return 0
 
@@ -79,13 +89,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = SuiteConfig(
-        difficulty=args.difficulty,
-        cases_per_level=args.cases,
-        base_seed=args.seed,
-        grid_resolution=args.grid_res,
-        budget=_budget_from_args(args),
-    )
+    try:
+        cfg = SuiteConfig(
+            difficulty=args.difficulty,
+            cases_per_level=args.cases,
+            base_seed=args.seed,
+            grid_resolution=args.grid_res,
+            budget=_budget_from_args(args),
+        )
+    except ValueError as exc:
+        raise InputError(f"invalid benchmark settings: {exc}") from exc
 
     def progress(record: dict) -> None:
         status = "ok" if record["success"] else f"FAIL({record['failure_kind']})"

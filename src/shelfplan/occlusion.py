@@ -25,12 +25,22 @@ candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
 ``row(t)`` is not, exact tangencies included.
 
 A search visits only a small share of the points, so filling the whole table
-up front would cost more than most plans. A table belongs to one planning run
-and is dropped with it.
+up front would cost more than most plans. Every entry is a pure function of
+the scene's workspace, object radius, robot home and tunnel width and of the
+table's points, and task after task on one shelf only the start and goal
+arrangements change. So ``OcclusionTable.shared`` keeps the points and entries
+in one process-wide store (a transposition table over geometry that spans
+searches), and a table it returns for a scene with the same key reads and
+fills the entries of the tables before it. The store holds one key; a scene
+with another one replaces it. It assumes one thread: an entry is filled by a
+plain list write, and two writes of one entry store equal values.
+``OcclusionTable(scene)`` stays cold and private to its caller.
 """
 
 from __future__ import annotations
 
+import copy
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -40,6 +50,17 @@ from .motion import home_tunnel, placement_sweep_mask
 from .scene import Arrangement, Scene
 
 _SAME_SPOT_D2 = 1e-12  # squared distance under which a candidate is point j's own spot
+
+
+def _shelf(scene: Scene) -> tuple:
+    """What the entries depend on besides the start, goal and extra points."""
+    return (
+        scene.workspace,
+        scene.object_radius,
+        scene.robot_home,
+        scene.tunnel_width,
+        scene.candidates,
+    )
 
 
 def to_bits(mask: np.ndarray) -> int:
@@ -71,6 +92,34 @@ class OcclusionTable:
         self._far: list[int | None] = [None] * size
         self._nearest: list[tuple[np.ndarray, int] | None] = [None] * size
         self._inside: list[bool | None] = [None] * size
+
+    @classmethod
+    def shared(cls, scene: Scene, extra_points: Iterable[Point] = ()) -> OcclusionTable:
+        """Table bound to ``scene`` whose points and entries are the process-wide store's.
+
+        The table numbers its points as ``OcclusionTable(scene, extra_points)``
+        would and answers every query as it would. When the store's key, the
+        workspace, object radius, robot home, tunnel width and table points,
+        equals this scene's, the entries other scenes filled are reused;
+        otherwise a cold table takes the store's one slot.
+        """
+        global _store
+        extra = [Point(*p) for p in extra_points]
+        if _store is None or not _store._same_key(scene, extra):
+            _store = cls(scene, extra)
+        table = copy.copy(_store)  # shares the index, the points and the entry lists
+        table.scene = scene
+        return table
+
+    def _same_key(self, scene: Scene, extra_points: list[Point]) -> bool:
+        """``scene`` with ``extra_points`` has this table's geometry and points."""
+        if _shelf(self.scene) != _shelf(scene):
+            return False
+        n = self.n_candidates
+        off_grid = dict.fromkeys(
+            p for p in chain(scene.start, scene.goal, extra_points) if self._index.get(p, n) >= n
+        )
+        return tuple(off_grid) == self.points[n:]
 
     def index_of(self, p) -> int:
         """Index of a position; ``ValueError`` if the scene has no such point."""
@@ -124,7 +173,10 @@ class OcclusionTable:
         entry = self._nearest[j]
         if entry is None:
             d2 = self._distances(j)[: self.n_candidates]
-            entry = (np.argsort(d2, kind="stable"), to_bits(d2 <= _SAME_SPOT_D2))
+            # uint16 holds every candidate index: a scene has at most 65,536 candidates.
+            order = np.argsort(d2, kind="stable").astype(np.uint16)
+            order.flags.writeable = False  # shared by every table of the store
+            entry = (order, to_bits(d2 <= _SAME_SPOT_D2))
             self._nearest[j] = entry
         return entry
 
@@ -151,3 +203,7 @@ class OcclusionTable:
 
     def _distances(self, j: int) -> np.ndarray:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)
+
+
+# The last table ``OcclusionTable.shared`` built: the store of points and entries.
+_store: OcclusionTable | None = None

@@ -227,15 +227,16 @@ def optimize_plan(plan: Plan, scene: Scene, *, table: OcclusionTable | None = No
     does not replay.
 
     Every replay checks its steps in an occlusion table, and a merge replays
-    only the steps it changes (see ``_sweep_merge``). By default the table
-    covers the scene plus every pick-up and destination point of the plan, so
-    off-grid points and pick-ups within ``TOL`` of an object's position keep
-    their exact geometry. ``plan()`` passes its search table instead, whose
-    rows the search has mostly filled already; a table must belong to
-    ``scene`` and index every point of the plan.
+    only the steps it changes (see ``_sweep_merge``). By default the table is
+    the shared one (``OcclusionTable.shared``) over the scene plus every
+    pick-up and destination point of the plan, so off-grid points and pick-ups
+    within ``TOL`` of an object's position keep their exact geometry, and a
+    plan on a shelf already seen reuses its entries. ``plan()`` passes its
+    search table instead, whose rows the search has mostly filled already; a
+    table must belong to ``scene`` and index every point of the plan.
     """
     if table is None:
-        table = OcclusionTable(scene, [p for a in plan.actions for p in (a.src, a.dst)])
+        table = OcclusionTable.shared(scene, [p for a in plan.actions for p in (a.src, a.dst)])
     elif table.scene is not scene:
         raise ValueError("occlusion table belongs to another scene")
     check = _table_check(table)
@@ -275,7 +276,8 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     except CycleError:
         return report(False, None, "topology-cycle")
     rng = np.random.default_rng(seed)
-    table = OcclusionTable(scene)  # lives for this run only: its entries fill as the search asks
+    # Entries fill as the search asks, and later plans on the same shelf reuse them.
+    table = OcclusionTable.shared(scene)
     positions = list(scene.start)
     actions: list[Action] = []
     for index in range(len(order)):

@@ -17,6 +17,9 @@ Arrangement = tuple[Point, ...]
 # Rejection-sampling limits for scene generation.
 _MAX_DRAWS = 10_000
 _STALL_LIMIT = 500
+# Most placement candidates a scene may have: a 256 x 256 grid. The occlusion
+# table's per-point entries grow with it, and it stores candidate indices as uint16.
+MAX_CANDIDATES = 65_536
 
 
 class SceneGenerationError(RuntimeError):
@@ -30,12 +33,11 @@ def _require_finite(*fields: tuple[str, float]) -> None:
             raise ValueError(f"{name} must be finite, not {value}")
 
 
-def candidate_grid(workspace: Workspace, object_radius: float, resolution: float) -> list[Point]:
-    """All grid points (pitch ``resolution``) whose disc fits inside the workspace.
+def grid_shape(workspace: Workspace, object_radius: float, resolution: float) -> tuple[int, int]:
+    """Columns and rows of the candidate grid, checked before anything is built.
 
-    Points are returned row-major: x varies fastest, y slowest, both ascending.
-    Raises ``ValueError`` when a dimension is NaN or infinite, or when no
-    placement fits.
+    Raises ``ValueError`` when a dimension is NaN or infinite, when no
+    placement fits, or when the grid would exceed ``MAX_CANDIDATES`` points.
     """
     _require_finite(
         ("workspace width", workspace.width),
@@ -49,8 +51,25 @@ def candidate_grid(workspace: Workspace, object_radius: float, resolution: float
     span_y = workspace.depth - 2.0 * object_radius
     if span_x < 0 or span_y < 0:
         raise ValueError("no disc placement fits inside the workspace")
-    nx = int(span_x / resolution + 1e-9) + 1
-    ny = int(span_y / resolution + 1e-9) + 1
+    steps_x, steps_y = span_x / resolution + 1e-9, span_y / resolution + 1e-9
+    if max(steps_x, steps_y) == math.inf:  # the quotient overflowed
+        raise ValueError(f"a grid of pitch {resolution} over this workspace has too many candidates")
+    nx, ny = int(steps_x) + 1, int(steps_y) + 1
+    if nx * ny > MAX_CANDIDATES:
+        raise ValueError(
+            f"a grid of {nx:,} x {ny:,} = {nx * ny:,} candidates exceeds the cap of "
+            f"{MAX_CANDIDATES:,}"
+        )
+    return nx, ny
+
+
+def candidate_grid(workspace: Workspace, object_radius: float, resolution: float) -> list[Point]:
+    """All grid points (pitch ``resolution``) whose disc fits inside the workspace.
+
+    Points are returned row-major: x varies fastest, y slowest, both ascending.
+    Raises ``ValueError`` as ``grid_shape`` does.
+    """
+    nx, ny = grid_shape(workspace, object_radius, resolution)
     b = object_radius
     return [Point(b + i * resolution, b + j * resolution) for j in range(ny) for i in range(nx)]
 
@@ -101,6 +120,11 @@ class Scene:
             raise ValueError("start and goal must place the same objects")
         if not self.candidates:
             raise ValueError("scene needs at least one placement candidate")
+        if len(self.candidates) > MAX_CANDIDATES:
+            raise ValueError(
+                f"scene has {len(self.candidates):,} placement candidates, more than the cap "
+                f"of {MAX_CANDIDATES:,}"
+            )
         for name, points in (("start", self.start), ("goal", self.goal)):
             if not _points_ok(points, self.workspace, self.object_radius):
                 raise ValueError(f"{name} arrangement is not collision-free inside the workspace")
@@ -160,8 +184,7 @@ class SceneConfig:
             raise ValueError("need at least one object")
         if self.min_center_separation < 2.0 * self.object_radius:
             raise ValueError("separation below one object diameter would allow overlaps")
-        if self.grid_resolution <= 0:
-            raise ValueError("grid resolution must be positive")
+        grid_shape(Workspace(self.width, self.depth), self.object_radius, self.grid_resolution)
 
 
 def _sample_indices(

@@ -305,6 +305,24 @@ class TestCli:
         assert main([command, *args]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("gen --grid-res 0", "grid resolution must be positive"),
+            ("gen --grid-res nan", "grid_resolution must be finite"),
+            ("gen --grid-res 1e-9", "exceeds the cap of 65,536"),
+            ("gen --objects 0", "need at least one object"),
+            ("gen --objects 40", "could not place 40 objects"),
+            ("bench --grid-res 0", "grid resolution must be positive"),
+        ],
+    )
+    def test_unusable_generation_setting_is_input_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         scene_path.write_text("[" * 100_000 + "]" * 100_000)

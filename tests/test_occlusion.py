@@ -9,15 +9,34 @@ distances. All tunnel paths share one kernel, so ``row`` and ``clear`` agree
 with each other too, exact tangencies included.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shelfplan import Action, Point, SceneConfig, action_valid, generate_scene, make_scene
-from shelfplan.geometry import Disc, discs_overlap, tunnel_disc_mask, tunnel_intersects_disc
+from shelfplan import (
+    Action,
+    Point,
+    SceneConfig,
+    SearchBudget,
+    action_valid,
+    generate_scene,
+    make_scene,
+    plan,
+    plan_to_json,
+)
+from shelfplan.geometry import (
+    Disc,
+    Workspace,
+    discs_overlap,
+    tunnel_disc_mask,
+    tunnel_intersects_disc,
+)
 from shelfplan.motion import home_tunnel, placement_sweep_mask
 from shelfplan.occlusion import OcclusionTable, to_bits
+from shelfplan.scene import candidate_grid
 
 SCENES = {
     "default-grid": lambda: make_scene([Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)]),
@@ -113,6 +132,7 @@ class TestKernelEquivalence:
             order, own_spot = table.nearest(j)
             d2 = ((grid - table.coords[j]) ** 2).sum(axis=1)
             assert np.array_equal(order, np.argsort(d2, kind="stable"))
+            assert order.dtype == np.uint16 and not order.flags.writeable
             assert own_spot == to_bits(d2 <= 1e-12)
 
     def test_own_spot_covers_a_candidate_closer_than_1e_6(self):
@@ -351,3 +371,94 @@ def test_move_valid_equals_action_valid(data):
     assume(dst != src)
     act = Action(obj, src, dst)
     assert move_check(scene, arrangement, act) == action_valid(scene, arrangement, act)
+
+
+def entries(table):
+    """Every entry of a table, filled for every point."""
+    size = range(len(table.points))
+    return {
+        "row": [table.row(t) for t in size],
+        "clear": [table.clear(j) for j in size],
+        "far": [table.far(j) for j in size],
+        "nearest": [(table.nearest(j)[0].tolist(), table.nearest(j)[1]) for j in size],
+        "inside": [table.inside(j) for j in size],
+    }
+
+
+class TestSharedStore:
+    """``OcclusionTable.shared`` answers as a cold table, whatever the store held before."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"workspace": Workspace(20.0, 19.5)},  # the back row of discs now leaves the floor
+            {"object_radius": 1.2},
+            {"robot_home": Point(9.0, -3.0)},
+            {"tunnel_width": 3.0},
+            {"candidates": tuple(candidate_grid(Workspace(20.0, 20.0), 1.0, 1.5))},
+        ],
+        ids=["workspace", "object_radius", "robot_home", "tunnel_width", "grid"],
+    )
+    def test_scene_differing_in_one_key_field_gets_its_own_entries(self, change):
+        base = SCENES["default-grid"]()
+        warm = entries(OcclusionTable.shared(base))
+        scene = dataclasses.replace(base, **change)
+        table = OcclusionTable.shared(scene)
+        assert table.scene is scene
+        cold = entries(OcclusionTable(scene))
+        assert warm != cold  # the field matters, so sharing across it would show
+        assert entries(table) == cold
+
+    def test_scenes_on_one_shelf_share_points_and_entries(self):
+        first = OcclusionTable.shared(SCENES["default-grid"]())
+        scene = make_scene([Point(7, 6), Point(13, 6)], [Point(7, 14), Point(13, 14)])
+        second = OcclusionTable.shared(scene)
+        assert second.scene is scene and second.points is first.points
+        assert entries(second) == entries(OcclusionTable(scene))
+
+    def test_off_grid_scene_takes_the_slot_and_a_grid_scene_rebuilds(self):
+        grid_scene = SCENES["default-grid"]()
+        on_grid = OcclusionTable.shared(grid_scene)
+        on_grid.row(0)
+        off_grid_scene = SCENES["off-grid"]()
+        off_grid = OcclusionTable.shared(off_grid_scene)
+        assert len(off_grid.points) == off_grid.n_candidates + 6
+        assert entries(off_grid) == entries(OcclusionTable(off_grid_scene))
+        again = OcclusionTable.shared(grid_scene)
+        assert again.points is not on_grid.points and again.points is not off_grid.points
+        assert entries(again) == entries(OcclusionTable(grid_scene))
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ([], [(4.5, 4.5)]),
+            ([(4.5, 4.5)], [(10.5, 3.5)]),  # as many off-grid points, elsewhere
+            ([(4.5, 4.5), (10.5, 3.5)], [(10.5, 3.5), (4.5, 4.5)]),  # in another order
+        ],
+    )
+    def test_off_grid_points_and_their_order_are_part_of_the_key(self, before, after):
+        scene = SCENES["default-grid"]()
+        entries(OcclusionTable.shared(scene, before))
+        table = OcclusionTable.shared(scene, after)
+        assert table.points is OcclusionTable.shared(scene, [Point(*p) for p in after]).points
+        assert entries(table) == entries(OcclusionTable(scene, after))
+
+
+HARD_SEEDS = range(80, 88)
+
+
+def hard_plans(seeds):
+    budget = SearchBudget(wall_clock_limit=None)
+    plans = {}
+    for seed in seeds:
+        scene = generate_scene(SceneConfig(n_objects=7 + (seed - 80) % 2, rng_seed=seed))
+        plans[seed] = plan_to_json(plan(scene, budget, seed=seed).plan)
+    return plans
+
+
+def test_hard_plans_do_not_depend_on_what_the_store_held(monkeypatch):
+    forward = hard_plans(HARD_SEEDS)
+    backward = hard_plans(reversed(HARD_SEEDS))
+    monkeypatch.setattr(OcclusionTable, "shared", classmethod(lambda cls, *args: cls(*args)))
+    cold = hard_plans(HARD_SEEDS)
+    assert forward == backward == cold

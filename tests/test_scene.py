@@ -19,7 +19,7 @@ from shelfplan import (
     scene_to_json,
 )
 from shelfplan.geometry import Workspace
-from shelfplan.scene import arrangement_valid, candidate_grid
+from shelfplan.scene import MAX_CANDIDATES, arrangement_valid, candidate_grid
 
 
 class TestCandidateGrid:
@@ -58,6 +58,29 @@ class TestCandidateGrid:
     def test_non_finite_dimension_is_named(self, field, args, bad):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             candidate_grid(*args(bad))
+
+    @pytest.mark.parametrize(
+        "workspace, resolution, count",
+        [
+            (Workspace(1e12, 20), 1.0, "18,999,999,999,981"),  # 999,999,999,999 x 19
+            (Workspace(20, 20), 1e-9, "324,000,000,036,000,000,001"),  # 18,000,000,001 squared
+        ],
+        ids=["1e12-wide-floor", "1e-9-pitch"],
+    )
+    def test_grid_over_the_cap_fails_before_it_is_built(self, workspace, resolution, count):
+        with pytest.raises(ValueError, match=f"= {count} candidates exceeds the cap of 65,536"):
+            candidate_grid(workspace, 1.0, resolution)
+        with pytest.raises(ValueError, match=count):
+            SceneConfig(width=workspace.width, depth=workspace.depth, grid_resolution=resolution)
+
+    def test_cap_is_a_256_by_256_grid(self):
+        assert len(candidate_grid(Workspace(257, 257), 1.0, 1.0)) == MAX_CANDIDATES == 256 * 256
+        with pytest.raises(ValueError, match="257 x 256 = 65,792 candidates"):
+            candidate_grid(Workspace(258, 257), 1.0, 1.0)
+
+    def test_pitch_whose_count_overflows_a_float(self):
+        with pytest.raises(ValueError, match="too many candidates"):
+            candidate_grid(Workspace(1e300, 20), 1.0, 1e-300)
 
 
 class TestGenerateScene:
@@ -119,6 +142,13 @@ class TestSceneChecks:
     def test_rejects_home_inside_workspace(self):
         with pytest.raises(ValueError):
             make_scene([Point(5, 5)], [Point(10, 10)], robot_home=Point(10, 5))
+
+    def test_rejects_more_candidates_than_the_cap(self):
+        scene = make_scene([Point(5, 5)], [Point(10, 10)])
+        too_many = tuple(Point(1.0 + k * 1e-4, 1.0) for k in range(MAX_CANDIDATES + 1))
+        with pytest.raises(ValueError, match="65,537 placement candidates, more than the cap"):
+            dataclasses.replace(scene, candidates=too_many)
+        assert len(dataclasses.replace(scene, candidates=too_many[:-1]).candidates) == 65_536
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -46,7 +46,10 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _budget_from_args(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(wall_clock_limit=None if args.timeout_s <= 0 else args.timeout_s)
+    try:
+        return SearchBudget(wall_clock_limit=None if args.timeout_s <= 0 else args.timeout_s)
+    except ValueError as exc:  # a NaN timeout
+        raise InputError(f"invalid --timeout-s: {exc}") from exc
 
 
 def _add_timeout_flag(p: argparse.ArgumentParser) -> None:

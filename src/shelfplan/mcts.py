@@ -136,6 +136,10 @@ class SearchBudget:
     max_iterations: int = 10_000
     wall_clock_limit: float | None = 30.0
 
+    def __post_init__(self) -> None:
+        if self.wall_clock_limit is not None and math.isnan(self.wall_clock_limit):
+            raise ValueError("wall_clock_limit must be a number of seconds or None, not nan")
+
 
 class SearchNode:
     """One tree node: an arrangement as an index vector, plus search statistics."""
@@ -496,13 +500,12 @@ def solve_stage(
     start: Arrangement,
     budget: SearchBudget,
     rng: np.random.Generator | None = None,
-    deadline: float | None = None,
 ) -> list[Action]:
     """Drive the focus object to its goal; returns the action chain.
 
     Runs select / expand / simulate / backpropagate rounds and halts on the
     first node whose arrangement completes the stage. Raises ``StageTimeout``
-    when the deadline or iteration budget runs out and ``StageExhausted`` when
+    when the wall-clock or iteration budget runs out and ``StageExhausted`` when
     the whole tree is dead, and ``ValueError`` when ``start`` puts an object on
     a point that is not a candidate, start or goal point of the scene.
     """
@@ -514,8 +517,8 @@ def solve_stage(
             raise ValueError(f"static object {obj} is not at its goal at stage entry")
     if rng is None:
         rng = np.random.default_rng(0)
-    if deadline is None and budget.wall_clock_limit is not None:
-        deadline = time.monotonic() + budget.wall_clock_limit
+    limit = budget.wall_clock_limit
+    deadline = None if limit is None else time.monotonic() + limit
     if stage_complete(ctx, positions):
         return []
     root = SearchNode(positions)

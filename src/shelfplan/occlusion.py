@@ -27,13 +27,15 @@ candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
 A search visits only a small share of the points, so filling the whole table
 up front would cost more than most plans. Every entry is a pure function of
 the scene's workspace, object radius, robot home and tunnel width and of the
-table's points, and task after task on one shelf only the start and goal
-arrangements change. So ``OcclusionTable.shared`` keeps the points and entries
-in one process-wide store (a transposition table over geometry that spans
-searches), and a table it returns for a scene with the same key reads and
-fills the entries of the tables before it. The store holds one key; a scene
-with another one replaces it. It assumes one thread: an entry is filled by a
-plain list write, and two writes of one entry store equal values.
+table's points: the candidates, which the workspace, object radius and grid
+resolution determine, then the off-grid points. Task after task on one shelf
+only the start and goal arrangements change. So ``OcclusionTable.shared``
+keeps the points and entries in one process-wide store (a transposition table
+over geometry that spans searches), keyed by those five scene settings and
+the off-grid points, and a table it returns for a scene with the same key
+reads and fills the entries of the tables before it. The store holds one key;
+a scene with another one replaces it. It assumes one thread: an entry is
+filled by a plain list write, and two writes of one entry store equal values.
 ``OcclusionTable(scene)`` stays cold and private to its caller.
 """
 
@@ -53,13 +55,17 @@ _SAME_SPOT_D2 = 1e-12  # squared distance under which a candidate is point j's o
 
 
 def _shelf(scene: Scene) -> tuple:
-    """What the entries depend on besides the start, goal and extra points."""
+    """What the entries depend on besides the off-grid points.
+
+    The grid resolution stands for the candidates, which it determines together
+    with the workspace and the object radius.
+    """
     return (
         scene.workspace,
         scene.object_radius,
         scene.robot_home,
         scene.tunnel_width,
-        scene.candidates,
+        scene.grid_resolution,
     )
 
 
@@ -99,9 +105,11 @@ class OcclusionTable:
 
         The table numbers its points as ``OcclusionTable(scene, extra_points)``
         would and answers every query as it would. When the store's key, the
-        workspace, object radius, robot home, tunnel width and table points,
-        equals this scene's, the entries other scenes filled are reused;
-        otherwise a cold table takes the store's one slot.
+        workspace, object radius, robot home, tunnel width, grid resolution and
+        off-grid points in table order, equals this scene's, the entries other
+        scenes filled are reused; otherwise a cold table takes the store's one
+        slot. Extra points that are already table points leave the key as it
+        is, so a plan searched on the shared table finds the same slot again.
         """
         global _store
         extra = [Point(*p) for p in extra_points]

@@ -95,11 +95,9 @@ def _float_check(scene: Scene) -> StepCheck:
     b, workspace = scene.object_radius, scene.workspace
 
     def check(positions: list[Point], act: Action) -> str | None:
-        if not disc_in_workspace(Disc(Point(*act.dst), b), workspace):
-            return _LEAVES
-        if not action_valid(scene, positions, act):
-            return _COLLIDES
-        return None
+        if action_valid(scene, positions, act):
+            return None
+        return _COLLIDES if disc_in_workspace(Disc(Point(*act.dst), b), workspace) else _LEAVES
 
     return check
 
@@ -127,8 +125,7 @@ def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
     step, reason = _replay(plan.actions, positions, _float_check(scene))
     if step is not None:
         return PlanCheck(False, step, reason)
-    final_arr = np.asarray(positions, dtype=float)
-    if np.abs(final_arr - scene.goal_array).max() > _GOAL_TOL:
+    if not _within_tol(positions, scene.goal, _GOAL_TOL):
         return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
     return PlanCheck(True)
 
@@ -155,8 +152,8 @@ def _collapse_runs(actions: list[Action], start: Sequence[Point]) -> list[Action
     return out
 
 
-def _within_tol(a: Sequence[Point], b: Sequence[Point]) -> bool:
-    return all(abs(p.x - q.x) <= TOL and abs(p.y - q.y) <= TOL for p, q in zip(a, b))
+def _within_tol(a: Sequence[Point], b: Sequence[Point], tol: float = TOL) -> bool:
+    return all(abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol for p, q in zip(a, b))
 
 
 def _sweep_merge(
@@ -216,7 +213,7 @@ def _sweep_merge(
     return actions, changed
 
 
-def optimize_plan(plan: Plan, scene: Scene, *, table: OcclusionTable | None = None) -> Plan:
+def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     """Shorten a plan without breaking it.
 
     First collapses consecutive same-object moves, then repeatedly merges
@@ -227,18 +224,14 @@ def optimize_plan(plan: Plan, scene: Scene, *, table: OcclusionTable | None = No
     does not replay.
 
     Every replay checks its steps in an occlusion table, and a merge replays
-    only the steps it changes (see ``_sweep_merge``). By default the table is
-    the shared one (``OcclusionTable.shared``) over the scene plus every
-    pick-up and destination point of the plan, so off-grid points and pick-ups
-    within ``TOL`` of an object's position keep their exact geometry, and a
-    plan on a shelf already seen reuses its entries. ``plan()`` passes its
-    search table instead, whose rows the search has mostly filled already; a
-    table must belong to ``scene`` and index every point of the plan.
+    only the steps it changes (see ``_sweep_merge``). The table is the shared
+    one (``OcclusionTable.shared``) over the scene plus every pick-up and
+    destination point of the plan, so off-grid points and pick-ups within
+    ``TOL`` of an object's position keep their exact geometry, and a plan on a
+    shelf already seen reuses its entries. A searched plan's points are all
+    table points already, so it reads the entries its search filled.
     """
-    if table is None:
-        table = OcclusionTable.shared(scene, [p for a in plan.actions for p in (a.src, a.dst)])
-    elif table.scene is not scene:
-        raise ValueError("occlusion table belongs to another scene")
+    table = OcclusionTable.shared(scene, [p for a in plan.actions for p in (a.src, a.dst)])
     check = _table_check(table)
     step, reason = _replay(plan.actions, list(scene.start), check)
     if step is not None:
@@ -264,9 +257,8 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     if budget is None:
         budget = SearchBudget()
     t0 = time.perf_counter()
-    deadline = None
-    if budget.wall_clock_limit is not None:
-        deadline = time.monotonic() + budget.wall_clock_limit
+    limit = budget.wall_clock_limit
+    deadline = None if limit is None else time.monotonic() + limit
 
     def report(success: bool, result: Plan | None, kind: str | None) -> PlanReport:
         return PlanReport(success, result, time.perf_counter() - t0, kind)
@@ -282,14 +274,14 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     actions: list[Action] = []
     for index in range(len(order)):
         ctx = StageContext.for_stage(scene, order, index, table)
-        stage_deadline = None
+        stage_budget = budget
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return report(False, None, "timeout")
-            stage_deadline = time.monotonic() + remaining / (len(order) - index)
+            stage_budget = SearchBudget(budget.max_iterations, remaining / (len(order) - index))
         try:
-            chunk = solve_stage(ctx, tuple(positions), budget, rng, deadline=stage_deadline)
+            chunk = solve_stage(ctx, tuple(positions), stage_budget, rng)
         except StageTimeout:
             return report(False, None, "timeout")
         except StageExhausted:
@@ -297,7 +289,7 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
         for act in chunk:
             positions[act.obj] = act.dst
         actions.extend(chunk)
-    optimized = optimize_plan(Plan(tuple(actions)), scene, table=table)
+    optimized = optimize_plan(Plan(tuple(actions)), scene)
     return report(True, optimized, None)
 
 

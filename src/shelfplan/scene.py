@@ -89,8 +89,10 @@ def _points_ok(points: Arrangement, workspace: Workspace, radius: float) -> bool
 class Scene:
     """An immutable planning instance.
 
-    ``candidates`` is the discretized set of legal placement centers; start and
-    goal positions of generated scenes are drawn from it.
+    ``candidates`` is the discretized set of legal placement centers, worked
+    out from the workspace, object radius and grid resolution
+    (``candidate_grid``), so it always matches them; start and goal positions
+    of generated scenes are drawn from it.
     """
 
     workspace: Workspace
@@ -100,15 +102,11 @@ class Scene:
     grid_resolution: float
     start: Arrangement
     goal: Arrangement
-    candidates: tuple[Point, ...]
 
     def __post_init__(self) -> None:
+        grid_shape(self.workspace, self.object_radius, self.grid_resolution)
         _require_finite(
-            ("object_radius", self.object_radius),
             ("tunnel_width", self.tunnel_width),
-            ("grid_resolution", self.grid_resolution),
-            ("workspace width", self.workspace.width),
-            ("workspace depth", self.workspace.depth),
             ("robot_home x", self.robot_home.x),
             ("robot_home y", self.robot_home.y),
         )
@@ -118,13 +116,6 @@ class Scene:
             raise ValueError("robot home must sit outside the workspace, in front of the opening")
         if len(self.start) != len(self.goal):
             raise ValueError("start and goal must place the same objects")
-        if not self.candidates:
-            raise ValueError("scene needs at least one placement candidate")
-        if len(self.candidates) > MAX_CANDIDATES:
-            raise ValueError(
-                f"scene has {len(self.candidates):,} placement candidates, more than the cap "
-                f"of {MAX_CANDIDATES:,}"
-            )
         for name, points in (("start", self.start), ("goal", self.goal)):
             if not _points_ok(points, self.workspace, self.object_radius):
                 raise ValueError(f"{name} arrangement is not collision-free inside the workspace")
@@ -134,8 +125,8 @@ class Scene:
         return len(self.start)
 
     @cached_property
-    def goal_array(self) -> np.ndarray:
-        return np.asarray(self.goal, dtype=float)
+    def candidates(self) -> tuple[Point, ...]:
+        return tuple(candidate_grid(self.workspace, self.object_radius, self.grid_resolution))
 
 
 def make_scene(
@@ -153,7 +144,6 @@ def make_scene(
     workspace = Workspace(width, depth)
     if robot_home is None:
         robot_home = Point(width / 2.0, -3.0)
-    grid = candidate_grid(workspace, object_radius, grid_resolution)
     return Scene(
         workspace=workspace,
         object_radius=object_radius,
@@ -162,7 +152,6 @@ def make_scene(
         grid_resolution=grid_resolution,
         start=tuple(Point(*p) for p in start),
         goal=tuple(Point(*p) for p in goal),
-        candidates=tuple(grid),
     )
 
 

@@ -187,6 +187,11 @@ class TestPublicApi:
         fields = [f.name for f in dataclasses.fields(SearchBudget)]
         assert fields == ["max_iterations", "wall_clock_limit"]
 
+    def test_search_budget_rejects_a_nan_wall_clock(self):
+        # time.monotonic() > nan is never true, so a NaN limit would be no limit.
+        with pytest.raises(ValueError, match="not nan"):
+            SearchBudget(wall_clock_limit=math.nan)
+
 
 class TestCli:
     def test_default_plan_equals_api_plan(self, tmp_path):
@@ -258,6 +263,26 @@ class TestCli:
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "cases.jsonl").exists()
         assert "easy" in capsys.readouterr().out
+
+    def test_object_free_scene_plans_renders_and_validates(self, tmp_path, capsys):
+        scene_path, plan_path = tmp_path / "scene.json", tmp_path / "plan.json"
+        svg_path = tmp_path / "trace.svg"
+        scene_path.write_text(scene_to_json(make_scene([], [])))
+        argv = ["plan", str(scene_path), "--out", str(plan_path), "--svg", str(svg_path)]
+        assert main(argv) == 0
+        assert main(["validate", str(scene_path), str(plan_path)]) == 0
+        assert "plan is valid" in capsys.readouterr().out
+        ET.fromstring(svg_path.read_text())
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_nan_timeout_is_input_error(self, tmp_path, capsys, command):
+        scene_path, out = tmp_path / "scene.json", tmp_path / "out"
+        scene_path.write_text(scene_to_json(generate_scene(SceneConfig(n_objects=3, rng_seed=4))))
+        args = [str(scene_path)] if command == "plan" else ["--difficulty", "easy", "--cases", "1"]
+        assert main([command, *args, "--timeout-s", "nan", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "wall_clock_limit" in err
+        assert not out.exists()
 
     def test_missing_scene_file_is_io_error(self, tmp_path):
         assert main(["plan", str(tmp_path / "absent.json")]) == 2

@@ -36,7 +36,6 @@ from shelfplan.geometry import (
 )
 from shelfplan.motion import home_tunnel, placement_sweep_mask
 from shelfplan.occlusion import OcclusionTable, to_bits
-from shelfplan.scene import candidate_grid
 
 SCENES = {
     "default-grid": lambda: make_scene([Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)]),
@@ -395,7 +394,7 @@ class TestSharedStore:
             {"object_radius": 1.2},
             {"robot_home": Point(9.0, -3.0)},
             {"tunnel_width": 3.0},
-            {"candidates": tuple(candidate_grid(Workspace(20.0, 20.0), 1.0, 1.5))},
+            {"grid_resolution": 1.5},
         ],
         ids=["workspace", "object_radius", "robot_home", "tunnel_width", "grid"],
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -76,6 +77,20 @@ class TestPlan:
                     assert scene.start[obj] == scene.goal[obj]
                 else:
                     assert report.plan.actions[last_move[obj]].dst == scene.goal[obj]
+
+    def test_object_free_scene_plans_and_validates(self):
+        scene = make_scene([], [])
+        report = plan(scene, NO_TIMEOUT)
+        assert report.success and report.plan.steps == 0
+        assert validate_plan(scene, report.plan).valid
+
+    def test_scene_with_a_changed_radius_plans_on_its_own_grid(self):
+        # The radius-1.5 grid has its points at half units, off the start and goal.
+        scene = generate_scene(SceneConfig(n_objects=4, rng_seed=26))
+        wider = dataclasses.replace(scene, object_radius=1.5)
+        assert wider.candidates[0] == Point(1.5, 1.5)
+        report = plan(wider, NO_TIMEOUT, seed=26)
+        assert report.plan is None or validate_plan(wider, report.plan).valid
 
     def test_timeout_reported(self):
         scene = generate_scene(SceneConfig(n_objects=6, rng_seed=2))

@@ -144,11 +144,18 @@ class TestSceneChecks:
             make_scene([Point(5, 5)], [Point(10, 10)], robot_home=Point(10, 5))
 
     def test_rejects_more_candidates_than_the_cap(self):
-        scene = make_scene([Point(5, 5)], [Point(10, 10)])
-        too_many = tuple(Point(1.0 + k * 1e-4, 1.0) for k in range(MAX_CANDIDATES + 1))
-        with pytest.raises(ValueError, match="65,537 placement candidates, more than the cap"):
-            dataclasses.replace(scene, candidates=too_many)
-        assert len(dataclasses.replace(scene, candidates=too_many[:-1]).candidates) == 65_536
+        scene = make_scene([Point(5, 5)], [Point(10, 10)])  # 18 x 18 units of grid span
+        with pytest.raises(ValueError, match="257 x 257 = 66,049 candidates exceeds the cap"):
+            dataclasses.replace(scene, grid_resolution=18 / 256)
+        capped = dataclasses.replace(scene, grid_resolution=18 / 255)
+        assert len(capped.candidates) == MAX_CANDIDATES == 256 * 256
+
+    def test_candidates_follow_the_grid_settings(self):
+        start, goal = [Point(5, 5), Point(10, 10)], [Point(10, 10), Point(5, 5)]
+        scene = dataclasses.replace(make_scene(start, goal), grid_resolution=0.5)
+        assert scene.candidates == make_scene(start, goal, grid_resolution=0.5).candidates
+        assert len(scene.candidates) == 37 * 37
+        assert scene_from_json(scene_to_json(scene)) == scene
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -16,17 +16,6 @@ from .scene import SceneConfig, generate_scene, scene_to_dict
 
 LEVELS = ("easy", "medium", "hard")
 LEVEL_OBJECT_COUNTS = {"easy": (4,), "medium": (5, 6), "hard": (7, 8)}
-
-CSV_COLUMNS = (
-    "level",
-    "cases",
-    "success_rate",
-    "mean_steps",
-    "std_steps",
-    "mean_dist",
-    "std_dist",
-    "mean_time_s",
-)
 
 
 @dataclass
@@ -158,20 +147,8 @@ def run_suite(
 def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.level,
-                    row.cases,
-                    repr(row.success_rate),
-                    repr(row.mean_steps),
-                    repr(row.std_steps),
-                    repr(row.mean_dist),
-                    repr(row.std_dist),
-                    repr(row.mean_time_s),
-                ]
-            )
+        writer.writerow(f.name for f in fields(MetricsRow))
+        writer.writerows(astuple(row) for row in rows)
 
 
 def write_records_jsonl(records: list[dict], path: str) -> None:

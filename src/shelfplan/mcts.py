@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import TOL, Point
+from .geometry import TOL, Point, distance
 from .motion import Action
 from .occlusion import OcclusionTable
 from .scene import Arrangement, ObjectId, Scene
@@ -60,46 +60,39 @@ class ExpansionExhausted(StageFailure):
 
 @dataclass(frozen=True)
 class StageContext:
-    """One stage: who moves, who is done, the plan's table, and a memo of moves.
+    """Stage ``index`` of the stage ``order``: its table and a memo of moves.
 
-    The fields are fixed for the stage. ``move_memo`` is the stage's
-    transposition table: it fills as the search reaches arrangements, and it
-    is dropped with the context, since ``plan()`` builds one per stage.
+    The focus is ``order[index]``, the objects before it are done and stay
+    put, and it and the ones after it may move. ``table`` is any occlusion
+    table of the scene's shelf. ``move_memo`` is the stage's transposition
+    table: it fills as the search reaches arrangements, and it is dropped with
+    the context, since ``plan()`` builds one per stage.
     """
 
     scene: Scene
-    focus: ObjectId
-    static_ids: frozenset[ObjectId]
-    movable_ids: frozenset[ObjectId]
     order: tuple[ObjectId, ...]
+    index: int
     table: OcclusionTable
 
     def __post_init__(self) -> None:
-        everything = self.static_ids | self.movable_ids
-        if everything != set(range(self.scene.n_objects)) or (self.static_ids & self.movable_ids):
-            raise ValueError("static and movable sets must partition the scene's objects")
-        if self.focus not in self.movable_ids:
-            raise ValueError("focus object must be movable")
-        if self.table.scene is not self.scene:
-            raise ValueError("occlusion table belongs to another scene")
+        if sorted(self.order) != list(range(self.scene.n_objects)) or not (
+            0 <= self.index < len(self.order)
+        ):
+            raise ValueError("stage order must permute the scene's objects and index one of them")
+        if not self.table.serves(self.scene):
+            raise ValueError("occlusion table belongs to another shelf")
 
-    @classmethod
-    def for_stage(
-        cls,
-        scene: Scene,
-        order: list[ObjectId],
-        index: int,
-        table: OcclusionTable | None = None,
-    ) -> "StageContext":
-        """Context of stage ``index``; stages of one plan should share one table."""
-        return cls(
-            scene=scene,
-            focus=order[index],
-            static_ids=frozenset(order[:index]),
-            movable_ids=frozenset(order[index:]),
-            order=tuple(order),
-            table=OcclusionTable(scene) if table is None else table,
-        )
+    @cached_property
+    def focus(self) -> ObjectId:
+        return self.order[self.index]
+
+    @cached_property
+    def static_ids(self) -> tuple[ObjectId, ...]:
+        return self.order[: self.index]
+
+    @cached_property
+    def movable_ids(self) -> tuple[ObjectId, ...]:
+        return tuple(sorted(self.order[self.index :]))
 
     @cached_property
     def goal_indices(self) -> list[int]:
@@ -115,7 +108,7 @@ class StageContext:
 
     @cached_property
     def movers_except_focus(self) -> tuple[ObjectId, ...]:
-        return tuple(sorted(self.movable_ids - {self.focus}))
+        return tuple(o for o in self.movable_ids if o != self.focus)
 
     @cached_property
     def move_memo(self) -> dict[tuple[tuple[int, ...], bool], tuple[Move, ...]]:
@@ -268,7 +261,7 @@ def _accessible_movables(ctx: StageContext, positions: list[int]) -> set[ObjectI
     rows = ctx.table.row
     return {
         obj
-        for obj in sorted(ctx.movable_ids)
+        for obj in ctx.movable_ids
         if not rows(positions[obj]) & _occupied(positions, ctx.others[obj])
     }
 
@@ -288,7 +281,7 @@ def _relocation_moves(
     table = ctx.table
     focus = ctx.focus
     goal_idx = ctx.goal_indices
-    movable = sorted(ctx.movable_ids)
+    movable = ctx.movable_ids
     moves: list[Move] = []
     seen_keys: set[tuple[ObjectId, int]] = set()
 
@@ -460,7 +453,7 @@ def simulate(ctx: StageContext, node: SearchNode, rng: np.random.Generator) -> f
             break
         obj, dst, dst_point = moves[int(rng.integers(len(moves)))]
         src = points[pos[obj]]
-        cost += math.hypot(src.x - dst_point.x, src.y - dst_point.y)
+        cost += distance(src, dst_point)
         pos[obj] = dst
     else:
         if not stage_complete(ctx, pos):

@@ -6,7 +6,6 @@ place leg, so one relocation sweeps exactly two home-anchored tunnels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,6 +16,7 @@ from .geometry import (
     Point,
     Tunnel,
     disc_in_workspace,
+    distance,
     tunnel_disc_mask,
     tunnel_hits,
     tunnel_to,
@@ -38,7 +38,7 @@ class Action:
 
     @property
     def displacement(self) -> float:
-        return math.hypot(self.dst.x - self.src.x, self.dst.y - self.src.y)
+        return distance(self.src, self.dst)
 
 
 def home_tunnel(scene: Scene, target: Point) -> Tunnel:
@@ -86,8 +86,6 @@ def placement_sweep_mask(scene: Scene, targets: np.ndarray, obstacles: np.ndarra
     ``targets`` is (n, 2), ``obstacles`` (k, 2); returns an (n,) bool array that
     is True where the tunnel to the target touches no obstacle.
     """
-    if len(obstacles) == 0:
-        return np.ones(len(targets), dtype=bool)
     b = scene.object_radius
     home = np.asarray(scene.robot_home, dtype=float)
     vec = targets - home

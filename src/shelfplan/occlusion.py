@@ -1,4 +1,4 @@
-"""Per-plan occlusion table: the search's geometric queries, answered by index.
+"""Occlusion table: the search's geometric queries, answered by index.
 
 Every position a search can put an object on is a candidate grid point, a
 start point or a goal point. The table numbers these P points (the candidates
@@ -26,22 +26,22 @@ candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
 
 A search visits only a small share of the points, so filling the whole table
 up front would cost more than most plans. Every entry is a pure function of
-the scene's workspace, object radius, robot home and tunnel width and of the
-table's points: the candidates, which the workspace, object radius and grid
-resolution determine, then the off-grid points. Task after task on one shelf
-only the start and goal arrangements change. So ``OcclusionTable.shared``
-keeps the points and entries in one process-wide store (a transposition table
-over geometry that spans searches), keyed by those five scene settings and
-the off-grid points, and a table it returns for a scene with the same key
-reads and fills the entries of the tables before it. The store holds one key;
-a scene with another one replaces it. It assumes one thread: an entry is
-filled by a plain list write, and two writes of one entry store equal values.
-``OcclusionTable(scene)`` stays cold and private to its caller.
+the shelf (workspace, object radius, robot home, tunnel width and grid
+resolution, which fix the candidates) and of the table's points. Task after
+task on one shelf only the start and goal arrangements change, and on a grid
+they stand on candidates. So ``OcclusionTable.shared`` keeps one process-wide
+table of the last shelf it served, over its candidates only (a transposition
+table over geometry that spans searches), and returns that object for every
+scene and plan of the shelf whose points are all candidates; one with an
+off-grid point gets a cold table and leaves the shelf's table alone. A table
+``serves`` every scene of its shelf. The store assumes one thread: an entry
+is filled by a plain list write, and two writes of one entry store equal
+values. ``OcclusionTable(scene)`` stays cold and private to its caller.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 from itertools import chain
 from typing import Iterable
 
@@ -55,7 +55,7 @@ _SAME_SPOT_D2 = 1e-12  # squared distance under which a candidate is point j's o
 
 
 def _shelf(scene: Scene) -> tuple:
-    """What the entries depend on besides the off-grid points.
+    """What the entries depend on besides the table's points.
 
     The grid resolution stands for the candidates, which it determines together
     with the workspace and the object radius.
@@ -101,33 +101,27 @@ class OcclusionTable:
 
     @classmethod
     def shared(cls, scene: Scene, extra_points: Iterable[Point] = ()) -> OcclusionTable:
-        """Table bound to ``scene`` whose points and entries are the process-wide store's.
+        """The process-wide table of ``scene``'s shelf, or a cold table for off-grid points.
 
-        The table numbers its points as ``OcclusionTable(scene, extra_points)``
-        would and answers every query as it would. When the store's key, the
-        workspace, object radius, robot home, tunnel width, grid resolution and
-        off-grid points in table order, equals this scene's, the entries other
-        scenes filled are reused; otherwise a cold table takes the store's one
-        slot. Extra points that are already table points leave the key as it
-        is, so a plan searched on the shared table finds the same slot again.
+        The shelf's table numbers the candidates only, so it indexes every
+        scene and plan of the shelf whose start, goal and extra points are all
+        candidates, and each of them gets that one object and the entries the
+        ones before filled. When a point is not a candidate, the result is a
+        cold ``OcclusionTable(scene, extra_points)`` and the shelf's table is
+        kept for the next grid scene.
         """
         global _store
         extra = [Point(*p) for p in extra_points]
-        if _store is None or not _store._same_key(scene, extra):
-            _store = cls(scene, extra)
-        table = copy.copy(_store)  # shares the index, the points and the entry lists
-        table.scene = scene
-        return table
+        if _store is None or not _store.serves(scene):
+            _store = cls(dataclasses.replace(scene, start=(), goal=()))
+        index = _store._index
+        if all(p in index for p in chain(scene.start, scene.goal, extra)):
+            return _store
+        return cls(scene, extra)
 
-    def _same_key(self, scene: Scene, extra_points: list[Point]) -> bool:
-        """``scene`` with ``extra_points`` has this table's geometry and points."""
-        if _shelf(self.scene) != _shelf(scene):
-            return False
-        n = self.n_candidates
-        off_grid = dict.fromkeys(
-            p for p in chain(scene.start, scene.goal, extra_points) if self._index.get(p, n) >= n
-        )
-        return tuple(off_grid) == self.points[n:]
+    def serves(self, scene: Scene) -> bool:
+        """The table's entries hold for ``scene``: both stand on one shelf."""
+        return _shelf(self.scene) == _shelf(scene)
 
     def index_of(self, p) -> int:
         """Index of a position; ``ValueError`` if the scene has no such point."""
@@ -213,5 +207,5 @@ class OcclusionTable:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)
 
 
-# The last table ``OcclusionTable.shared`` built: the store of points and entries.
+# The table of the shelf ``OcclusionTable.shared`` last served, over its candidates.
 _store: OcclusionTable | None = None

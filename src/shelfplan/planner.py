@@ -224,12 +224,12 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     does not replay.
 
     Every replay checks its steps in an occlusion table, and a merge replays
-    only the steps it changes (see ``_sweep_merge``). The table is the shared
-    one (``OcclusionTable.shared``) over the scene plus every pick-up and
-    destination point of the plan, so off-grid points and pick-ups within
-    ``TOL`` of an object's position keep their exact geometry, and a plan on a
-    shelf already seen reuses its entries. A searched plan's points are all
-    table points already, so it reads the entries its search filled.
+    only the steps it changes (see ``_sweep_merge``). The table is
+    ``OcclusionTable.shared`` over the scene plus every pick-up and
+    destination point of the plan: the shelf's table when they are all
+    candidates, as a searched plan's points are, and a cold table otherwise,
+    so off-grid points and pick-ups within ``TOL`` of an object's position
+    keep their exact geometry.
     """
     table = OcclusionTable.shared(scene, [p for a in plan.actions for p in (a.src, a.dst)])
     check = _table_check(table)
@@ -273,7 +273,7 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     positions = list(scene.start)
     actions: list[Action] = []
     for index in range(len(order)):
-        ctx = StageContext.for_stage(scene, order, index, table)
+        ctx = StageContext(scene, tuple(order), index, table)
         stage_budget = budget
         if deadline is not None:
             remaining = deadline - time.monotonic()

@@ -37,7 +37,9 @@ def grid_shape(workspace: Workspace, object_radius: float, resolution: float) ->
     """Columns and rows of the candidate grid, checked before anything is built.
 
     Raises ``ValueError`` when a dimension is NaN or infinite, when no
-    placement fits, or when the grid would exceed ``MAX_CANDIDATES`` points.
+    placement fits, when the grid would exceed ``MAX_CANDIDATES`` points, or
+    when a pitch of at most two float spacings at the workspace's size would
+    round neighbouring points onto one another.
     """
     _require_finite(
         ("workspace width", workspace.width),
@@ -59,6 +61,13 @@ def grid_shape(workspace: Workspace, object_radius: float, resolution: float) ->
         raise ValueError(
             f"a grid of {nx:,} x {ny:,} = {nx * ny:,} candidates exceeds the cap of "
             f"{MAX_CANDIDATES:,}"
+        )
+    # Above two float spacings b + i * resolution strictly increases with i.
+    spacing = math.ulp(max(workspace.width, workspace.depth))
+    if max(nx, ny) > 1 and resolution <= 2.0 * spacing:
+        raise ValueError(
+            f"grid pitch {resolution} is not above twice the float spacing {spacing:.3g} "
+            "of the workspace's coordinates"
         )
     return nx, ny
 

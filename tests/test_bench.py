@@ -25,7 +25,7 @@ from shelfplan import (
     scene_to_json,
     validate_plan,
 )
-from shelfplan.bench import CSV_COLUMNS, aggregate
+from shelfplan.bench import MetricsRow, aggregate
 from shelfplan.cli import main
 
 
@@ -77,13 +77,12 @@ class TestRunSuite:
         rows, records = run_suite(tiny_suite(), out_dir=str(tmp_path))
         with open(tmp_path / "metrics.csv") as fh:
             reader = csv.DictReader(fh)
-            assert tuple(reader.fieldnames) == CSV_COLUMNS
+            names = [f.name for f in dataclasses.fields(MetricsRow)]
+            assert reader.fieldnames == names
             parsed = list(reader)
+        assert len(parsed) == len(rows)
         for row, line in zip(rows, parsed):
-            assert line["level"] == row.level
-            assert int(line["cases"]) == row.cases
-            assert float(line["success_rate"]) == row.success_rate
-            assert float(line["mean_steps"]) == row.mean_steps
+            assert line == {name: str(getattr(row, name)) for name in names}
 
 
 class TestAggregate:
@@ -306,6 +305,23 @@ class TestCli:
         assert main(["plan", str(scene_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not a valid scene" in err
+
+    def test_plan_pitch_finer_than_float_spacing_is_input_error(self, tmp_path, capsys):
+        size = 2e6 + 1e-9
+        scene = {
+            "workspace": {"width": size, "depth": size},
+            "object_radius": 1e6,
+            "robot_home": [1e6, -3.0],
+            "tunnel_width": 4.0,
+            "grid_resolution": 5e-12,
+            "start": [[1e6, 1e6]],
+            "goal": [[1e6, 1e6]],
+        }
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        assert main(["plan", str(scene_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "twice the float spacing" in err
 
     @pytest.mark.parametrize(
         "command, edit",

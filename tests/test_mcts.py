@@ -37,7 +37,7 @@ BUDGET = SearchBudget(max_iterations=5000, wall_clock_limit=None)
 def ctx_for(scene, order=None, index=0):
     if order is None:
         order = list(range(scene.n_objects))
-    return StageContext.for_stage(scene, order, index)
+    return StageContext(scene, tuple(order), index, OcclusionTable(scene))
 
 
 def at(ctx, arrangement):
@@ -319,10 +319,33 @@ class TestUnknownPositions:
         assert actions == [Action(0, Point(10.3, 5.0), Point(10, 15.2))]
 
     def test_context_rejects_another_scenes_table(self):
+        # A table of the same shelf serves the scene; one of another shelf does not.
         scene = make_scene([Point(10, 5)], [Point(10, 15)])
-        other = ctx_for(make_scene([Point(10, 5)], [Point(10, 15)]))
-        with pytest.raises(ValueError, match="another scene"):
-            StageContext.for_stage(scene, [0], 0, other.table)
+        same_shelf = OcclusionTable(make_scene([Point(4, 5)], [Point(16, 15)]))
+        assert StageContext(scene, (0,), 0, same_shelf).table is same_shelf
+        other_shelf = OcclusionTable(make_scene([Point(10, 5)], [Point(10, 15)], tunnel_width=3.0))
+        with pytest.raises(ValueError, match="another shelf"):
+            StageContext(scene, (0,), 0, other_shelf)
+
+    @pytest.mark.parametrize(
+        "order, index",
+        [((0,), 0), ((0, 0), 0), ((1, 2), 0), ((0, 1), 2), ((0, 1), -1)],
+        ids=["too-short", "repeated", "unknown-ids", "past-the-end", "negative"],
+    )
+    def test_context_rejects_a_stage_that_is_not_one(self, order, index):
+        scene = make_scene([Point(4, 5), Point(16, 5)], [Point(4, 15), Point(16, 15)])
+        with pytest.raises(ValueError, match="stage"):
+            StageContext(scene, order, index, OcclusionTable(scene))
+
+    def test_stage_is_derived_from_order_and_index(self):
+        scene = make_scene(
+            [Point(4, 5), Point(10, 5), Point(16, 5)], [Point(4, 15), Point(10, 15), Point(16, 15)]
+        )
+        ctx = StageContext(scene, (2, 0, 1), 1, OcclusionTable(scene))
+        assert ctx.focus == 0
+        assert ctx.static_ids == (2,)
+        assert ctx.movable_ids == (0, 1)
+        assert ctx.movers_except_focus == (1,)
 
 
 class TestMoveMemo:
@@ -339,7 +362,7 @@ class TestMoveMemo:
         positions = list(scene.start)
         visited = 0
         for index in range(len(order)):
-            ctx = StageContext.for_stage(scene, order, index, table)
+            ctx = StageContext(scene, tuple(order), index, table)
             assert ctx.move_memo == {}
             for act in solve_stage(ctx, tuple(positions), BUDGET, rng):
                 positions[act.obj] = act.dst
@@ -348,7 +371,7 @@ class TestMoveMemo:
             arrangements = {arrangement for arrangement, _ in ctx.move_memo}
             for arrangement in arrangements:
                 for stuck in (False, True):
-                    fresh = StageContext.for_stage(scene, order, index, fresh_table)
+                    fresh = StageContext(scene, tuple(order), index, fresh_table)
                     warm = _candidate_moves(ctx, list(arrangement), stuck)
                     assert warm == _candidate_moves(fresh, list(arrangement), stuck)
             visited += len(arrangements)

@@ -3,7 +3,7 @@ import pytest
 
 from shelfplan import Action, Point, SceneConfig, action_valid, generate_scene, make_scene
 from shelfplan.geometry import Disc, tunnel_intersects_disc
-from shelfplan.motion import collision_objs, home_tunnel
+from shelfplan.motion import collision_objs, home_tunnel, placement_sweep_mask
 from shelfplan.scene import arrangement_valid
 
 
@@ -104,3 +104,14 @@ class TestCollisionObjs:
             if tunnel_intersects_disc(t, Disc(scene.start[o], scene.object_radius))
         }
         assert collision_objs(scene, scene.start, set(range(6)), t) == expected
+
+
+class TestPlacementSweepMask:
+    def test_no_obstacles_clears_every_target_but_the_home(self):
+        scene = single_object_scene()  # home at (10, -3)
+        targets = np.array([[4.0, 5.0], [10.0, 15.0], [10.0, -3.0]])
+        mask = placement_sweep_mask(scene, targets, np.empty((0, 2)))
+        assert mask.tolist() == [True, True, False]
+        # The home stays blocked with obstacles too, and the other targets answer alike.
+        far_away = np.array([[19.0, 19.0]])
+        assert placement_sweep_mask(scene, targets, far_away).tolist() == mask.tolist()

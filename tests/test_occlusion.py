@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 
 from shelfplan import (
     Action,
+    Plan,
     Point,
     SceneConfig,
     SearchBudget,
     action_valid,
     generate_scene,
     make_scene,
+    optimize_plan,
     plan,
     plan_to_json,
 )
@@ -403,7 +405,7 @@ class TestSharedStore:
         warm = entries(OcclusionTable.shared(base))
         scene = dataclasses.replace(base, **change)
         table = OcclusionTable.shared(scene)
-        assert table.scene is scene
+        assert table.serves(scene) and not table.serves(base)
         cold = entries(OcclusionTable(scene))
         assert warm != cold  # the field matters, so sharing across it would show
         assert entries(table) == cold
@@ -412,35 +414,34 @@ class TestSharedStore:
         first = OcclusionTable.shared(SCENES["default-grid"]())
         scene = make_scene([Point(7, 6), Point(13, 6)], [Point(7, 14), Point(13, 14)])
         second = OcclusionTable.shared(scene)
-        assert second.scene is scene and second.points is first.points
+        assert second is first
         assert entries(second) == entries(OcclusionTable(scene))
 
-    def test_off_grid_scene_takes_the_slot_and_a_grid_scene_rebuilds(self):
-        grid_scene = SCENES["default-grid"]()
-        on_grid = OcclusionTable.shared(grid_scene)
-        on_grid.row(0)
-        off_grid_scene = SCENES["off-grid"]()
-        off_grid = OcclusionTable.shared(off_grid_scene)
-        assert len(off_grid.points) == off_grid.n_candidates + 6
-        assert entries(off_grid) == entries(OcclusionTable(off_grid_scene))
-        again = OcclusionTable.shared(grid_scene)
-        assert again.points is not on_grid.points and again.points is not off_grid.points
-        assert entries(again) == entries(OcclusionTable(grid_scene))
-
     @pytest.mark.parametrize(
-        "before, after",
+        "scene_name, extra",
         [
-            ([], [(4.5, 4.5)]),
-            ([(4.5, 4.5)], [(10.5, 3.5)]),  # as many off-grid points, elsewhere
-            ([(4.5, 4.5), (10.5, 3.5)], [(10.5, 3.5), (4.5, 4.5)]),  # in another order
+            ("off-grid", []),
+            ("default-grid", [(4.5, 4.5)]),
+            ("default-grid", [(4.5, 4.5), (10.5, 3.5)]),
+            ("default-grid", [(10.5, 3.5), (4.5, 4.5)]),  # the same points in another order
         ],
     )
-    def test_off_grid_points_and_their_order_are_part_of_the_key(self, before, after):
+    def test_off_grid_points_get_a_cold_table_and_leave_the_shelf_table(self, scene_name, extra):
+        grid_scene = SCENES["default-grid"]()
+        shelf = OcclusionTable.shared(grid_scene)
+        scene = SCENES[scene_name]()
+        # An iterator is read once, as optimize_plan's callers may pass one.
+        table = OcclusionTable.shared(scene, (Point(*p) for p in extra))
+        assert table is not shelf
+        assert entries(table) == entries(OcclusionTable(scene, extra))
+        assert OcclusionTable.shared(grid_scene) is shelf
+
+    def test_optimizing_an_off_grid_plan_keeps_the_shelf_table(self):
         scene = SCENES["default-grid"]()
-        entries(OcclusionTable.shared(scene, before))
-        table = OcclusionTable.shared(scene, after)
-        assert table.points is OcclusionTable.shared(scene, [Point(*p) for p in after]).points
-        assert entries(table) == entries(OcclusionTable(scene, after))
+        shelf = OcclusionTable.shared(scene)
+        off_grid_move = Action(0, Point(4, 4), Point(4.5, 9.25))
+        assert optimize_plan(Plan((off_grid_move,)), scene).actions == (off_grid_move,)
+        assert OcclusionTable.shared(scene) is shelf
 
 
 HARD_SEEDS = range(80, 88)

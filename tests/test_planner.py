@@ -193,6 +193,24 @@ class TestOptimizePlan:
         assert validate_plan(scene, out).valid
         assert out.actions == (Action(0, near, Point(16, 5)),)
 
+    def test_merge_kept_after_replaying_the_suffix(self):
+        # Merging object 0's two moves drops them: its pick-up 6e-10 to the
+        # right of (4, 5) leaves it at (4, 5), not where the plan put it back,
+        # so the merge is kept only after object 1's move replays from there
+        # and ends within TOL of the plan's final arrangement.
+        near = Point(4 + 6e-10, 5)
+        scene = make_scene([Point(4, 5), Point(10, 12)], [near, Point(12, 15)])
+        actions = (
+            Action(0, near, Point(3, 12)),
+            Action(1, Point(10, 12), Point(12, 15)),
+            Action(0, Point(3, 12), near),
+        )
+        assert validate_plan(scene, Plan(actions)).valid
+        out = optimize_plan(Plan(actions), scene)
+        assert out.actions == (actions[1],)
+        assert validate_plan(scene, out).valid
+        assert list(out.actions) == optimize_by_full_replay(scene, list(actions))
+
     def test_invalid_input_rejected(self):
         scene = make_scene([Point(4, 5)], [Point(10, 10)])
         broken = Plan((Action(0, Point(9, 9), Point(10, 10)),))

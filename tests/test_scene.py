@@ -78,6 +78,38 @@ class TestCandidateGrid:
         with pytest.raises(ValueError, match="257 x 256 = 65,792 candidates"):
             candidate_grid(Workspace(258, 257), 1.0, 1.0)
 
+    def test_pitch_within_two_float_spacings_is_rejected(self):
+        # Near 2e6 floats are 2.3e-10 apart, so b + i * 5e-12 repeats points.
+        size = 2e6 + 1e-9
+        with pytest.raises(ValueError, match="twice the float spacing"):
+            candidate_grid(Workspace(size, size), 1e6, 5e-12)
+        with pytest.raises(ValueError, match="twice the float spacing"):
+            make_scene(
+                [Point(1e6, 1e6)],
+                [Point(1e6, 1e6)],
+                width=size,
+                depth=size,
+                object_radius=1e6,
+                grid_resolution=5e-12,
+                robot_home=Point(1e6, -3),
+            )
+
+    def test_pitch_rule_bound(self):
+        spacing = math.ulp(2e6)
+        workspace, radius = Workspace(2e6, 2e6), 1e6 - 1e-9
+        with pytest.raises(ValueError, match="twice the float spacing"):
+            candidate_grid(workspace, radius, 2 * spacing)
+        grid = candidate_grid(workspace, radius, math.nextafter(2 * spacing, math.inf))
+        assert len(set(grid)) == len(grid) == 25
+        # One point per axis has no neighbour to collide with, whatever the pitch.
+        assert candidate_grid(Workspace(2, 2), 1.0, 1e-300) == [Point(1, 1)]
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.5, 1.5, 2.0, 4.5])
+    def test_usual_pitches_pass_the_pitch_rule(self, resolution):
+        grid = candidate_grid(Workspace(20, 20), 1.0, resolution)
+        assert len(set(grid)) == len(grid) > 1
+        assert make_scene([Point(4, 4)], [Point(4, 4)], grid_resolution=resolution).candidates
+
     def test_pitch_whose_count_overflows_a_float(self):
         with pytest.raises(ValueError, match="too many candidates"):
             candidate_grid(Workspace(1e300, 20), 1.0, 1e-300)

@@ -3,8 +3,8 @@
 Tree nodes carry full object arrangements as index vectors: entry ``k`` is
 the index of object ``k``'s position among the points of the plan's
 ``OcclusionTable``, and every collision question is a bit-set lookup in that
-table. Edges are single relocations, recorded as ``Action``s over the scene's
-own points. Expansion is subgoal-focused: it only proposes relocations that
+table. Edges are single relocations, recorded as ``Action``s over the table's
+points. Expansion is subgoal-focused: it only proposes relocations that
 clear the focus object's pickup and placement tunnels (or, recursively, the
 pickup tunnels of the objects doing the clearing). Rewards are negated
 displacement distances, so the search prefers short detours and nearby buffer
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import TOL, Point, distance
+from .geometry import TOL, distance
 from .motion import Action
 from .occlusion import OcclusionTable
 from .scene import Arrangement, ObjectId, Scene
@@ -37,9 +37,8 @@ EXPLORATION_CONSTANT = math.sqrt(2.0)  # UCB constant on min-max normalised rewa
 STUCK_DEPTH_PER_OBJECT = 3  # from depth 3·n on, expansion moves any accessible object
 ROLLOUT_STEPS_PER_OBJECT = 4  # a rollout stops after 4·n relocations
 
-# A relocation: object, destination index, destination point. The point is the
-# scene's own goal or candidate Point, so plan JSON prints it as the scene does.
-Move = tuple[ObjectId, int, Point]
+# A relocation: the object and the table index of its destination.
+Move = tuple[ObjectId, int]
 
 
 class StageFailure(RuntimeError):
@@ -115,12 +114,6 @@ class StageContext:
         """``_candidate_moves`` results, keyed by ``(arrangement, stuck)``."""
         return {}
 
-    @cached_property
-    def others(self) -> tuple[tuple[ObjectId, ...], ...]:
-        """For each object, the ids of all other objects."""
-        ids = range(self.scene.n_objects)
-        return tuple(tuple(o for o in ids if o != obj) for obj in ids)
-
 
 @dataclass
 class SearchBudget:
@@ -166,12 +159,9 @@ class SearchNode:
         self.dead = False
 
 
-def _occupied(positions: list[int], ids) -> int:
-    """Bit set of the points the given objects stand on."""
-    bits = 0
-    for o in ids:
-        bits |= 1 << positions[o]
-    return bits
+def _others(positions: list[int], obj: ObjectId) -> list[int]:
+    """The points that every object but ``obj`` stands on."""
+    return [j for o, j in enumerate(positions) if o != obj]
 
 
 def blocked_pickups_at_goal(ctx: StageContext, positions: list[int]) -> set[ObjectId]:
@@ -210,10 +200,9 @@ def new_region(
     obj: ObjectId,
     deps: set[ObjectId],
     positions: list[int],
-    m: int,
     keep_goal_access: bool = False,
 ) -> list[int]:
-    """Up to ``m`` buffer regions for ``obj`` as candidate indices, nearest first.
+    """Up to ``EXPANSION_WIDTH`` buffer regions for ``obj`` as candidate indices, nearest first.
 
     A candidate is accepted when its disc avoids every other object, stays off
     the focus's pickup and goal-placing tunnels and off the current pickup
@@ -226,7 +215,7 @@ def new_region(
     table = ctx.table
     order, own_spot = table.nearest(positions[obj])
     ok = ((1 << table.n_candidates) - 1) & ~own_spot  # staying put is not a relocation
-    others = [positions[o] for o in ctx.others[obj]]
+    others = _others(positions, obj)
     for j in others:
         ok &= table.far(j)
     blocked = table.row(positions[ctx.focus]) | table.row(ctx.focus_goal)
@@ -240,19 +229,21 @@ def new_region(
     if keep_goal_access and obj != ctx.focus:
         ok &= table.clear(ctx.focus_goal)
     accepted = table.candidate_mask(ok)[order]
-    return order[np.flatnonzero(accepted)[:m]].tolist()
+    return order[np.flatnonzero(accepted)[:EXPANSION_WIDTH]].tolist()
 
 
 def _move_valid(ctx: StageContext, positions: list[int], obj: ObjectId, dst: int) -> bool:
     """``action_valid`` for moving ``obj`` to point ``dst``, looked up in the table."""
-    occupied = _occupied(positions, ctx.others[obj])
+    occupied = 0
+    for j in _others(positions, obj):
+        occupied |= 1 << j
     return ctx.table.move_valid(positions[obj], dst, occupied)
 
 
 def _direct_move(ctx: StageContext, positions: list[int]) -> tuple[Move, ...]:
     focus, goal = ctx.focus, ctx.focus_goal
     if positions[focus] != goal and _move_valid(ctx, positions, focus, goal):
-        return ((focus, goal, ctx.scene.goal[focus]),)
+        return ((focus, goal),)
     return ()
 
 
@@ -262,7 +253,7 @@ def _accessible_movables(ctx: StageContext, positions: list[int]) -> set[ObjectI
     return {
         obj
         for obj in ctx.movable_ids
-        if not rows(positions[obj]) & _occupied(positions, ctx.others[obj])
+        if not any(rows(positions[obj]) >> j & 1 for j in _others(positions, obj))
     }
 
 
@@ -277,19 +268,18 @@ def _relocation_moves(
     own pickup tunnel is blocked is cleared indirectly by relocating whatever
     blocks it; anything still unreachable is retried in the next wave.
     """
-    scene = ctx.scene
     table = ctx.table
     focus = ctx.focus
     goal_idx = ctx.goal_indices
     movable = ctx.movable_ids
     moves: list[Move] = []
-    seen_keys: set[tuple[ObjectId, int]] = set()
+    seen: set[Move] = set()
 
-    def push(obj: ObjectId, dst: int, point: Point) -> None:
-        key = (obj, dst)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            moves.append((obj, dst, point))
+    def push(obj: ObjectId, dst: int) -> None:
+        move = (obj, dst)
+        if move not in seen:
+            seen.add(move)
+            moves.append(move)
 
     def tunnel_blockers(obj: ObjectId, t: int) -> list[ObjectId]:
         # Movable objects other than obj whose disc the home tunnel to point t touches.
@@ -305,12 +295,10 @@ def _relocation_moves(
                 deps = set(ctx.order[:cut])
                 if extra_dep is not None:
                     deps.add(extra_dep)
-                found = new_region(
-                    ctx, obj, deps, positions, EXPANSION_WIDTH, keep_goal_access=keep_access
-                )
+                found = new_region(ctx, obj, deps, positions, keep_goal_access=keep_access)
                 if found:
                     for i in found:
-                        push(obj, i, scene.candidates[i])
+                        push(obj, i)
                     return
 
     current = set(blockers)
@@ -331,7 +319,7 @@ def _relocation_moves(
                         goal_move_ok = not focus_tunnels >> goal & 1
                     goal_move_ok = goal_move_ok and _move_valid(ctx, positions, o_i, goal)
                 if goal_move_ok:
-                    push(o_i, goal, scene.goal[o_i])
+                    push(o_i, goal)
                 else:
                     buffer_moves(o_i)
             else:
@@ -422,11 +410,11 @@ def expand(ctx: StageContext, node: SearchNode) -> SearchNode:
     if not moves:
         raise ExpansionExhausted(f"no relocation possible at depth {node.depth}")
     points = ctx.table.points
-    for obj, dst, dst_point in moves:
+    for obj, dst in moves:
         updated = list(pos)
         updated[obj] = dst
-        child = SearchNode(updated, incoming=Action(obj, points[pos[obj]], dst_point), parent=node)
-        node.children.append(child)
+        incoming = Action(obj, points[pos[obj]], points[dst])
+        node.children.append(SearchNode(updated, incoming, parent=node))
     return node.children[0]
 
 
@@ -438,26 +426,20 @@ def simulate(ctx: StageContext, node: SearchNode, rng: np.random.Generator) -> f
     of all displacement distances from the root through the rollout; hitting
     the cap or getting stuck costs one workspace diagonal per leftover blocker.
     """
-    scene = ctx.scene
     points = ctx.table.points
-    n = len(node.positions)
-    diagonal = math.hypot(scene.workspace.width, scene.workspace.depth)
     pos = list(node.positions)
     cost = node.path_cost
-    for _ in range(ROLLOUT_STEPS_PER_OBJECT * n):
-        if stage_complete(ctx, pos):
-            break
-        moves = _candidate_moves(ctx, pos)
+    steps_left = ROLLOUT_STEPS_PER_OBJECT * len(pos)
+    while not stage_complete(ctx, pos):
+        moves = _candidate_moves(ctx, pos) if steps_left else ()
         if not moves:
-            cost += diagonal * max(1, len(get_blocking_objects(ctx, pos)))
-            break
-        obj, dst, dst_point = moves[int(rng.integers(len(moves)))]
-        src = points[pos[obj]]
-        cost += distance(src, dst_point)
+            workspace = ctx.scene.workspace
+            diagonal = math.hypot(workspace.width, workspace.depth)
+            return -(cost + diagonal * max(1, len(get_blocking_objects(ctx, pos))))
+        steps_left -= 1
+        obj, dst = moves[int(rng.integers(len(moves)))]
+        cost += distance(points[pos[obj]], points[dst])
         pos[obj] = dst
-    else:
-        if not stage_complete(ctx, pos):
-            cost += diagonal * max(1, len(get_blocking_objects(ctx, pos)))
     return -cost
 
 

@@ -2,8 +2,7 @@
 
 Every position a search can put an object on is a candidate grid point, a
 start point or a goal point. The table numbers these P points (the candidates
-first, in grid order, then any off-grid start or goal point, then any extra
-points it is given, such as the points of a plan to optimise) and caches the
+first, in grid order, then any off-grid start or goal point) and caches the
 answers between them as bit sets, Python ints whose bit ``k`` stands for
 point ``k``. Each entry is computed on first use by the same function the
 search would otherwise call, so a looked-up answer equals a recomputed one
@@ -15,10 +14,12 @@ bit for bit:
   ``j`` (``placement_sweep_mask``);
 - ``far(j)``: the point discs that do not overlap the disc at point ``j``;
 - ``nearest(j)``: the candidates in stable order of distance from point
-  ``j``, and those at point ``j``'s own spot (closer than 1e-6);
-- ``inside(j)``: the disc at point ``j`` lies in the workspace.
+  ``j``, and those at point ``j``'s own spot (closer than 1e-6).
 
-``move_valid`` combines them into ``action_valid`` for one relocation.
+``move_valid`` combines them into ``action_valid`` for one relocation between
+table points. Each point is a candidate or a start or goal point that ``Scene``
+checked, so its disc lies in the workspace; any other point is left to the
+float geometry.
 
 Both tunnel entries come from one kernel (``geometry.tunnel_hits``), so for a
 candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
@@ -32,8 +33,8 @@ task on one shelf only the start and goal arrangements change, and on a grid
 they stand on candidates. So ``OcclusionTable.shared`` keeps one process-wide
 table of the last shelf it served, over its candidates only (a transposition
 table over geometry that spans searches), and returns that object for every
-scene and plan of the shelf whose points are all candidates; one with an
-off-grid point gets a cold table and leaves the shelf's table alone. A table
+scene of the shelf whose points are all candidates; one with an off-grid start
+or goal point gets a cold table and leaves the shelf's table alone. A table
 ``serves`` every scene of its shelf. The store assumes one thread: an entry
 is filled by a plain list write, and two writes of one entry store equal
 values. ``OcclusionTable(scene)`` stays cold and private to its caller.
@@ -42,12 +43,11 @@ values. ``OcclusionTable(scene)`` stays cold and private to its caller.
 from __future__ import annotations
 
 import dataclasses
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .geometry import Disc, Point, disc_in_workspace, tunnel_disc_mask
+from .geometry import Point, tunnel_disc_mask
 from .motion import home_tunnel, placement_sweep_mask
 from .scene import Arrangement, Scene
 
@@ -77,7 +77,7 @@ def to_bits(mask: np.ndarray) -> int:
 class OcclusionTable:
     """Lazily filled collision answers between the points of one scene."""
 
-    def __init__(self, scene: Scene, extra_points: Iterable[Point] = ()) -> None:
+    def __init__(self, scene: Scene) -> None:
         self.scene = scene
         self.n_candidates = len(scene.candidates)
         index = {p: i for i, p in enumerate(scene.candidates)}
@@ -85,11 +85,8 @@ class OcclusionTable:
             raise ValueError("scene candidates must be distinct points")
         for p in scene.start + scene.goal:
             index.setdefault(p, len(index))
-        for p in extra_points:
-            index.setdefault(Point(*p), len(index))
         self._index = index
-        # Points as the float arrays of the search saw them: Point(7, 6) reads (7.0, 6.0).
-        self.points = tuple(Point(float(p.x), float(p.y)) for p in index)
+        self.points = tuple(index)
         self.coords = np.asarray(self.points, dtype=float)
         self._min_gap2 = (2.0 * scene.object_radius) ** 2
         size = len(self.points)
@@ -97,40 +94,37 @@ class OcclusionTable:
         self._clear: list[int | None] = [None] * size
         self._far: list[int | None] = [None] * size
         self._nearest: list[tuple[np.ndarray, int] | None] = [None] * size
-        self._inside: list[bool | None] = [None] * size
 
     @classmethod
-    def shared(cls, scene: Scene, extra_points: Iterable[Point] = ()) -> OcclusionTable:
+    def shared(cls, scene: Scene) -> OcclusionTable:
         """The process-wide table of ``scene``'s shelf, or a cold table for off-grid points.
 
         The shelf's table numbers the candidates only, so it indexes every
-        scene and plan of the shelf whose start, goal and extra points are all
-        candidates, and each of them gets that one object and the entries the
-        ones before filled. When a point is not a candidate, the result is a
-        cold ``OcclusionTable(scene, extra_points)`` and the shelf's table is
-        kept for the next grid scene.
+        scene of the shelf whose start and goal points are all candidates, and
+        each of them gets that one object and the entries the ones before
+        filled. When a point is not a candidate, the result is a cold
+        ``OcclusionTable(scene)`` and the shelf's table is kept for the next
+        grid scene.
         """
         global _store
-        extra = [Point(*p) for p in extra_points]
         if _store is None or not _store.serves(scene):
             _store = cls(dataclasses.replace(scene, start=(), goal=()))
-        index = _store._index
-        if all(p in index for p in chain(scene.start, scene.goal, extra)):
+        if _store.covers(scene.start + scene.goal):
             return _store
-        return cls(scene, extra)
+        return cls(scene)
 
     def serves(self, scene: Scene) -> bool:
         """The table's entries hold for ``scene``: both stand on one shelf."""
         return _shelf(self.scene) == _shelf(scene)
 
+    def covers(self, points: Iterable[Point]) -> bool:
+        """Every one of ``points`` is a point of the table."""
+        return all(p in self._index for p in points)
+
     def index_of(self, p) -> int:
         """Index of a position; ``ValueError`` if the scene has no such point."""
         try:
             return self._index[p]  # a Point, or any tuple equal to one
-        except (KeyError, TypeError):
-            pass
-        try:
-            return self._index[Point(*p)]
         except (KeyError, TypeError):
             raise ValueError(
                 f"position {tuple(p)} is not a candidate, start or goal point of the scene"
@@ -182,26 +176,15 @@ class OcclusionTable:
             self._nearest[j] = entry
         return entry
 
-    def inside(self, j: int) -> bool:
-        """The disc at point ``j`` lies in the workspace (extra points may not)."""
-        ok = self._inside[j]
-        if ok is None:
-            disc = Disc(self.points[j], self.scene.object_radius)
-            ok = self._inside[j] = disc_in_workspace(disc, self.scene.workspace)
-        return ok
-
     def move_valid(self, src: int, dst: int, others: int) -> bool:
         """``action_valid`` for an object picked at point ``src`` and placed at point ``dst``.
 
         ``others`` is the bit set of the points the other objects stand on. The
-        move is valid iff the destination disc lies in the workspace, overlaps
-        none of them, and neither home tunnel touches any of them.
+        move is valid iff the destination disc overlaps none of them and
+        neither home tunnel touches any of them; the disc at a table point
+        always lies in the workspace.
         """
-        return (
-            self.inside(dst)
-            and self.far(dst) & others == others
-            and not (self.row(src) | self.row(dst)) & others
-        )
+        return self.far(dst) & others == others and not (self.row(src) | self.row(dst)) & others
 
     def _distances(self, j: int) -> np.ndarray:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)

@@ -103,7 +103,10 @@ def _float_check(scene: Scene) -> StepCheck:
 
 
 def _table_check(table: OcclusionTable) -> StepCheck:
-    """Step check looked up in an occlusion table that indexes every point of the plan."""
+    """Step check looked up in an occlusion table that indexes every point of the plan.
+
+    A table point's disc lies in the workspace, so a rejected step collides.
+    """
     index_of = table.index_of
 
     def check(positions: list[Point], act: Action) -> str | None:
@@ -111,10 +114,9 @@ def _table_check(table: OcclusionTable) -> StepCheck:
         for obj, p in enumerate(positions):
             if obj != act.obj:
                 others |= 1 << index_of(p)
-        dst = index_of(act.dst)
-        if table.move_valid(index_of(act.src), dst, others):
+        if table.move_valid(index_of(act.src), index_of(act.dst), others):
             return None
-        return _COLLIDES if table.inside(dst) else _LEAVES
+        return _COLLIDES
 
     return check
 
@@ -223,16 +225,18 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     with the step and reason ``validate_plan`` reports, when the input plan
     does not replay.
 
-    Every replay checks its steps in an occlusion table, and a merge replays
-    only the steps it changes (see ``_sweep_merge``). The table is
-    ``OcclusionTable.shared`` over the scene plus every pick-up and
-    destination point of the plan: the shelf's table when they are all
-    candidates, as a searched plan's points are, and a cold table otherwise,
-    so off-grid points and pick-ups within ``TOL`` of an object's position
-    keep their exact geometry.
+    A merge replays only the steps it changes (see ``_sweep_merge``). When
+    ``OcclusionTable.shared(scene)`` indexes every pick-up and destination of
+    the plan, as it does for every plan ``plan()`` returns, each step is
+    looked up in that table. Otherwise, say for an off-grid destination or a
+    pick-up within ``TOL`` of an object's position, every step is checked on
+    the validator's float geometry, which gives the same answers.
     """
-    table = OcclusionTable.shared(scene, [p for a in plan.actions for p in (a.src, a.dst)])
-    check = _table_check(table)
+    table = OcclusionTable.shared(scene)
+    if table.covers(p for a in plan.actions for p in (a.src, a.dst)):
+        check = _table_check(table)
+    else:
+        check = _float_check(scene)
     step, reason = _replay(plan.actions, list(scene.start), check)
     if step is not None:
         raise InvalidPlanError(f"input plan invalid at step {step}: {reason}")

@@ -57,6 +57,13 @@ def grid_shape(workspace: Workspace, object_radius: float, resolution: float) ->
     if max(steps_x, steps_y) == math.inf:  # the quotient overflowed
         raise ValueError(f"a grid of pitch {resolution} over this workspace has too many candidates")
     nx, ny = int(steps_x) + 1, int(steps_y) + 1
+    # The slack can admit one point too many on an axis, whose disc crosses the far
+    # wall by a rounding error; ``candidate_grid`` computes its coordinate this way.
+    b = object_radius
+    if b + (nx - 1) * resolution + b > workspace.width:
+        nx -= 1
+    if b + (ny - 1) * resolution + b > workspace.depth:
+        ny -= 1
     if nx * ny > MAX_CANDIDATES:
         raise ValueError(
             f"a grid of {nx:,} x {ny:,} = {nx * ny:,} candidates exceeds the cap of "
@@ -79,7 +86,7 @@ def candidate_grid(workspace: Workspace, object_radius: float, resolution: float
     Raises ``ValueError`` as ``grid_shape`` does.
     """
     nx, ny = grid_shape(workspace, object_radius, resolution)
-    b = object_radius
+    b = float(object_radius)
     return [Point(b + i * resolution, b + j * resolution) for j in range(ny) for i in range(nx)]
 
 
@@ -149,18 +156,22 @@ def make_scene(
     grid_resolution: float = 1.0,
     robot_home: Point | None = None,
 ) -> Scene:
-    """Build a scene with the default desk-scale parameters."""
+    """Build a scene with the default desk-scale parameters.
+
+    Points are stored with float coordinates, as JSON and the candidate grid
+    give them, so ``Point(4, 5)`` becomes ``Point(4.0, 5.0)``.
+    """
     workspace = Workspace(width, depth)
     if robot_home is None:
         robot_home = Point(width / 2.0, -3.0)
     return Scene(
         workspace=workspace,
         object_radius=object_radius,
-        robot_home=Point(*robot_home),
+        robot_home=Point(*map(float, robot_home)),
         tunnel_width=tunnel_width,
         grid_resolution=grid_resolution,
-        start=tuple(Point(*p) for p in start),
-        goal=tuple(Point(*p) for p in goal),
+        start=tuple(Point(*map(float, p)) for p in start),
+        goal=tuple(Point(*map(float, p)) for p in goal),
     )
 
 

@@ -21,13 +21,14 @@ _PALETTE = (
 )
 
 _MARGIN = 30.0
+_SCALE = 24.0  # pixels per workspace unit
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(scene: Scene, plan: Plan, scale: float = 24.0) -> str:
+def render_svg(scene: Scene, plan: Plan) -> str:
     """One SVG 1.1 document: workspace, start/goal discs, numbered move arrows,
     and the first action's swept tunnels shaded.
 
@@ -40,20 +41,20 @@ def render_svg(scene: Scene, plan: Plan, scale: float = 24.0) -> str:
 
     ws = scene.workspace
     front_extent = max(0.0, -scene.robot_home.y) + 1.0
-    width_px = 2 * _MARGIN + ws.width * scale
-    height_px = 2 * _MARGIN + (ws.depth + front_extent) * scale
+    width_px = 2 * _MARGIN + ws.width * _SCALE
+    height_px = 2 * _MARGIN + (ws.depth + front_extent) * _SCALE
 
     def sx(x: float) -> float:
-        return _MARGIN + x * scale
+        return _MARGIN + x * _SCALE
 
     def sy(y: float) -> float:
         # +y points into the workspace; render it upward with the opening low.
-        return _MARGIN + (ws.depth - y) * scale
+        return _MARGIN + (ws.depth - y) * _SCALE
 
     def color(obj: int) -> str:
         return _PALETTE[obj % len(_PALETTE)]
 
-    r_px = scene.object_radius * scale
+    r_px = scene.object_radius * _SCALE
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width_px)}" height="{_fmt(height_px)}" '
@@ -63,8 +64,8 @@ def render_svg(scene: Scene, plan: Plan, scale: float = 24.0) -> str:
         'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
         '<path d="M 0 0 L 10 5 L 0 10 z" fill="#333"/></marker>',
         "</defs>",
-        f'<rect x="{_fmt(sx(0))}" y="{_fmt(sy(ws.depth))}" width="{_fmt(ws.width * scale)}" '
-        f'height="{_fmt(ws.depth * scale)}" fill="#fafafa" stroke="none"/>',
+        f'<rect x="{_fmt(sx(0))}" y="{_fmt(sy(ws.depth))}" width="{_fmt(ws.width * _SCALE)}" '
+        f'height="{_fmt(ws.depth * _SCALE)}" fill="#fafafa" stroke="none"/>',
         # three walls solid, the front opening dashed
         f'<path d="M {_fmt(sx(0))} {_fmt(sy(0))} L {_fmt(sx(0))} {_fmt(sy(ws.depth))} '
         f'L {_fmt(sx(ws.width))} {_fmt(sy(ws.depth))} L {_fmt(sx(ws.width))} {_fmt(sy(0))}" '

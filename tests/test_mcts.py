@@ -119,7 +119,7 @@ class TestNewRegion:
             [Point(4, 12), Point(10, 18), Point(16, 8)],
         )
         ctx = ctx_for(scene, order=[0, 1, 2])
-        got = [scene.candidates[i] for i in new_region(ctx, 1, set(), at(ctx, scene.start), 1)]
+        got = [scene.candidates[i] for i in new_region(ctx, 1, set(), at(ctx, scene.start))[:1]]
         assert len(got) == 1
         # scalar re-derivation of the acceptance rule, nearest first
         pos = np.asarray(scene.start, float)
@@ -144,7 +144,7 @@ class TestNewRegion:
         # a tunnel as wide as the workspace rejects every candidate
         scene = make_scene([Point(4, 4), Point(16, 16)], [Point(4, 12), Point(16, 8)], tunnel_width=40)
         ctx = ctx_for(scene, order=[0, 1])
-        assert new_region(ctx, 1, set(), at(ctx, scene.start), 5) == []
+        assert new_region(ctx, 1, set(), at(ctx, scene.start)) == []
 
     def test_accepted_regions_survive_action_validation(self):
         scene = make_scene(
@@ -152,7 +152,7 @@ class TestNewRegion:
             [Point(4, 12), Point(10, 18), Point(16, 8)],
         )
         ctx = ctx_for(scene, order=[0, 1, 2])
-        for target in new_region(ctx, 1, {0}, at(ctx, scene.start), 5):
+        for target in new_region(ctx, 1, {0}, at(ctx, scene.start)):
             act = Action(1, scene.start[1], scene.candidates[target])
             assert action_valid(scene, scene.start, act)
 
@@ -317,6 +317,16 @@ class TestUnknownPositions:
         ctx = ctx_for(scene, order=[0, 1])
         actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
         assert actions == [Action(0, Point(10.3, 5.0), Point(10, 15.2))]
+
+    def test_static_object_off_its_goal_at_stage_entry(self):
+        # Stage 1 of the order (0, 1): object 0 is done, yet the start leaves it off its goal.
+        scene = make_scene([Point(4, 5), Point(16, 5)], [Point(4, 15), Point(16, 15)])
+        ctx = ctx_for(scene, order=[0, 1], index=1)
+        with pytest.raises(ValueError, match="static object 0 is not at its goal at stage entry"):
+            solve_stage(ctx, scene.start, BUDGET)
+        assert solve_stage(ctx, (Point(4, 15), Point(16, 5)), BUDGET) == [
+            Action(1, Point(16, 5), Point(16, 15))
+        ]
 
     def test_context_rejects_another_scenes_table(self):
         # A table of the same shelf serves the scene; one of another shelf does not.

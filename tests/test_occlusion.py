@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from shelfplan import (
     Action,
+    InvalidPlanError,
     Plan,
     Point,
     SceneConfig,
@@ -32,6 +33,7 @@ from shelfplan import (
 from shelfplan.geometry import (
     Disc,
     Workspace,
+    disc_in_workspace,
     discs_overlap,
     tunnel_disc_mask,
     tunnel_intersects_disc,
@@ -43,6 +45,10 @@ SCENES = {
     "default-grid": lambda: make_scene([Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)]),
     "half-grid": lambda: make_scene(
         [Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)], grid_resolution=0.5
+    ),
+    # A tunnel narrower than a disc: only the overlap test rejects a destination beside an object.
+    "narrow-tunnel": lambda: make_scene(
+        [Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)], tunnel_width=1.5
     ),
     "off-grid": lambda: make_scene(
         [Point(4.3, 4.7), Point(15.9, 16.25), Point(10, 9.5)],
@@ -92,10 +98,22 @@ class TestPoints:
         assert to_bits(np.zeros(0, dtype=bool)) == 0
 
     def test_integer_points_read_as_floats(self):
-        scene = make_scene([Point(7, 6)], [Point(7, 14)])
+        # make_scene stores float points, so the table's points, its keys, are floats too.
+        scene = make_scene([Point(7, 6)], [Point(7.5, 14)])
         table = OcclusionTable(scene)
-        p = table.points[table.index_of(Point(7, 6))]
-        assert type(p.x) is float and p == Point(7.0, 6.0)
+        assert scene.start == (Point(7.0, 6.0),)
+        assert all(type(c) is float for p in table.points for c in p)
+
+    def test_every_point_disc_lies_in_the_workspace(self, table):
+        scene = table.scene
+        for p in table.points:
+            assert disc_in_workspace(Disc(p, scene.object_radius), scene.workspace), p
+
+    def test_covers_exactly_its_points(self, table):
+        scene = table.scene
+        assert table.covers(scene.candidates + scene.start + scene.goal)
+        assert table.covers([])
+        assert not table.covers([scene.candidates[0], Point(4.5, 4.25)])
 
     @pytest.mark.parametrize("bad", [Point(4.5, 4.5), Point(float("nan"), 4.0), (1.0, 2.0, 3.0)])
     def test_unknown_point_is_value_error_naming_it(self, bad):
@@ -280,9 +298,26 @@ def test_scalar_mask_and_sweep_agree(data, seed, grid, angles):
         assert np.array_equal(mask, ~sweeps[:, k]), target
 
 
+# Points of the default and half grids, 3 apart, so no two of their discs overlap.
+SPREAD = [Point(float(x), float(y)) for y in range(1, 20, 3) for x in range(1, 20, 3)]
+
+
 def move_check(scene, arrangement, act):
-    """The table's move check on a table that indexes every point involved."""
-    table = OcclusionTable(scene, list(arrangement) + [act.src, act.dst])
+    """``move_valid`` in the table of a scene that holds the arrangement and the destination.
+
+    The scene starts at ``arrangement`` and ends with ``act.dst`` among points
+    of ``SPREAD`` that clear it. None when the destination disc leaves the
+    floor: no scene, so no table, holds that point, and a plan with such a
+    step is checked on the float geometry.
+    """
+    b = scene.object_radius
+    filler = [p for p in SPREAD if not discs_overlap(Disc(p, b), Disc(act.dst, b))]
+    goal = (act.dst, *filler[: len(arrangement) - 1])
+    try:
+        carrier = dataclasses.replace(scene, start=tuple(arrangement), goal=goal)
+    except ValueError:
+        return None
+    table = OcclusionTable(carrier)
     others = 0
     for o, p in enumerate(arrangement):
         if o != act.obj:
@@ -320,15 +355,38 @@ class TestMoveValid:
         assert not action_valid(scene, arrangement, act)
         assert not move_check(scene, arrangement, act)
 
+    def test_overlap_beside_a_narrow_tunnel_is_rejected(self):
+        # The disc at (11.8, 10) overlaps the destination (10, 10), yet clears the
+        # placing tunnel, 0.75 to either side of x = 10, by 0.05.
+        scene = SCENES["narrow-tunnel"]()
+        arrangement = (Point(4.0, 4.0), Point(11.8, 10.0))
+        act = Action(0, Point(4.0, 4.0), Point(10.0, 10.0))
+        assert not tunnel_intersects_disc(home_tunnel(scene, act.dst), Disc(arrangement[1], 1.0))
+        assert not action_valid(scene, arrangement, act)
+        assert move_check(scene, arrangement, act) is False
+
     @pytest.mark.parametrize(
         "dst", [(0.5, 10.0), (10.0, 19.5), (np.nan, np.nan), (np.inf, 5.0), (5.0, -np.inf)]
     )
-    def test_destination_outside_workspace(self, dst):
+    def test_destination_off_the_floor_is_left_to_the_float_check(self, dst):
+        # No scene holds the point, so no table does, and the optimiser reports
+        # the validator's reason for the step.
         scene = SCENES["default-grid"]()
         arrangement = (Point(4.0, 4.0), Point(16.0, 16.0))
         act = Action(0, Point(4.0, 4.0), Point(*dst))
         assert not action_valid(scene, arrangement, act)
-        assert not move_check(scene, arrangement, act)
+        assert move_check(scene, arrangement, act) is None
+        with pytest.raises(InvalidPlanError, match="step 0: destination leaves the workspace"):
+            optimize_plan(Plan((act,)), scene)
+
+
+def fits(scene, arrangement):
+    """The arrangement is collision-free on the scene's floor."""
+    try:
+        dataclasses.replace(scene, start=arrangement, goal=arrangement)
+    except ValueError:
+        return False
+    return True
 
 
 def grid_or_off_grid_points(scene):
@@ -343,15 +401,16 @@ def grid_or_off_grid_points(scene):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_move_valid_equals_action_valid(data):
+    # The table answers for moves between its points; a destination that no
+    # scene holds leaves the floor, which action_valid rejects too.
     scene = SCENES[data.draw(st.sampled_from(sorted(SCENES)))]()
     n = data.draw(st.integers(1, 6), label="n_objects")
     points = grid_or_off_grid_points(scene)
     on_floor = points.filter(lambda p: 1 <= p.x <= 19 and 1 <= p.y <= 19)
     arrangement = tuple(data.draw(st.lists(on_floor, min_size=n, max_size=n), label="arrangement"))
+    assume(fits(scene, arrangement))
     obj = data.draw(st.integers(0, n - 1), label="obj")
     src = arrangement[obj]
-    if data.draw(st.booleans(), label="shift src"):
-        src = Point(src.x + 5e-10, src.y - 5e-10)  # within TOL of the object's point
     offset = st.one_of(st.floats(-2.5, 2.5), st.sampled_from([-2.0, 0.0, 2.0]))
     dst = data.draw(
         st.one_of(
@@ -371,7 +430,11 @@ def test_move_valid_equals_action_valid(data):
     )
     assume(dst != src)
     act = Action(obj, src, dst)
-    assert move_check(scene, arrangement, act) == action_valid(scene, arrangement, act)
+    table_says = move_check(scene, arrangement, act)
+    if table_says is None:
+        assert not action_valid(scene, arrangement, act)
+    else:
+        assert table_says == action_valid(scene, arrangement, act)
 
 
 def entries(table):
@@ -382,7 +445,6 @@ def entries(table):
         "clear": [table.clear(j) for j in size],
         "far": [table.far(j) for j in size],
         "nearest": [(table.nearest(j)[0].tolist(), table.nearest(j)[1]) for j in size],
-        "inside": [table.inside(j) for j in size],
     }
 
 
@@ -392,7 +454,7 @@ class TestSharedStore:
     @pytest.mark.parametrize(
         "change",
         [
-            {"workspace": Workspace(20.0, 19.5)},  # the back row of discs now leaves the floor
+            {"workspace": Workspace(20.0, 19.5)},  # one row of candidates fewer
             {"object_radius": 1.2},
             {"robot_home": Point(9.0, -3.0)},
             {"tunnel_width": 3.0},
@@ -418,22 +480,22 @@ class TestSharedStore:
         assert entries(second) == entries(OcclusionTable(scene))
 
     @pytest.mark.parametrize(
-        "scene_name, extra",
+        "start, goal",
         [
-            ("off-grid", []),
-            ("default-grid", [(4.5, 4.5)]),
-            ("default-grid", [(4.5, 4.5), (10.5, 3.5)]),
-            ("default-grid", [(10.5, 3.5), (4.5, 4.5)]),  # the same points in another order
+            (None, None),  # the off-grid scene
+            ([(4.5, 4.5), (16, 16)], [(16, 4), (4, 16)]),
+            ([(4, 4), (16, 16)], [(16, 4), (10.5, 3.5)]),
         ],
+        ids=["off-grid", "start", "goal"],
     )
-    def test_off_grid_points_get_a_cold_table_and_leave_the_shelf_table(self, scene_name, extra):
+    def test_off_grid_points_get_a_cold_table_and_leave_the_shelf_table(self, start, goal):
         grid_scene = SCENES["default-grid"]()
         shelf = OcclusionTable.shared(grid_scene)
-        scene = SCENES[scene_name]()
-        # An iterator is read once, as optimize_plan's callers may pass one.
-        table = OcclusionTable.shared(scene, (Point(*p) for p in extra))
+        scene = SCENES["off-grid"]() if start is None else make_scene(start, goal)
+        table = OcclusionTable.shared(scene)
         assert table is not shelf
-        assert entries(table) == entries(OcclusionTable(scene, extra))
+        assert table.covers(scene.start + scene.goal)
+        assert entries(table) == entries(OcclusionTable(scene))
         assert OcclusionTable.shared(grid_scene) is shelf
 
     def test_optimizing_an_off_grid_plan_keeps_the_shelf_table(self):

@@ -20,6 +20,7 @@ from shelfplan import (
     plan_from_json,
     plan_to_dict,
     plan_to_json,
+    scene_to_json,
     validate_plan,
 )
 
@@ -311,6 +312,18 @@ class TestPlanJson:
         assert set(data) == {"actions", "steps", "total_displacement", "wall_time"}
         assert data["steps"] == 1
         assert set(data["actions"][0]) == {"object", "from", "to"}
+
+    def test_integer_coordinate_scene_prints_floats(self):
+        # Pick-ups used to print as the table's floats and goals as the scene's ints.
+        scene = make_scene([Point(10, 5), Point(10, 12)], [Point(4, 5), Point(16, 12)])
+        report = plan(scene, NO_TIMEOUT)
+        assert report.success
+        scene_data = json.loads(scene_to_json(scene))
+        points = [scene_data["robot_home"], *scene_data["start"], *scene_data["goal"]]
+        for act in json.loads(plan_to_json(report.plan))["actions"]:
+            points += [act["from"], act["to"]]
+        assert all(type(c) is float for p in points for c in p)
+        assert '"to": [4.0, 5.0]' in plan_to_json(report.plan)
 
     def test_deterministic_json(self):
         scene = generate_scene(SceneConfig(n_objects=5, rng_seed=40))

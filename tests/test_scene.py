@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from json_fuzz import hostile_edits
 
@@ -18,7 +18,7 @@ from shelfplan import (
     scene_to_dict,
     scene_to_json,
 )
-from shelfplan.geometry import Workspace
+from shelfplan.geometry import Disc, Workspace, disc_in_workspace
 from shelfplan.scene import MAX_CANDIDATES, arrangement_valid, candidate_grid
 
 
@@ -40,6 +40,9 @@ class TestCandidateGrid:
 
     def test_tight_workspace_single_point(self):
         assert candidate_grid(Workspace(2, 2), 1.0, 1.0) == [Point(1, 1)]
+
+    def test_integer_settings_give_float_points(self):
+        assert all(type(c) is float for p in candidate_grid(Workspace(4, 4), 1, 1) for c in p)
 
     def test_too_small_workspace(self):
         with pytest.raises(ValueError):
@@ -77,6 +80,31 @@ class TestCandidateGrid:
         assert len(candidate_grid(Workspace(257, 257), 1.0, 1.0)) == MAX_CANDIDATES == 256 * 256
         with pytest.raises(ValueError, match="257 x 256 = 65,792 candidates"):
             candidate_grid(Workspace(258, 257), 1.0, 1.0)
+
+    def test_last_column_leaving_the_floor_by_a_rounding_error_is_dropped(self):
+        # 19.4 / 0.1 rounds below 194, and the slack admits a 195th column whose
+        # computed x, 0.3 + 194 * 0.1 = 19.700000000000003, puts the disc past the wall.
+        ws = Workspace(20, 20)
+        grid = candidate_grid(ws, 0.3, 0.1)
+        assert len(grid) == 194 * 194
+        assert max(p.x for p in grid) == max(p.y for p in grid) == 0.3 + 193 * 0.1
+        assert all(disc_in_workspace(Disc(p, 0.3), ws) for p in grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.floats(0.5, 25.0),
+        depth=st.floats(0.5, 25.0),
+        radius=st.floats(0.05, 2.0),
+        resolution=st.one_of(st.floats(0.1, 3.0), st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3])),
+    )
+    def test_every_candidate_disc_lies_in_the_workspace(self, width, depth, radius, resolution):
+        ws = Workspace(width, depth)
+        try:
+            grid = candidate_grid(ws, radius, resolution)
+        except ValueError:
+            assume(False)
+        assert all(disc_in_workspace(Disc(p, radius), ws) for p in grid)
+        assert all(type(c) is float for p in grid for c in p)
 
     def test_pitch_within_two_float_spacings_is_rejected(self):
         # Near 2e6 floats are 2.3e-10 apart, so b + i * 5e-12 repeats points.

@@ -8,7 +8,7 @@ free of other objects.
 
 from shelfplan import Action, Point, action_valid, make_scene
 from shelfplan.geometry import Disc, tunnel_intersects_disc, tunnel_to
-from shelfplan.motion import collision_objs, home_tunnel
+from shelfplan.motion import collision_objs
 
 # A tunnel is aimed at its target and overshoots it by one object radius so
 # the far end covers the whole footprint.
@@ -28,9 +28,12 @@ scene = make_scene(
 )
 print(f"\nscene: home={scene.robot_home}, objects at {scene.start[0]} and {scene.start[1]}")
 
-rear_pick = home_tunnel(scene, scene.start[1])
+# collision_objs takes the tunnels' targets: one call checks every leg given.
+rear_pick = scene.start[1]
 print("who blocks the rear object's pickup tunnel?",
-      collision_objs(scene, scene.start, {0, 1}, rear_pick) - {1})
+      collision_objs(scene, scene.start, {0}, rear_pick))
+print("...or either leg of moving it to (16, 5)?   ",
+      collision_objs(scene, scene.start, {0}, rear_pick, Point(16, 5)))
 
 move_rear = Action(1, scene.start[1], Point(16, 5))
 move_front = Action(0, scene.start[0], Point(16, 5))

@@ -106,9 +106,10 @@ def tunnel_hits(
     dy = centers[:, 1] - anchor[1]
     u = dx * c + dy * s  # along the spine
     v = -dx * s + dy * c  # lateral offset
-    uc = np.clip(u, 0.0, length)
+    # ``np.clip`` spelled out: the same clamped values, less call overhead.
+    uc = np.minimum(np.maximum(u, 0.0), length)
     h = 0.5 * width
-    vc = np.clip(v, -h, h)
+    vc = np.minimum(np.maximum(v, -h), h)
     return (u - uc) ** 2 + (v - vc) ** 2 <= radius * radius
 
 

@@ -17,7 +17,6 @@ from .geometry import (
     Tunnel,
     disc_in_workspace,
     distance,
-    tunnel_disc_mask,
     tunnel_hits,
     tunnel_to,
 )
@@ -52,7 +51,7 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     Valid iff neither sweep tunnel has a collision object other than the moved
     object, and the destination disc fits the workspace without overlapping
     another object. The moved object itself travels inside the tunnels and is
-    ignored on both legs.
+    ignored on both legs. One ``collision_objs`` call answers both legs.
     """
     b = scene.object_radius
     if not disc_in_workspace(Disc(Point(*action.dst), b), scene.workspace):
@@ -63,21 +62,36 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     if (d2 < (2.0 * b) ** 2).any():
         return False
     others = [o for o in range(len(pos)) if o != action.obj]
-    pick, place = home_tunnel(scene, action.src), home_tunnel(scene, action.dst)
-    pick_hits = collision_objs(scene, pos, others, pick)
-    return not (pick_hits or collision_objs(scene, pos, others, place))
+    return not collision_objs(scene, pos, others, action.src, action.dst)
 
 
 def collision_objs(
-    scene: Scene, arrangement, candidates: Iterable[ObjectId], t: Tunnel
+    scene: Scene, arrangement, candidates: Iterable[ObjectId], *targets: Point
 ) -> set[ObjectId]:
-    """Subset of ``candidates`` whose current disc intersects the tunnel."""
+    """Subset of ``candidates`` whose current disc a home tunnel to one of ``targets`` touches.
+
+    The tunnels are (k, 1) columns built with the expressions of ``tunnel_to``
+    and ``placement_sweep_mask``, so each one answers as
+    ``tunnel_disc_mask(home_tunnel(scene, target), ...)`` bit for bit, and one
+    ``tunnel_hits`` call covers them all. Raises ``ValueError`` when a target
+    coincides with the robot home, as ``home_tunnel`` does.
+    """
+    b = scene.object_radius
+    home = scene.robot_home
+    vec = np.array([(t[0] - home[0], t[1] - home[1]) for t in targets], dtype=float)
+    vec = vec.reshape(-1, 2)  # no targets: no tunnels
+    dist = np.hypot(vec[:, :1], vec[:, 1:])  # one tunnel per row
+    if not dist.all():
+        raise ValueError("tunnel target coincides with its anchor")
     ids = sorted(candidates)
     if not ids:
         return set()
-    pos = np.asarray(arrangement, dtype=float)
-    hits = tunnel_disc_mask(t, pos[ids], scene.object_radius)
-    return {o for o, hit in zip(ids, hits) if hit}
+    with np.errstate(invalid="ignore"):  # an infinite leg aims nowhere, as in ``tunnel_to``
+        unit = vec / dist
+    direction = (unit[:, :1], unit[:, 1:])
+    centers = np.asarray(arrangement, dtype=float).take(ids, axis=0)
+    hits = tunnel_hits(home, direction, dist + b, scene.tunnel_width, centers, b)
+    return {o for o, hit in zip(ids, hits.any(axis=0).tolist()) if hit}
 
 
 def placement_sweep_mask(scene: Scene, targets: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
@@ -93,7 +107,9 @@ def placement_sweep_mask(scene: Scene, targets: np.ndarray, obstacles: np.ndarra
     # Targets coinciding with the home anchor cannot be aimed at; mark blocked.
     degenerate = dist[:, 0] == 0.0
     dist[degenerate] = 1.0
-    direction = (vec[:, :1] / dist, vec[:, 1:] / dist)
+    with np.errstate(invalid="ignore"):  # an infinite leg aims nowhere, as in ``tunnel_to``
+        unit = vec / dist
+    direction = (unit[:, :1], unit[:, 1:])
     hit = tunnel_hits(home, direction, dist + b, scene.tunnel_width, obstacles, b)
     clear = ~hit.any(axis=1)
     clear[degenerate] = False

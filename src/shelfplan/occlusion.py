@@ -34,7 +34,8 @@ they stand on candidates. So ``OcclusionTable.shared`` keeps one process-wide
 table of the last shelf it served, over its candidates only (a transposition
 table over geometry that spans searches), and returns that object for every
 scene of the shelf whose points are all candidates; one with an off-grid start
-or goal point gets a cold table and leaves the shelf's table alone. A table
+or goal point gets a cold table of its own, kept until another off-grid scene
+asks, and leaves the shelf's table alone. A table
 ``serves`` every scene of its shelf. The store assumes one thread: an entry
 is filled by a plain list write, and two writes of one entry store equal
 values. ``OcclusionTable(scene)`` stays cold and private to its caller.
@@ -104,14 +105,18 @@ class OcclusionTable:
         each of them gets that one object and the entries the ones before
         filled. When a point is not a candidate, the result is a cold
         ``OcclusionTable(scene)`` and the shelf's table is kept for the next
-        grid scene.
+        grid scene. The last such table is kept as well, so asking again for
+        an equal scene, as ``plan()``'s search and its optimiser do, returns
+        it with its entries filled.
         """
-        global _store
+        global _store, _cold
         if _store is None or not _store.serves(scene):
             _store = cls(dataclasses.replace(scene, start=(), goal=()))
         if _store.covers(scene.start + scene.goal):
             return _store
-        return cls(scene)
+        if _cold is None or _cold.scene != scene:
+            _cold = cls(scene)
+        return _cold
 
     def serves(self, scene: Scene) -> bool:
         """The table's entries hold for ``scene``: both stand on one shelf."""
@@ -192,3 +197,5 @@ class OcclusionTable:
 
 # The table of the shelf ``OcclusionTable.shared`` last served, over its candidates.
 _store: OcclusionTable | None = None
+# The cold table of the last off-grid scene ``OcclusionTable.shared`` served.
+_cold: OcclusionTable | None = None

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .geometry import TOL, Disc, Point, disc_in_workspace
 from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable
-from .scene import Scene, list_from_json, point_from_json
+from .scene import ObjectId, Scene, list_from_json, point_from_json
 from .topology import CycleError, build_dependency_graph, stage_order
 
 _GOAL_TOL = 1e-6  # per-coordinate tolerance for the terminal arrangement
@@ -54,165 +54,266 @@ class PlanReport:
     failure_kind: str | None  # "timeout" | "stage-exhausted" | "topology-cycle"
 
 
-# Why a step cannot be applied to the current points of all objects, or None.
-StepCheck = Callable[[list[Point], Action], "str | None"]
-
 _LEAVES = "destination leaves the workspace"
 _COLLIDES = "relocation is not collision-free"
 
+# An arrangement as the point index of every object.
+Indices = tuple[int, ...]
 
-def _replay(
-    actions: Sequence[Action],
-    positions: list[Point],
-    check: StepCheck,
-    trail: list[tuple[Point, ...]] | None = None,
-) -> tuple[int | None, str | None]:
-    """Replay actions on ``positions``, the current point of every object, in place.
 
-    Each step must name a known object and pick it up within ``TOL`` of its
-    current point, and then pass ``check``. Returns ``(failed_step, reason)``,
-    both None when every action applied. With ``trail``, appends the
-    arrangement before each applied step.
+class _Step(NamedTuple):
+    """One relocation in point indices, with the ``Action`` it stands for."""
+
+    obj: ObjectId
+    src: int
+    dst: int
+    action: Action
+
+
+def _merge(a: _Step, b: _Step) -> _Step:
+    """One relocation from ``a``'s pick-up to ``b``'s destination."""
+    return _Step(a.obj, a.src, b.dst, Action(a.obj, a.action.src, b.action.dst))
+
+
+def _near(p: Point, q: Point, tol: float = TOL) -> bool:
+    return abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol
+
+
+def _within_tol(a: Sequence[Point], b: Sequence[Point], tol: float = TOL) -> bool:
+    return all(_near(p, q, tol) for p, q in zip(a, b))
+
+
+class _Replay:
+    """Replays of a plan's steps in point indices.
+
+    ``points[i]`` is the point with index ``i``, and equal points share one
+    index. A subclass says why a step cannot be applied (``check``) and whether
+    one more object at a point would stop a step that is valid without it
+    (``blocks``).
     """
-    n = len(positions)
-    for step, act in enumerate(actions):
-        if not 0 <= act.obj < n:
-            return step, f"unknown object {act.obj}"
-        current = positions[act.obj]
-        if not (abs(current.x - act.src.x) <= TOL and abs(current.y - act.src.y) <= TOL):
-            return step, "pick location does not match the object's current region"
-        reason = check(positions, act)
-        if reason is not None:
-            return step, reason
-        if trail is not None:
-            trail.append(tuple(positions))
-        positions[act.obj] = act.dst
-    return None, None
+
+    def __init__(self, scene: Scene, index: Callable[[Point], int], points: Sequence[Point]):
+        self.scene = scene
+        self.index = index
+        self.points = points
+        self.start: Indices = tuple(index(p) for p in scene.start)
+
+    def check(self, arr: Sequence[int], step: _Step) -> str | None:
+        raise NotImplementedError
+
+    def blocks(self, p: int, step: _Step) -> bool:
+        raise NotImplementedError
+
+    def steps(self, actions: Sequence[Action]) -> list[_Step]:
+        index = self.index
+        return [_Step(a.obj, index(a.src), index(a.dst), a) for a in actions]
+
+    def positions(self, arr: Sequence[int]) -> list[Point]:
+        return [self.points[i] for i in arr]
+
+    def run(
+        self, steps: Sequence[_Step], arr: list[int], trail: list[Indices] | None = None
+    ) -> tuple[int | None, str | None]:
+        """Replay ``steps`` on ``arr``, the point index of every object, in place.
+
+        Each step must name a known object and pick it up within ``TOL`` of its
+        current point, and then pass ``check``. Returns ``(failed_step,
+        reason)``, both None when every step applied. With ``trail``, appends
+        the arrangement before each applied step.
+        """
+        n, points = len(arr), self.points
+        for k, step in enumerate(steps):
+            obj = step.obj
+            if not 0 <= obj < n:
+                return k, f"unknown object {obj}"
+            current = arr[obj]
+            if current != step.src and not _near(points[current], points[step.src]):
+                return k, "pick location does not match the object's current region"
+            reason = self.check(arr, step)
+            if reason is not None:
+                return k, reason
+            if trail is not None:
+                trail.append(tuple(arr))
+            arr[obj] = step.dst
+        return None, None
 
 
-def _float_check(scene: Scene) -> StepCheck:
-    """Step check on the float geometry: the validator's, independent of the table."""
-    b, workspace = scene.object_radius, scene.workspace
+class _FloatReplay(_Replay):
+    """Steps checked on the float geometry: the validator's check, independent of the table.
 
-    def check(positions: list[Point], act: Action) -> str | None:
-        if action_valid(scene, positions, act):
+    The scene's start points and the points of ``actions`` are numbered here.
+    """
+
+    def __init__(self, scene: Scene, actions: Sequence[Action]) -> None:
+        index: dict[Point, int] = {}
+        for p in scene.start:
+            index.setdefault(p, len(index))
+        for a in actions:
+            index.setdefault(a.src, len(index))
+            index.setdefault(a.dst, len(index))
+        super().__init__(scene, index.__getitem__, tuple(index))
+        self.coords = np.array(self.points, dtype=float).reshape(-1, 2)
+
+    def check(self, arr: Sequence[int], step: _Step) -> str | None:
+        act, scene = step.action, self.scene
+        if action_valid(scene, self.coords.take(arr, axis=0), act):
             return None
-        return _COLLIDES if disc_in_workspace(Disc(Point(*act.dst), b), workspace) else _LEAVES
+        inside = disc_in_workspace(Disc(Point(*act.dst), scene.object_radius), scene.workspace)
+        return _COLLIDES if inside else _LEAVES
 
-    return check
+    def blocks(self, p: int, step: _Step) -> bool:
+        act = step.action
+        alone = (self.points[p], act.src)  # the object at ``p``, then the moved one
+        return not action_valid(self.scene, alone, Action(1, act.src, act.dst))
 
 
-def _table_check(table: OcclusionTable) -> StepCheck:
-    """Step check looked up in an occlusion table that indexes every point of the plan.
+class _TableReplay(_Replay):
+    """Steps looked up in an occlusion table that indexes every point of the plan.
 
     A table point's disc lies in the workspace, so a rejected step collides.
     """
-    index_of = table.index_of
 
-    def check(positions: list[Point], act: Action) -> str | None:
+    def __init__(self, scene: Scene, table: OcclusionTable) -> None:
+        super().__init__(scene, table.index_of, table.points)
+        self.table = table
+
+    def check(self, arr: Sequence[int], step: _Step) -> str | None:
         others = 0
-        for obj, p in enumerate(positions):
-            if obj != act.obj:
-                others |= 1 << index_of(p)
-        if table.move_valid(index_of(act.src), index_of(act.dst), others):
-            return None
-        return _COLLIDES
+        for obj, p in enumerate(arr):
+            if obj != step.obj:
+                others |= 1 << p
+        return None if self.table.move_valid(step.src, step.dst, others) else _COLLIDES
 
-    return check
+    def blocks(self, p: int, step: _Step) -> bool:
+        table = self.table
+        swept = (table.row(step.src) | table.row(step.dst)) >> p & 1
+        return bool(swept or not table.far(step.dst) >> p & 1)
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
     """Independent replay check on the float geometry: every step valid and the goal reached."""
-    positions = list(scene.start)
-    step, reason = _replay(plan.actions, positions, _float_check(scene))
+    replay = _FloatReplay(scene, plan.actions)
+    arr = list(replay.start)
+    step, reason = replay.run(replay.steps(plan.actions), arr)
     if step is not None:
         return PlanCheck(False, step, reason)
-    if not _within_tol(positions, scene.goal, _GOAL_TOL):
+    if not _within_tol(replay.positions(arr), scene.goal, _GOAL_TOL):
         return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
     return PlanCheck(True)
 
 
-def _collapse_runs(actions: list[Action], start: Sequence[Point]) -> list[Action]:
+def _collapse_runs(
+    steps: list[_Step], trail: list[Indices], start: Indices
+) -> tuple[list[_Step], list[Indices]]:
     """Merge consecutive moves of the same object into one relocation.
 
     A run that returns the object exactly to the point it stood on disappears.
     A return only within ``TOL`` of that point keeps its last two moves, since
     later pick-ups may rely on the point it was returned to.
+
+    ``trail[k]`` is the arrangement before step ``k`` and ``trail[-1]`` the
+    final one. A run leaves the arrangement where its moves together take it,
+    so the collapsed plan's trail is the input's at the runs' first steps.
     """
-    out: list[Action] = []
-    for act in actions:
-        if out and out[-1].obj == act.obj:
-            prev = out.pop()
-            if prev.src != act.dst:
-                out.append(Action(act.obj, prev.src, act.dst))
-            elif act.dst != next(
-                (a.dst for a in reversed(out) if a.obj == act.obj), start[act.obj]
+    out: list[_Step] = []
+    begins: list[int] = []  # the input step that ``out[k]`` begins with
+    for k, step in enumerate(steps):
+        if out and out[-1].obj == step.obj:
+            prev, begin = out.pop(), begins.pop()
+            if prev.src != step.dst:
+                out.append(_merge(prev, step))
+                begins.append(begin)
+            elif step.dst != next(
+                (a.dst for a in reversed(out) if a.obj == step.obj), start[step.obj]
             ):
-                out += [prev, act]
+                out += [prev, step]
+                begins += [begin, k]
         else:
-            out.append(act)
-    return out
+            out.append(step)
+            begins.append(k)
+    return out, [trail[k] for k in begins] + [trail[-1]]
 
 
-def _within_tol(a: Sequence[Point], b: Sequence[Point], tol: float = TOL) -> bool:
-    return all(abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol for p, q in zip(a, b))
+def _merge_pair(
+    replay: _Replay, steps: list[_Step], trail: list[Indices], t: int, s: int, final: Indices
+) -> tuple[list[_Step], list[Indices]] | None:
+    """The plan and trail with same-object steps ``t`` and ``s`` merged, or None if it fails.
+
+    The merged move replaces step ``t`` and step ``s`` is dropped; a merge
+    that puts the object back exactly where it was picked up drops both. The
+    steps before ``t`` stay as they are, so the replay starts from
+    ``trail[t]``. When it ends exactly on ``trail[s+1]``, the unchanged suffix
+    replays exactly as before and is kept without replaying it. Otherwise the
+    suffix is replayed as well, and the end must lie within ``TOL`` of
+    ``final``, so every decision is that of a full replay.
+
+    When no step in between moves the object and the merge leaves it on step
+    ``s``'s destination ``at``, the steps in between see the same arrangement
+    as before but with the object at ``at``. Removing an obstacle never
+    invalidates a step, so each of them stays valid exactly when the object
+    at ``at`` does not block it, and the replay is these tests alone.
+    """
+    first, last = steps[t], steps[s]
+    obj, before, middle = first.obj, trail[t], steps[t + 1 : s]
+    relocates = first.src != last.dst  # else the merge puts the object back
+    at = last.dst if relocates else before[obj]
+    own = next((step for step in middle if step.obj == obj), None)
+    if own is not None and own.src != at:
+        if not _near(replay.points[own.src], replay.points[at]):
+            return None  # the object is not where its next move picks it up
+    head = [_merge(first, last)] if relocates else []
+    if own is None and at == last.dst:
+        if head and replay.check(before, head[0]) is not None:
+            return None
+        if any(replay.blocks(at, step) for step in middle):
+            return None
+        moved = [arr[:obj] + (at,) + arr[obj + 1 :] for arr in trail[t + 1 : s]]
+        return (
+            steps[:t] + head + middle + steps[s + 1 :],
+            trail[:t] + [before] * len(head) + moved + trail[s + 1 :],
+        )
+    arr, part = list(before), []
+    if replay.run(head + middle, arr, part)[0] is not None:
+        return None
+    if tuple(arr) == trail[s + 1]:
+        tail = trail[s + 1 :]
+    else:
+        if replay.run(steps[s + 1 :], arr, part)[0] is not None:
+            return None
+        if not _within_tol(replay.positions(arr), replay.positions(final)):
+            return None
+        tail = [tuple(arr)]
+    return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + tail
 
 
 def _sweep_merge(
-    actions: list[Action], start: Sequence[Point], check: StepCheck
-) -> tuple[list[Action], bool]:
+    replay: _Replay, steps: list[_Step], trail: list[Indices]
+) -> tuple[list[_Step], list[Indices], bool]:
     """One merge attempt per object over non-adjacent same-object pairs.
 
     Pairs are scanned left-to-right, outermost partner first; a merge is kept
     only when the shortened plan still replays collision-free to the same
-    final arrangement (within ``TOL``) as the plan at the start of the sweep.
-
-    The sweep keeps the plan's trail: ``trail[k]`` is the arrangement before
-    step ``k``, and ``trail[-1]`` the final one. Merging the pair ``(t, s)``
-    leaves the steps before ``t`` alone, so only the merged move and
-    ``actions[t+1:s]`` are replayed, from ``trail[t]``. When that replay ends
-    exactly on ``trail[s+1]``, the unchanged suffix replays exactly as before
-    and the merge is kept without replaying it. Otherwise the suffix is
-    replayed as well, so every decision is that of a full replay.
+    final arrangement (within ``TOL``) as the plan at the start of the sweep
+    (see ``_merge_pair``). ``trail`` is the plan's, as in ``_collapse_runs``.
     """
-    positions = list(start)
-    trail: list[tuple[Point, ...]] = []
-    step, reason = _replay(actions, positions, check, trail)
-    assert step is None, f"collapsing broke the plan at step {step}: {reason}"
-    reference_final = tuple(positions)
-    trail.append(reference_final)
+    final = trail[-1]
     changed = False
-    for obj in sorted({a.obj for a in actions}):
-        indices = [i for i, a in enumerate(actions) if a.obj == obj]
+    for obj in sorted({step.obj for step in steps}):
+        indices = [i for i, step in enumerate(steps) if step.obj == obj]
         for ti in range(len(indices) - 1):
-            merged = False
+            merged = None
             for si in range(len(indices) - 1, ti, -1):
                 t, s = indices[ti], indices[si]
                 if s == t + 1:
                     continue  # adjacent runs belong to the collapse pass
-                first, last = actions[t], actions[s]
-                middle = actions[t + 1 : s]
-                if first.src != last.dst:
-                    middle = [Action(obj, first.src, last.dst)] + middle
-                positions = list(trail[t])
-                steps: list[tuple[Point, ...]] = []
-                if _replay(middle, positions, check, steps)[0] is not None:
-                    continue
-                if tuple(positions) == trail[s + 1]:
-                    tail = trail[s + 1 :]
-                else:
-                    if _replay(actions[s + 1 :], positions, check, steps)[0] is not None:
-                        continue
-                    if not _within_tol(positions, reference_final):
-                        continue
-                    tail = [tuple(positions)]
-                actions = actions[:t] + middle + actions[s + 1 :]
-                trail = trail[:t] + steps + tail
-                changed = merged = True
+                merged = _merge_pair(replay, steps, trail, t, s, final)
+                if merged is not None:
+                    break
+            if merged is not None:
+                steps, trail = merged
+                changed = True
                 break
-            if merged:
-                break
-    return actions, changed
+    return steps, trail, changed
 
 
 def optimize_plan(plan: Plan, scene: Scene) -> Plan:
@@ -223,9 +324,11 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     without collision, iterating both passes to a fixpoint. Never increases
     the step count or the total displacement. Raises ``InvalidPlanError``,
     with the step and reason ``validate_plan`` reports, when the input plan
-    does not replay.
+    does not replay. Steps that survive are the input's own ``Action`` objects.
 
-    A merge replays only the steps it changes (see ``_sweep_merge``). When
+    The plan is replayed once, in point indices, and its trail of
+    arrangements is then kept up to date through every collapse and merge, so
+    a merge replays only the steps it changes (see ``_merge_pair``). When
     ``OcclusionTable.shared(scene)`` indexes every pick-up and destination of
     the plan, as it does for every plan ``plan()`` returns, each step is
     looked up in that table. Otherwise, say for an off-grid destination or a
@@ -234,20 +337,21 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     """
     table = OcclusionTable.shared(scene)
     if table.covers(p for a in plan.actions for p in (a.src, a.dst)):
-        check = _table_check(table)
+        replay: _Replay = _TableReplay(scene, table)
     else:
-        check = _float_check(scene)
-    step, reason = _replay(plan.actions, list(scene.start), check)
+        replay = _FloatReplay(scene, plan.actions)
+    steps = replay.steps(plan.actions)
+    arr, trail = list(replay.start), []
+    step, reason = replay.run(steps, arr, trail)
     if step is not None:
         raise InvalidPlanError(f"input plan invalid at step {step}: {reason}")
-    actions = list(plan.actions)
+    trail.append(tuple(arr))
     while True:
-        collapsed = _collapse_runs(actions, scene.start)
-        changed = collapsed != actions
-        actions = collapsed
-        actions, swept = _sweep_merge(actions, scene.start, check)
+        collapsed, trail = _collapse_runs(steps, trail, replay.start)
+        changed = len(collapsed) < len(steps)
+        steps, trail, swept = _sweep_merge(replay, collapsed, trail)
         if not (changed or swept):
-            return Plan(tuple(actions))
+            return Plan(tuple(step.action for step in steps))
 
 
 def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> PlanReport:

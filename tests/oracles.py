@@ -13,7 +13,8 @@ from collections import deque
 import numpy as np
 
 from shelfplan import Action, Point, Scene, action_valid
-from shelfplan.geometry import Disc, Tunnel
+from shelfplan.geometry import Disc, Tunnel, disc_in_workspace, tunnel_disc_mask
+from shelfplan.motion import home_tunnel
 
 
 def sampled_tunnel_disc_hit(t: Tunnel, d: Disc, pitch: float) -> bool:
@@ -55,6 +56,26 @@ def rect_disc_clearance(t: Tunnel, d: Disc) -> float:
     half = 0.5 * t.width
     vc = min(max(v, -half), half)
     return math.hypot(u - uc, v - vc) - d.radius
+
+
+def action_valid_by_legs(scene: Scene, arrangement, action: Action) -> bool:
+    """``action_valid`` leg by leg: one ``home_tunnel`` and one ``tunnel_disc_mask`` per leg.
+
+    The destination disc must lie in the workspace and overlap no other
+    object, and neither leg's tunnel may touch another object's disc. A leg
+    aimed at the robot home raises ``ValueError``, even with no other object.
+    """
+    b = scene.object_radius
+    if not disc_in_workspace(Disc(Point(*action.dst), b), scene.workspace):
+        return False
+    pos = np.asarray(arrangement, dtype=float)
+    d2 = ((pos - np.asarray(action.dst, dtype=float)) ** 2).sum(axis=1)
+    d2[action.obj] = np.inf
+    if (d2 < (2.0 * b) ** 2).any():
+        return False
+    others = [o for o in range(len(pos)) if o != action.obj]
+    legs = [home_tunnel(scene, action.src), home_tunnel(scene, action.dst)]
+    return not any(tunnel_disc_mask(t, pos[others], b).any() for t in legs)
 
 
 def bfs_min_steps(scene: Scene, goal_test, max_depth: int = 12) -> int | None:

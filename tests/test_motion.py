@@ -1,10 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shelfplan import Action, Point, SceneConfig, action_valid, generate_scene, make_scene
-from shelfplan.geometry import Disc, tunnel_intersects_disc
+from shelfplan.geometry import Disc, tunnel_disc_mask, tunnel_intersects_disc
 from shelfplan.motion import collision_objs, home_tunnel, placement_sweep_mask
 from shelfplan.scene import arrangement_valid
+
+from oracles import action_valid_by_legs
+from test_occlusion import LATTICE_TANGENCIES
+
+# Grid points, where exact tangencies live, and arbitrary floats around the floor.
+coords = st.one_of(st.integers(-1, 21).map(float), st.floats(-2.0, 22.0))
+points = st.builds(Point, coords, coords)
+# Legs may also be aimed at non-finite points, or at the robot home itself.
+destinations = st.one_of(
+    points,
+    st.builds(Point, st.sampled_from([np.nan, np.inf, -np.inf, 10.0]), coords),
+    st.just(Point(10.0, -3.0)),
+)
+# Far-corner tangencies of tilted tunnels: every path reads these as misses.
+FAR_CORNER_TANGENCIES = [
+    (Point(7.0, 1.0), Point(8.0, 4.0)),
+    (Point(4.0, 5.0), Point(5.0, 8.0)),
+    (Point(1.0, 9.0), Point(2.0, 12.0)),
+    (Point(19.0, 9.0), Point(18.0, 12.0)),
+]
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
 
 
 def single_object_scene():
@@ -79,20 +109,57 @@ class TestActionValid:
         assert action_valid(solo, (Point(10, 5),), act)
 
 
+class TestAgainstTwoLegs:
+    """``action_valid`` answers as the leg-by-leg definition, exact tangencies included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrangement=st.lists(points, min_size=1, max_size=7), data=st.data())
+    def test_random_arrangements(self, arrangement, data):
+        scene = single_object_scene()
+        obj = data.draw(st.integers(0, len(arrangement) - 1))
+        src = data.draw(st.one_of(st.just(arrangement[obj]), destinations))
+        dst = data.draw(destinations.filter(lambda p: p != src))
+        act = Action(obj, src, dst)
+        expected = outcome(action_valid_by_legs, scene, arrangement, act)
+        assert outcome(action_valid, scene, arrangement, act) == expected
+
+    @pytest.mark.parametrize("leg", ["pick", "place"])
+    def test_tangent_pairs_on_both_legs(self, leg):
+        scene = single_object_scene()
+        for target, disc in LATTICE_TANGENCIES + FAR_CORNER_TANGENCIES:
+            for other in scene.candidates[::7]:
+                src, dst = (target, other) if leg == "pick" else (other, target)
+                if src == dst:
+                    continue
+                arrangement = (src, disc)
+                act = Action(0, src, dst)
+                expected = action_valid_by_legs(scene, arrangement, act)
+                assert action_valid(scene, arrangement, act) == expected, (leg, target, disc)
+                if (target, disc) in LATTICE_TANGENCIES:
+                    assert not expected  # closed contact blocks the leg
+
+    def test_target_at_home_still_raises(self):
+        scene = single_object_scene()
+        with pytest.raises(ValueError, match="coincides with its anchor"):
+            action_valid(scene, scene.start, Action(0, scene.robot_home, Point(10, 15)))
+        with pytest.raises(ValueError, match="coincides with its anchor"):
+            collision_objs(scene, scene.start, set(), scene.robot_home)
+
+
 class TestCollisionObjs:
     def test_empty_candidates(self, collinear_scene):
-        t = home_tunnel(collinear_scene, Point(10, 12))
-        assert collision_objs(collinear_scene, collinear_scene.start, set(), t) == set()
+        target = Point(10, 12)
+        assert collision_objs(collinear_scene, collinear_scene.start, set(), target) == set()
 
     def test_far_tunnel_hits_nothing(self, collinear_scene):
-        t = home_tunnel(collinear_scene, Point(19, 1))
-        assert collision_objs(collinear_scene, collinear_scene.start, {0, 1}, t) == set()
+        target = Point(19, 1)
+        assert collision_objs(collinear_scene, collinear_scene.start, {0, 1}, target) == set()
 
     def test_collinear_blocker_found(self, collinear_scene):
-        t = home_tunnel(collinear_scene, Point(10, 12))
-        hits = collision_objs(collinear_scene, collinear_scene.start, {0, 1}, t)
+        target = Point(10, 12)
+        hits = collision_objs(collinear_scene, collinear_scene.start, {0, 1}, target)
         assert hits == {0, 1}  # the rear object itself is inside its own tunnel
-        hits = collision_objs(collinear_scene, collinear_scene.start, {0}, t)
+        hits = collision_objs(collinear_scene, collinear_scene.start, {0}, target)
         assert hits == {0}
 
     def test_matches_scalar_definition(self):
@@ -103,7 +170,30 @@ class TestCollisionObjs:
             for o in range(6)
             if tunnel_intersects_disc(t, Disc(scene.start[o], scene.object_radius))
         }
-        assert collision_objs(scene, scene.start, set(range(6)), t) == expected
+        assert collision_objs(scene, scene.start, set(range(6)), Point(9, 16)) == expected
+
+    def test_every_grid_pair_matches_its_tunnel(self):
+        # One call per target over every candidate disc equals that target's tunnel mask.
+        scene = single_object_scene()
+        grid = np.asarray(scene.candidates, dtype=float)
+        ids = set(range(len(grid)))
+        for target in scene.candidates:
+            mask = tunnel_disc_mask(home_tunnel(scene, target), grid, scene.object_radius)
+            assert collision_objs(scene, grid, ids, target) == set(np.flatnonzero(mask).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrangement=st.lists(points, min_size=1, max_size=7),
+        targets=st.lists(points.filter(lambda p: p != Point(10.0, -3.0)), max_size=4),
+        data=st.data(),
+    )
+    def test_several_targets_are_the_union_of_one_each(self, arrangement, targets, data):
+        scene = single_object_scene()
+        candidates = data.draw(st.sets(st.integers(0, len(arrangement) - 1)))
+        union = set()
+        for target in targets:
+            union |= collision_objs(scene, arrangement, candidates, target)
+        assert collision_objs(scene, arrangement, candidates, *targets) == union
 
 
 class TestPlacementSweepMask:

@@ -39,6 +39,7 @@ from shelfplan.geometry import (
     tunnel_intersects_disc,
 )
 from shelfplan.motion import home_tunnel, placement_sweep_mask
+from shelfplan import occlusion
 from shelfplan.occlusion import OcclusionTable, to_bits
 
 SCENES = {
@@ -504,6 +505,28 @@ class TestSharedStore:
         off_grid_move = Action(0, Point(4, 4), Point(4.5, 9.25))
         assert optimize_plan(Plan((off_grid_move,)), scene).actions == (off_grid_move,)
         assert OcclusionTable.shared(scene) is shelf
+
+    def test_off_grid_plan_builds_one_cold_table(self, monkeypatch):
+        # Hard scene 81 with its starts moved off the grid: the search and the
+        # optimiser share one cold table, beside the shelf's.
+        scene = generate_scene(SceneConfig(n_objects=8, rng_seed=81))
+        start = tuple(Point(p.x + 0.25, p.y + 0.125) for p in scene.start)
+        scene = dataclasses.replace(scene, start=start)
+        budget = SearchBudget(wall_clock_limit=None)
+        monkeypatch.setattr(occlusion, "_store", None)
+        monkeypatch.setattr(occlusion, "_cold", None)
+        built = []
+        init = OcclusionTable.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(OcclusionTable, "__init__", counted)
+        shared = plan_to_json(plan(scene, budget, seed=81).plan)
+        assert len(built) == 2
+        monkeypatch.setattr(OcclusionTable, "shared", classmethod(lambda cls, *args: cls(*args)))
+        assert shared == plan_to_json(plan(scene, budget, seed=81).plan)
 
 
 HARD_SEEDS = range(80, 88)

@@ -23,6 +23,9 @@ from shelfplan import (
     scene_to_json,
     validate_plan,
 )
+from shelfplan.geometry import Disc, discs_overlap, tunnel_intersects_disc
+from shelfplan.motion import home_tunnel
+from shelfplan.occlusion import OcclusionTable
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +257,79 @@ class TestOptimizePlan:
             assert out.steps <= raw.steps
             assert out.total_displacement <= raw.total_displacement + 1e-9
             assert validate_plan(scene, out).valid
+
+
+@pytest.fixture(params=["table", "float"])
+def step_check(request, monkeypatch):
+    """Optimise on the occlusion table, or with every step on the float geometry."""
+    if request.param == "float":
+        monkeypatch.setattr(OcclusionTable, "covers", lambda self, points: False)
+    return request.param
+
+
+class TestMergeShortcut:
+    """Merges whose middle steps leave the object alone test only its new point.
+
+    Object 0 goes A -> B, others move, then it goes B -> C. Merged, it stands
+    on C while the others move, so each of their steps must clear C.
+    """
+
+    def optimized(self, scene, actions, step_check):
+        assert validate_plan(scene, Plan(tuple(actions))).valid  # construction sanity
+        points = [p for a in actions for p in (a.src, a.dst)]
+        assert OcclusionTable.shared(scene).covers(points) == (step_check == "table")
+        out = optimize_plan(Plan(tuple(actions)), scene)
+        assert validate_plan(scene, out).valid
+        assert list(out.actions) == optimize_by_full_replay(scene, actions)
+        return out
+
+    def test_middle_tunnel_touching_the_new_point_blocks_the_merge(self, step_check):
+        A, B, C = Point(4, 5), Point(3, 14), Point(10, 8)
+        home_pick, away = Point(10, 16), Point(16, 16)
+        scene = make_scene([A, home_pick], [C, away])
+        # Object 1's pick-up tunnel runs straight ahead through C.
+        assert tunnel_intersects_disc(home_tunnel(scene, home_pick), Disc(C, 1.0))
+        actions = [Action(0, A, B), Action(1, home_pick, away), Action(0, B, C)]
+        assert self.optimized(scene, actions, step_check).actions == tuple(actions)
+
+    def test_middle_destination_overlapping_the_new_point_blocks_the_merge(self, step_check):
+        # A tunnel narrower than a disc: object 1 parks beside C, touching no tunnel,
+        # and waits there until object 2 clears its way out.
+        A, B, C = Point(4, 5), Point(3, 14), Point(11.8, 12)
+        beside, away = Point(10, 12), Point(16, 5)
+        starts, goals = [A, Point(16, 16), Point(14, 1)], [C, away, Point(6, 17)]
+        scene = make_scene(starts, goals, tunnel_width=1.5)
+        assert discs_overlap(Disc(beside, 1.0), Disc(C, 1.0))
+        for target in (starts[1], beside):
+            assert not tunnel_intersects_disc(home_tunnel(scene, target), Disc(C, 1.0))
+        actions = [
+            Action(0, A, B),
+            Action(1, starts[1], beside),
+            Action(2, starts[2], goals[2]),
+            Action(1, beside, away),
+            Action(0, B, C),
+        ]
+        assert self.optimized(scene, actions, step_check).actions == tuple(actions)
+
+    def test_own_middle_move_picking_up_within_tol(self, step_check):
+        # Object 3 leaves B', 5e-10 off the grid point B; object 0 is put on B',
+        # picked up at B on its way to C, and put back on B'.
+        B = Point(3, 14)
+        shifted = Point(B.x + 5e-10, B.y - 5e-10)
+        A, C, away = Point(15, 15), Point(3, 1), Point(8, 17)
+        starts = [A, Point(17, 6), Point(3, 6), shifted]
+        goals = [shifted, Point(14, 19), Point(14, 10), away]
+        scene = make_scene(starts, goals)
+        actions = [
+            Action(3, shifted, away),
+            Action(0, A, shifted),
+            Action(1, starts[1], goals[1]),
+            Action(0, B, C),
+            Action(2, starts[2], goals[2]),
+            Action(0, C, shifted),
+        ]
+        out = self.optimized(scene, actions, step_check)
+        assert out.actions == tuple(actions[:3] + actions[4:5])
 
 
 class TestValidatePlan:

@@ -13,6 +13,12 @@ regions.
 A stage is complete once the focus object rests at its goal and no remaining
 movable object would have its pickup tunnel blocked by the finished focus;
 that second condition keeps later stages reachable.
+
+The search is anytime: a rollout draws from the same candidate moves as
+expansion, so the tree path to a node plus the node's completed rollout is a
+valid sub-plan. The stage keeps the cheapest such trajectory (or completing
+child) and returns it once the root has been expanded, rather than waiting
+for a tree node to complete the stage.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -418,29 +425,35 @@ def expand(ctx: StageContext, node: SearchNode) -> SearchNode:
     return node.children[0]
 
 
-def simulate(ctx: StageContext, node: SearchNode, rng: np.random.Generator) -> float:
-    """Random single-branch rollout; returns the (negative) reward.
+def simulate(
+    ctx: StageContext, node: SearchNode, rng: np.random.Generator
+) -> tuple[float, list[Move] | None]:
+    """Random single-branch rollout; returns the (negative) reward and the moves made.
 
     The rollout picks uniformly among the node's candidate relocations until
     the stage completes or the step cap is hit. The reward is the negated sum
     of all displacement distances from the root through the rollout; hitting
     the cap or getting stuck costs one workspace diagonal per leftover blocker.
+    The moves are those of a rollout that completed the stage, in order, and
+    None for one that did not.
     """
     points = ctx.table.points
     pos = list(node.positions)
     cost = node.path_cost
     steps_left = ROLLOUT_STEPS_PER_OBJECT * len(pos)
+    made: list[Move] = []
     while not stage_complete(ctx, pos):
         moves = _candidate_moves(ctx, pos) if steps_left else ()
         if not moves:
             workspace = ctx.scene.workspace
             diagonal = math.hypot(workspace.width, workspace.depth)
-            return -(cost + diagonal * max(1, len(get_blocking_objects(ctx, pos))))
+            return -(cost + diagonal * max(1, len(get_blocking_objects(ctx, pos)))), None
         steps_left -= 1
         obj, dst = moves[int(rng.integers(len(moves)))]
         cost += distance(points[pos[obj]], points[dst])
         pos[obj] = dst
-    return -cost
+        made.append((obj, dst))
+    return -cost, made
 
 
 def backpropagate(node: SearchNode, reward: float) -> None:
@@ -460,13 +473,19 @@ def _mark_dead(node: SearchNode) -> None:
         parent = parent.parent
 
 
-def _action_chain(node: SearchNode) -> list[Action]:
+def _action_chain(ctx: StageContext, node: SearchNode, moves: Sequence[Move]) -> list[Action]:
+    """The tree path from the root to ``node``, then ``moves`` played from there."""
     actions = []
     current = node
     while current.incoming is not None:
         actions.append(current.incoming)
         current = current.parent
     actions.reverse()
+    points = ctx.table.points
+    pos = list(node.positions)
+    for obj, dst in moves:
+        actions.append(Action(obj, points[pos[obj]], points[dst]))
+        pos[obj] = dst
     return actions
 
 
@@ -478,11 +497,19 @@ def solve_stage(
 ) -> list[Action]:
     """Drive the focus object to its goal; returns the action chain.
 
-    Runs select / expand / simulate / backpropagate rounds and halts on the
-    first node whose arrangement completes the stage. Raises ``StageTimeout``
-    when the wall-clock or iteration budget runs out and ``StageExhausted`` when
-    the whole tree is dead, and ``ValueError`` when ``start`` puts an object on
-    a point that is not a candidate, start or goal point of the scene.
+    Runs select / expand / simulate / backpropagate rounds and keeps the
+    cheapest trajectory that completes the stage: the tree path to a node
+    followed by that node's rollout, or a child that completes the stage on
+    its own. Ties go to the one found first. The chain returned is that
+    trajectory, at the end of the first round in which the root has been
+    expanded and some trajectory has completed; the check comes before the
+    budget checks, so a round that finds one is never wasted. Every
+    expansion leaves the root expanded, so a round whose expansion makes a
+    child that completes the stage ends the stage and runs no rollout. Raises
+    ``StageTimeout`` when the wall-clock or iteration budget runs out first
+    and ``StageExhausted`` when the whole tree is dead, and ``ValueError`` when
+    ``start`` puts an object on a point that is not a candidate, start or goal
+    point of the scene.
     """
     table = ctx.table
     positions = table.indices(start)
@@ -497,6 +524,16 @@ def solve_stage(
     if stage_complete(ctx, positions):
         return []
     root = SearchNode(positions)
+    # The cheapest completed trajectory so far: its cost, its node and the moves after it.
+    best: tuple[float, SearchNode, Sequence[Move]] | None = None
+
+    def rollout(node: SearchNode) -> None:
+        nonlocal best
+        reward, moves = simulate(ctx, node, rng)
+        if moves is not None and (best is None or -reward < best[0]):
+            best = (-reward, node, moves)
+        backpropagate(node, reward)
+
     for _ in range(budget.max_iterations):
         if deadline is not None and time.monotonic() > deadline:
             raise StageTimeout("stage wall-clock budget exhausted")
@@ -504,15 +541,19 @@ def solve_stage(
             raise StageExhausted("every branch of the stage tree is dead")
         leaf = select(root, EXPLORATION_CONSTANT)
         if leaf.visits == 0:
-            backpropagate(leaf, simulate(ctx, leaf, rng))
-            continue
-        try:
-            first_child = expand(ctx, leaf)
-        except ExpansionExhausted:
-            _mark_dead(leaf)
-            continue
-        for child in leaf.children:
-            if stage_complete(ctx, child.positions):
-                return _action_chain(child)
-        backpropagate(first_child, simulate(ctx, first_child, rng))
+            rollout(leaf)
+        else:
+            try:
+                first_child = expand(ctx, leaf)
+            except ExpansionExhausted:
+                _mark_dead(leaf)
+            else:
+                done = [ch for ch in leaf.children if stage_complete(ctx, ch.positions)]
+                for child in done:
+                    if best is None or child.path_cost < best[0]:
+                        best = (child.path_cost, child, ())
+                if not done:
+                    rollout(first_child)
+        if best is not None and root.children:
+            return _action_chain(ctx, best[1], best[2])
     raise StageTimeout("stage iteration budget exhausted")

@@ -14,7 +14,9 @@ bit for bit:
   ``j`` (``placement_sweep_mask``);
 - ``far(j)``: the point discs that do not overlap the disc at point ``j``;
 - ``nearest(j)``: the candidates in stable order of distance from point
-  ``j``, and those at point ``j``'s own spot (closer than 1e-6).
+  ``j``, and those at point ``j``'s own spot (closer than 1e-6);
+- ``reach(j)``: the distance from point ``j`` to each candidate, as
+  ``geometry.distance`` computes it.
 
 ``move_valid`` combines them into ``action_valid`` for one relocation between
 table points. Each point is a candidate or a start or goal point that ``Scene``
@@ -44,6 +46,7 @@ values. ``OcclusionTable(scene)`` stays cold and private to its caller.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable
 
 import numpy as np
@@ -95,6 +98,7 @@ class OcclusionTable:
         self._clear: list[int | None] = [None] * size
         self._far: list[int | None] = [None] * size
         self._nearest: list[tuple[np.ndarray, int] | None] = [None] * size
+        self._reach: list[np.ndarray | None] = [None] * size
 
     @classmethod
     def shared(cls, scene: Scene) -> OcclusionTable:
@@ -179,6 +183,22 @@ class OcclusionTable:
             order.flags.writeable = False  # shared by every table of the store
             entry = (order, to_bits(d2 <= _SAME_SPOT_D2))
             self._nearest[j] = entry
+        return entry
+
+    def reach(self, j: int) -> np.ndarray:
+        """Distance from point ``j`` to each candidate, bit for bit ``geometry.distance``.
+
+        ``math.hypot`` and ``np.hypot`` can differ in the last bit, so the
+        entry is filled by the former: sums of entries then order candidates
+        exactly as sums of ``distance`` calls do.
+        """
+        entry = self._reach[j]
+        if entry is None:
+            x, y = self.points[j]
+            grid = self.points[: self.n_candidates]
+            entry = np.fromiter((math.hypot(p.x - x, p.y - y) for p in grid), float, len(grid))
+            entry.flags.writeable = False  # shared by every table of the store
+            self._reach[j] = entry
         return entry
 
     def move_valid(self, src: int, dst: int, others: int) -> bool:

@@ -1,5 +1,5 @@
 """Multi-stage planning: one tree search per object in topology order, then
-plan optimization and an independent replay validator."""
+plan optimization, buffer re-targeting and an independent replay validator."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import TOL, Disc, Point, disc_in_workspace
-from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, solve_stage
+from .geometry import TOL, Disc, Point, disc_in_workspace, distance
+from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, _others, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable
 from .scene import ObjectId, Scene, list_from_json, point_from_json
@@ -354,11 +354,100 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
             return Plan(tuple(step.action for step in steps))
 
 
+def _retarget_step(
+    table: OcclusionTable, steps: list[_Step], trail: list[Indices], k: int, n: int
+) -> int | None:
+    """The candidate to re-target buffer step ``k`` to, or None to keep its point.
+
+    Step ``k`` puts its object on a buffer point and step ``n`` is the
+    object's next move. A candidate ``b`` may take the buffer point's place
+    when the plan with ``src_k→b`` and ``b→dst_n`` still replays: ``b``'s disc
+    and placing sweep clear every other object at step ``k``; at ``b`` the
+    object blocks no tunnel and no destination of the steps in between; and
+    its pick-up tunnel from ``b`` is clear at step ``n``. The others stand
+    still in between, so these bit-set tests are the whole replay. Of the
+    valid candidates, the one with the least detour ``d(src_k, b) + d(b,
+    dst_n)`` is taken, ties to the lower index, if that detour is shorter
+    than the buffer point's.
+    """
+    first, then = steps[k], steps[n]
+    obj, src, dst = first.obj, first.src, then.dst
+    ok = (1 << table.n_candidates) - 1 & ~(1 << src | 1 << dst)
+    for p in _others(trail[k], obj):
+        ok &= table.far(p) & table.clear(p)
+    for step in steps[k + 1 : n]:
+        ok &= ~(table.row(step.src) | table.row(step.dst)) & table.far(step.dst)
+    for p in _others(trail[n], obj):
+        ok &= table.clear(p)
+    if not ok:
+        return None
+    detour = table.reach(src) + table.reach(dst)
+    b = int(np.where(table.candidate_mask(ok), detour, np.inf).argmin())
+    via = first.action.dst
+    current = distance(first.action.src, via) + distance(via, then.action.dst)
+    return b if detour[b] < current else None
+
+
+def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
+    """Move each buffer step's object to the valid candidate with the least detour.
+
+    A buffer step puts an object down where it does not stay: the object
+    moves again later. ``new_region`` picks buffer points near where the
+    object stands, not on the way to where it goes next, so the detour
+    through a buffer point can often be shortened. Steps are scanned in
+    order and each is re-targeted as ``_retarget_step`` decides, and the
+    scan repeats until nothing changes. The plan keeps its steps and its
+    final arrangement, and its displacement only shrinks.
+
+    The plan is replayed once, in the indices of ``OcclusionTable.shared(
+    scene)``, into a trail of arrangements as in ``optimize_plan``. A
+    re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
+    from ``n + 1`` on; in between, replaying the steps would give the old
+    arrangements with the object at its new point, so that is what the trail
+    gets. The output equals ``tests/oracles.retarget_by_full_replay``, which
+    replays the whole plan for every trial. Raises ``ValueError`` when the
+    table does not index every point of the plan, which it does for every
+    plan the search returns, and ``InvalidPlanError`` when the plan does not
+    replay.
+    """
+    table = OcclusionTable.shared(scene)
+    if not table.covers(p for a in plan.actions for p in (a.src, a.dst)):
+        raise ValueError("re-targeting needs a plan on the scene's table points")
+    replay = _TableReplay(scene, table)
+    steps = replay.steps(plan.actions)
+    arr, trail = list(replay.start), []
+    failed, reason = replay.run(steps, arr, trail)
+    if failed is not None:
+        raise InvalidPlanError(f"input plan invalid at step {failed}: {reason}")
+    trail.append(tuple(arr))
+    following: dict[int, int] = {}  # buffer step -> the same object's next step
+    last: dict[ObjectId, int] = {}
+    for n, step in enumerate(steps):
+        if step.obj in last:
+            following[last[step.obj]] = n
+        last[step.obj] = n
+    changed = True
+    while changed:
+        changed = False
+        for k, n in sorted(following.items()):
+            b = _retarget_step(table, steps, trail, k, n)
+            if b is None:
+                continue
+            first, then, at = steps[k], steps[n], table.points[b]
+            steps[k] = _Step(first.obj, first.src, b, Action(first.obj, first.action.src, at))
+            steps[n] = _Step(then.obj, b, then.dst, Action(then.obj, at, then.action.dst))
+            for m in range(k + 1, n + 1):
+                trail[m] = trail[m][: first.obj] + (b,) + trail[m][first.obj + 1 :]
+            changed = True
+    return Plan(tuple(step.action for step in steps))
+
+
 def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> PlanReport:
     """Plan the full rearrangement.
 
     Solves one stage per object in topology order, feeding each stage's end
-    arrangement into the next, then optimizes the concatenated sub-plans.
+    arrangement into the next, then optimizes the concatenated sub-plans,
+    re-targets their buffer moves and optimizes again.
     The wall-clock budget is split evenly across the remaining stages, so
     time unused by early stages rolls forward.
     """
@@ -398,7 +487,7 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
             positions[act.obj] = act.dst
         actions.extend(chunk)
     optimized = optimize_plan(Plan(tuple(actions)), scene)
-    return report(True, optimized, None)
+    return report(True, optimize_plan(retarget_buffers(optimized, scene), scene), None)
 
 
 def plan_to_dict(plan: Plan, wall_time: float | None = None) -> dict:

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 
 from shelfplan import Action, Point, Scene, action_valid
-from shelfplan.geometry import Disc, Tunnel, disc_in_workspace, tunnel_disc_mask
+from shelfplan.geometry import Disc, Tunnel, disc_in_workspace, distance, tunnel_disc_mask
 from shelfplan.motion import home_tunnel
 
 
@@ -221,3 +221,47 @@ def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
                     break
         if not changed:
             return actions
+
+
+def retarget_by_full_replay(scene: Scene, actions) -> list[Action]:
+    """The re-targeting rule of ``retarget_buffers``, each trial replayed in full.
+
+    A buffer step ``k`` moves an object that moves again later, at its next
+    move ``n``. Candidates ``b`` other than ``k``'s pick-up and ``n``'s
+    destination are tried in order of the detour ``d(src_k, b) + d(b,
+    dst_n)``, ties to the lower grid index, while the detour is shorter than
+    the current one; the first whose whole plan replays on the float geometry
+    to the same final arrangement is taken. Steps are scanned in order until a
+    scan changes nothing. Brute force: no occlusion table, no trail, no bit
+    sets.
+    """
+    actions = list(actions)
+    final = _replays_to(scene, actions)
+    following = {}
+    for k, act in enumerate(actions):
+        later = [n for n in range(k + 1, len(actions)) if actions[n].obj == act.obj]
+        if later:
+            following[k] = later[0]
+    cands = scene.candidates
+    changed = True
+    while changed:
+        changed = False
+        for k, n in following.items():
+            first, then = actions[k], actions[n]
+            src, dst = first.src, then.dst
+            current = distance(src, first.dst) + distance(first.dst, dst)
+            detours = [(distance(src, b) + distance(b, dst), i) for i, b in enumerate(cands)]
+            for detour, i in sorted(detours):
+                if detour >= current:
+                    break
+                b = cands[i]
+                if b in (src, dst):
+                    continue
+                trial = list(actions)
+                trial[k] = Action(first.obj, src, b)
+                trial[n] = Action(first.obj, b, dst)
+                if _replays_to(scene, trial, final) is not None:
+                    actions = trial
+                    changed = True
+                    break
+    return actions

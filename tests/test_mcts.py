@@ -10,11 +10,15 @@ from shelfplan import (
     action_valid,
     generate_scene,
     make_scene,
+    plan,
+    validate_plan,
 )
+from shelfplan import mcts
 from shelfplan.geometry import Disc, distance, tunnel_intersects_disc
 from shelfplan.mcts import (
     SearchNode,
     StageContext,
+    StageTimeout,
     _candidate_moves,
     backpropagate,
     expand,
@@ -166,8 +170,9 @@ class TestExpand:
         child = expand(ctx, root)
         assert len(root.children) == 1
         assert child.incoming == Action(0, Point(10, 5), Point(10, 15))
-        reward = simulate(ctx, child, np.random.default_rng(0))
+        reward, moves = simulate(ctx, child, np.random.default_rng(0))
         assert reward == pytest.approx(-10.0)
+        assert moves == []
 
     def test_single_blocker_children_relocate_it_only(self):
         scene = make_scene([Point(4, 5), Point(10, 8)], [Point(10, 12), Point(16, 14)])
@@ -203,22 +208,26 @@ class TestSimulate:
         child = expand(ctx, root)
         assert stage_complete(ctx, child.positions)
         # rollout length 0: reward is the root-to-node distance, negated
-        assert simulate(ctx, child, np.random.default_rng(3)) == pytest.approx(-10.0)
+        reward, moves = simulate(ctx, child, np.random.default_rng(3))
+        assert reward == pytest.approx(-10.0)
+        assert moves == []
 
     def test_unblocked_focus_costs_straight_line(self):
         scene = make_scene([Point(10, 5)], [Point(13, 9)])
         ctx = ctx_for(scene)
         root = SearchNode(at(ctx, scene.start))
-        assert simulate(ctx, root, np.random.default_rng(0)) == pytest.approx(-5.0)
+        reward, moves = simulate(ctx, root, np.random.default_rng(0))
+        assert reward == pytest.approx(-5.0)
+        assert moves == [(0, ctx.focus_goal)]
 
     def test_same_seed_same_rollout(self, flip_scene):
         ctx = ctx_for(flip_scene, order=[0, 1, 2, 3])
         root = SearchNode(at(ctx, flip_scene.start))
-        rewards = [
+        rollouts = [
             simulate(ctx, root, np.random.default_rng(11)),
             simulate(ctx, root, np.random.default_rng(11)),
         ]
-        assert rewards[0] == rewards[1]
+        assert rollouts[0] == rollouts[1]
 
     def test_rewards_never_positive(self):
         rng = np.random.default_rng(2)
@@ -226,7 +235,49 @@ class TestSimulate:
             scene = generate_scene(SceneConfig(n_objects=4, rng_seed=seed))
             ctx = ctx_for(scene, order=list(range(4)))
             root = SearchNode(at(ctx, scene.start))
-            assert simulate(ctx, root, rng) <= 0.0
+            reward, _ = simulate(ctx, root, rng)
+            assert reward <= 0.0
+
+    def test_completed_rollout_replays_from_its_node(self):
+        # Rollouts from the root and from each of its children on the first
+        # stage of hard-band scenes: a completed one's moves are valid
+        # relocations from the node, they complete the stage, and with the
+        # node's path they cost exactly the negated reward.
+        completed = 0
+        for seed in (82, 99, 109):
+            scene = generate_scene(SceneConfig(n_objects=7 + (seed - 80) % 2, rng_seed=seed))
+            order = stage_order(build_dependency_graph(scene), scene)
+            ctx = ctx_for(scene, order=order)
+            root = SearchNode(at(ctx, scene.start))
+            root.visits = 1
+            expand(ctx, root)
+            rng = np.random.default_rng(seed)
+            for node in [root, *root.children] * 4:
+                reward, moves = simulate(ctx, node, rng)
+                if moves is None:
+                    continue
+                completed += 1
+                points = ctx.table.points
+                positions = [points[i] for i in node.positions]
+                cost = node.path_cost
+                for obj, dst in moves:
+                    act = Action(obj, positions[obj], points[dst])
+                    assert action_valid(scene, tuple(positions), act)
+                    positions[obj] = act.dst
+                    cost += act.displacement
+                assert stage_complete(ctx, at(ctx, positions))
+                assert cost == pytest.approx(-reward, rel=1e-12)
+        assert completed > 20
+
+    def test_failed_rollout_returns_no_moves(self):
+        # A tunnel as wide as the shelf makes object 1 block the focus and leaves it no buffer spot.
+        scene = make_scene(
+            [Point(4, 4), Point(16, 16)], [Point(4, 12), Point(16, 8)], tunnel_width=40
+        )
+        ctx = ctx_for(scene, order=[0, 1])
+        reward, moves = simulate(ctx, SearchNode(at(ctx, scene.start)), np.random.default_rng(0))
+        assert moves is None
+        assert reward < 0.0
 
 
 class TestBackpropagate:
@@ -304,6 +355,87 @@ class TestSolveStage:
                 positions[act.obj] = act.dst
             assert positions[0] == scene.goal[0]
 
+    @pytest.mark.parametrize("seed, n_objects", [(82, 7), (99, 8), (109, 8), (3, 5), (17, 5)])
+    def test_chain_is_no_costlier_than_any_completed_trajectory_seen(
+        self, seed, n_objects, monkeypatch
+    ):
+        # Record every trajectory the search completes: a rollout that
+        # completes the stage (its cost is the negated reward), or a child
+        # that completes it on its own (its path cost). Each stage of the
+        # plan returns a chain no costlier than any of them.
+        seen: list[float] = []
+
+        def recording_simulate(ctx, node, rng):
+            reward, moves = simulate(ctx, node, rng)
+            if moves is not None:
+                seen.append(-reward)
+            return reward, moves
+
+        def recording_expand(ctx, node):
+            first = expand(ctx, node)
+            seen.extend(ch.path_cost for ch in node.children if stage_complete(ctx, ch.positions))
+            return first
+
+        monkeypatch.setattr(mcts, "simulate", recording_simulate)
+        monkeypatch.setattr(mcts, "expand", recording_expand)
+        scene = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+        order = stage_order(build_dependency_graph(scene), scene)
+        table = OcclusionTable(scene)
+        rng = np.random.default_rng(seed)
+        positions = list(scene.start)
+        searched = 0
+        for index in range(len(order)):
+            seen.clear()
+            ctx = StageContext(scene, tuple(order), index, table)
+            chain = solve_stage(ctx, tuple(positions), BUDGET, rng)
+            for act in chain:
+                assert action_valid(scene, tuple(positions), act)
+                positions[act.obj] = act.dst
+            if chain:
+                searched += 1
+                cost = sum(act.displacement for act in chain)
+                assert seen and cost <= min(seen) + 1e-9
+        assert positions == list(scene.goal)
+        assert searched
+
+    def test_root_is_expanded_before_a_completed_rollout_returns(self):
+        # The root's own rollout completes the stage in the first round, but
+        # the stage returns only once the root has been expanded, in round two.
+        scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
+        ctx = ctx_for(scene, order=[0, 1])
+        with pytest.raises(StageTimeout, match="iteration budget"):
+            solve_stage(ctx, scene.start, SearchBudget(1, None), np.random.default_rng(0))
+        actions = solve_stage(ctx, scene.start, SearchBudget(2, None), np.random.default_rng(0))
+        assert actions == [Action(0, Point(10, 5), Point(10, 15))]
+
+    def test_completing_child_counts_when_no_rollout_completes(self, monkeypatch):
+        # With every rollout reported as failed, the only completed trajectory
+        # is the root's child that makes the direct move.
+        def failing_simulate(ctx, node, rng):
+            reward, _ = simulate(ctx, node, rng)
+            return reward, None
+
+        monkeypatch.setattr(mcts, "simulate", failing_simulate)
+        scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
+        ctx = ctx_for(scene, order=[0, 1])
+        actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
+        assert actions == [Action(0, Point(10, 5), Point(10, 15))]
+
+    def test_planning_the_benchmark_self_test_scene_reaches_expand(self, monkeypatch):
+        # The benchmark's self-test plans this scene and requires every traced
+        # search function, expand included, to be called.
+        calls = []
+
+        def counting_expand(ctx, node):
+            calls.append(node.depth)
+            return expand(ctx, node)
+
+        monkeypatch.setattr(mcts, "expand", counting_expand)
+        scene = generate_scene(SceneConfig(n_objects=4, rng_seed=3))
+        report = plan(scene, SearchBudget(wall_clock_limit=None), seed=0)
+        assert report.success and validate_plan(scene, report.plan).valid
+        assert calls
+
 
 class TestUnknownPositions:
     def test_solve_stage_names_the_point(self):
@@ -361,28 +493,33 @@ class TestUnknownPositions:
 class TestMoveMemo:
     @pytest.mark.parametrize("seed, n_objects", [(82, 7), (99, 8)])
     def test_memo_equals_a_fresh_context_on_every_visited_arrangement(self, seed, n_objects):
-        # A hard-band scene planned stage by stage as plan() does: every stage
+        # Hard-band scenes planned stage by stage as plan() does: every stage
         # shares the plan's table but starts with an empty memo, and every
         # arrangement its search asked about gets the same moves from a fresh
-        # context (so a fresh memo) over a fresh table, stuck or not.
-        scene = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
-        order = stage_order(build_dependency_graph(scene), scene)
-        table = OcclusionTable(scene)
-        rng = np.random.default_rng(seed)
-        positions = list(scene.start)
+        # context (so a fresh memo) over a fresh table, stuck or not. A search
+        # visits 11-37 arrangements per hard scene, so the case plans the
+        # scene of ``seed`` and the five after it, with object counts
+        # alternating from ``n_objects`` as in the band, to reach the floor.
         visited = 0
-        for index in range(len(order)):
-            ctx = StageContext(scene, tuple(order), index, table)
-            assert ctx.move_memo == {}
-            for act in solve_stage(ctx, tuple(positions), BUDGET, rng):
-                positions[act.obj] = act.dst
-            assert all(type(moves) is tuple for moves in ctx.move_memo.values())
-            fresh_table = OcclusionTable(scene)
-            arrangements = {arrangement for arrangement, _ in ctx.move_memo}
-            for arrangement in arrangements:
-                for stuck in (False, True):
-                    fresh = StageContext(scene, tuple(order), index, fresh_table)
-                    warm = _candidate_moves(ctx, list(arrangement), stuck)
-                    assert warm == _candidate_moves(fresh, list(arrangement), stuck)
-            visited += len(arrangements)
+        for k in range(6):
+            count = n_objects if k % 2 == 0 else 15 - n_objects
+            scene = generate_scene(SceneConfig(n_objects=count, rng_seed=seed + k))
+            order = stage_order(build_dependency_graph(scene), scene)
+            table = OcclusionTable(scene)
+            rng = np.random.default_rng(seed + k)
+            positions = list(scene.start)
+            for index in range(len(order)):
+                ctx = StageContext(scene, tuple(order), index, table)
+                assert ctx.move_memo == {}
+                for act in solve_stage(ctx, tuple(positions), BUDGET, rng):
+                    positions[act.obj] = act.dst
+                assert all(type(moves) is tuple for moves in ctx.move_memo.values())
+                fresh_table = OcclusionTable(scene)
+                arrangements = {arrangement for arrangement, _ in ctx.move_memo}
+                for arrangement in arrangements:
+                    for stuck in (False, True):
+                        fresh = StageContext(scene, tuple(order), index, fresh_table)
+                        warm = _candidate_moves(ctx, list(arrangement), stuck)
+                        assert warm == _candidate_moves(fresh, list(arrangement), stuck)
+                visited += len(arrangements)
         assert visited > 100

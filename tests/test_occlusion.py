@@ -4,9 +4,10 @@ Entries are bit sets (bit ``k`` for point ``k``). Each kind is compared with
 the function the search called before the table existed, over every point
 pair of a scene: ``row`` with ``tunnel_disc_mask`` (and the scalar
 ``tunnel_intersects_disc``), ``clear`` with ``placement_sweep_mask``, ``far``
-with ``discs_overlap``, and ``nearest`` with a stable sort of the squared
-distances. All tunnel paths share one kernel, so ``row`` and ``clear`` agree
-with each other too, exact tangencies included.
+with ``discs_overlap``, ``nearest`` with a stable sort of the squared
+distances, and ``reach`` with ``distance``. All tunnel paths share one
+kernel, so ``row`` and ``clear`` agree with each other too, exact tangencies
+included.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from shelfplan.geometry import (
     Workspace,
     disc_in_workspace,
     discs_overlap,
+    distance,
     tunnel_disc_mask,
     tunnel_intersects_disc,
 )
@@ -154,6 +156,16 @@ class TestKernelEquivalence:
             assert np.array_equal(order, np.argsort(d2, kind="stable"))
             assert order.dtype == np.uint16 and not order.flags.writeable
             assert own_spot == to_bits(d2 <= 1e-12)
+
+    def test_reach_is_distance_bit_for_bit(self, table):
+        # Re-targeting orders candidates by sums of these entries, so each must
+        # be the float ``distance`` gives in either direction, not a near one.
+        for j in range(0, len(table.points), 11):
+            reach = table.reach(j)
+            p = table.points[j]
+            assert reach.tolist() == [distance(p, q) for q in table.scene.candidates]
+            assert reach.tolist() == [distance(q, p) for q in table.scene.candidates]
+            assert not reach.flags.writeable
 
     def test_own_spot_covers_a_candidate_closer_than_1e_6(self):
         scene = make_scene([Point(4.0000001, 4.0)], [Point(16, 16)])

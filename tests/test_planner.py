@@ -25,13 +25,21 @@ from shelfplan import (
 )
 from shelfplan.geometry import Disc, discs_overlap, tunnel_intersects_disc
 from shelfplan.motion import home_tunnel
+from shelfplan import planner
 from shelfplan.occlusion import OcclusionTable
+from shelfplan.planner import retarget_buffers
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from json_fuzz import hostile_edits
-from oracles import optimize_by_full_replay, random_walk_instance, replay_plan
+from oracles import (
+    optimize_by_full_replay,
+    random_walk_instance,
+    replay_plan,
+    retarget_by_full_replay,
+)
+from test_golden_plans import corpus_cases as golden_cases
 
 NO_TIMEOUT = SearchBudget(wall_clock_limit=None)
 
@@ -257,6 +265,100 @@ class TestOptimizePlan:
             assert out.steps <= raw.steps
             assert out.total_displacement <= raw.total_displacement + 1e-9
             assert validate_plan(scene, out).valid
+
+
+def search_output(scene, seed):
+    """The plan ``plan()`` hands to ``retarget_buffers``: the optimised search output."""
+    seen = []
+
+    def spy(plan_in, scene_in):
+        seen.append(plan_in)
+        return retarget_buffers(plan_in, scene_in)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "retarget_buffers", spy)
+        report = plan(scene, NO_TIMEOUT, seed=seed)
+    assert report.success and len(seen) == 1
+    return seen[0]
+
+
+def check_retarget(scene, raw):
+    """``retarget_buffers`` equals the full-replay oracle and only shortens a valid plan."""
+    out = retarget_buffers(raw, scene)
+    assert list(out.actions) == retarget_by_full_replay(scene, raw.actions)
+    assert out.steps == raw.steps
+    assert out.total_displacement <= raw.total_displacement + 1e-9
+    assert validate_plan(scene, out).valid
+    return out
+
+
+class TestRetargetBuffers:
+    @pytest.mark.parametrize("case", golden_cases(), ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_equals_full_replay_oracle_on_search_outputs(self, case):
+        _, seed, n_objects, grid = case
+        scene = generate_scene(
+            SceneConfig(n_objects=n_objects, rng_seed=seed, grid_resolution=grid)
+        )
+        raw = search_output(scene, seed)
+        assert validate_plan(scene, raw).valid
+        check_retarget(scene, raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_objects=st.integers(1, 5), steps=st.integers(1, 24))
+    def test_equals_full_replay_oracle_on_walks(self, seed, n_objects, steps):
+        scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=steps)
+        check_retarget(scene, Plan(tuple(actions)))
+
+    def test_buffer_on_the_way_replaces_a_detour(self):
+        # Alone on the shelf, the object parks far off its line to the goal;
+        # the best candidate lies on that line, so the detour becomes straight.
+        scene = make_scene([Point(10, 5)], [Point(10, 15)])
+        raw = Plan(
+            (Action(0, Point(10, 5), Point(16, 16)), Action(0, Point(16, 16), Point(10, 15)))
+        )
+        out = check_retarget(scene, raw)
+        via = out.actions[0].dst
+        assert via.x == 10 and 5 < via.y < 15
+        assert out.total_displacement == pytest.approx(10.0)
+        assert optimize_plan(out, scene).actions == (Action(0, Point(10, 5), Point(10, 15)),)
+
+    @pytest.mark.parametrize("arrives", [False, True], ids=["stands-there", "arrives-between"])
+    def test_overlap_with_a_disc_no_tunnel_touches(self, arrives):
+        # (10, 10) is the one candidate on object 0's line from (8, 5) to (12,
+        # 15). Object 1 at (8.5, 10), there from the start or placed between
+        # object 0's two moves, overlaps its disc, yet a 0.5-wide tunnel
+        # misses object 1, so only the disc test rules (10, 10) out.
+        goal = (Point(12, 15), Point(8.5, 10))
+        moves = [Action(0, Point(8, 5), Point(16, 16)), Action(0, Point(16, 16), Point(12, 15))]
+        if arrives:
+            scene = make_scene([Point(8, 5), Point(4, 16)], goal, tunnel_width=0.5)
+            moves.insert(1, Action(1, Point(4, 16), Point(8.5, 10)))
+        else:
+            scene = make_scene([Point(8, 5), Point(8.5, 10)], goal, tunnel_width=0.5)
+        out = check_retarget(scene, Plan(tuple(moves)))
+        assert out.actions[0].dst not in (Point(16, 16), Point(10, 10))
+
+    def test_plan_without_buffer_steps_is_unchanged(self):
+        scene = make_scene([Point(4, 5), Point(16, 5)], [Point(4, 15), Point(16, 15)])
+        raw = Plan(
+            (Action(0, Point(4, 5), Point(4, 15)), Action(1, Point(16, 5), Point(16, 15)))
+        )
+        assert retarget_buffers(raw, scene) == raw
+
+    def test_invalid_input_rejected(self):
+        scene = make_scene([Point(4, 5)], [Point(10, 10)])
+        broken = Plan((Action(0, Point(9, 9), Point(10, 10)),))
+        with pytest.raises(InvalidPlanError, match="input plan invalid at step 0"):
+            retarget_buffers(broken, scene)
+
+    def test_off_table_point_rejected(self):
+        scene = make_scene([Point(4, 5)], [Point(4, 5)])
+        off_grid = Plan(
+            (Action(0, Point(4, 5), Point(10.25, 10)), Action(0, Point(10.25, 10), Point(4, 5)))
+        )
+        assert validate_plan(scene, off_grid).valid
+        with pytest.raises(ValueError, match="table points"):
+            retarget_buffers(off_grid, scene)
 
 
 @pytest.fixture(params=["table", "float"])

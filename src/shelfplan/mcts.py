@@ -130,6 +130,9 @@ class SearchBudget:
     wall_clock_limit: float | None = 30.0
 
     def __post_init__(self) -> None:
+        n = self.max_iterations
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"max_iterations must be a positive int, not {n!r}")
         if self.wall_clock_limit is not None and math.isnan(self.wall_clock_limit):
             raise ValueError("wall_clock_limit must be a number of seconds or None, not nan")
 

@@ -51,18 +51,31 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     Valid iff neither sweep tunnel has a collision object other than the moved
     object, and the destination disc fits the workspace without overlapping
     another object. The moved object itself travels inside the tunnels and is
-    ignored on both legs. One ``collision_objs`` call answers both legs.
+    ignored on both legs. ``arrangement`` is a sequence of ``(x, y)`` pairs:
+    Points, lists or the rows of an array.
+
+    The overlap test runs on Python floats, with ``ex * ex + ey * ey``: the
+    arithmetic numpy does for a squared difference summed over two columns.
+    One ``collision_objs`` call then answers both legs, so a relocation costs
+    one ``tunnel_hits`` call. Raises ``ValueError`` when ``action.obj`` is not
+    an index of ``arrangement``, and when a leg is aimed at the robot home.
     """
+    obj, dst, n = action.obj, action.dst, len(arrangement)
+    if not 0 <= obj < n:
+        raise ValueError(f"object {obj} is not in an arrangement of {n}")
     b = scene.object_radius
-    if not disc_in_workspace(Disc(Point(*action.dst), b), scene.workspace):
+    if not disc_in_workspace(Disc(Point(*dst), b), scene.workspace):
         return False
-    pos = np.asarray(arrangement, dtype=float)
-    d2 = ((pos - np.asarray(action.dst, dtype=float)) ** 2).sum(axis=1)
-    d2[action.obj] = np.inf  # the moved object vacates its own disc
-    if (d2 < (2.0 * b) ** 2).any():
-        return False
-    others = [o for o in range(len(pos)) if o != action.obj]
-    return not collision_objs(scene, pos, others, action.src, action.dst)
+    x, y = dst
+    reach = (2.0 * b) ** 2
+    for o, p in enumerate(arrangement):
+        if o != obj:
+            ex = p[0] - x
+            ey = p[1] - y
+            if ex * ex + ey * ey < reach:
+                return False
+    others = [o for o in range(n) if o != obj]
+    return not collision_objs(scene, arrangement, others, action.src, dst)
 
 
 def collision_objs(
@@ -70,27 +83,36 @@ def collision_objs(
 ) -> set[ObjectId]:
     """Subset of ``candidates`` whose current disc a home tunnel to one of ``targets`` touches.
 
-    The tunnels are (k, 1) columns built with the expressions of ``tunnel_to``
-    and ``placement_sweep_mask``, so each one answers as
-    ``tunnel_disc_mask(home_tunnel(scene, target), ...)`` bit for bit, and one
-    ``tunnel_hits`` call covers them all. Raises ``ValueError`` when a target
-    coincides with the robot home, as ``home_tunnel`` does.
+    Each tunnel's ``(c, s, length)`` is built on floats with the expressions of
+    ``tunnel_to``, ``np.hypot`` included, so each one answers as
+    ``tunnel_disc_mask(home_tunnel(scene, target), ...)`` bit for bit. The
+    tunnels and the candidates' centers are packed into one small array, and
+    one ``tunnel_hits`` call takes the tunnels as (k, 1) columns. Raises
+    ``ValueError`` when a target coincides with the robot home, as
+    ``home_tunnel`` does, even with no candidates.
     """
     b = scene.object_radius
-    home = scene.robot_home
-    vec = np.array([(t[0] - home[0], t[1] - home[1]) for t in targets], dtype=float)
-    vec = vec.reshape(-1, 2)  # no targets: no tunnels
-    dist = np.hypot(vec[:, :1], vec[:, 1:])  # one tunnel per row
-    if not dist.all():
-        raise ValueError("tunnel target coincides with its anchor")
+    home = hx, hy = scene.robot_home
+    values: list[float] = []  # each leg's (c, s, length), then each candidate's (x, y)
+    for t in targets:
+        dx = t[0] - hx
+        dy = t[1] - hy
+        dist = float(np.hypot(dx, dy))
+        if dist == 0.0:
+            raise ValueError("tunnel target coincides with its anchor")
+        # inf / inf is nan in Python as in numpy: an infinite leg aims nowhere.
+        values.extend((dx / dist, dy / dist, dist + b))
     ids = sorted(candidates)
-    if not ids:
+    k = len(values) // 3
+    if not ids or not k:
         return set()
-    with np.errstate(invalid="ignore"):  # an infinite leg aims nowhere, as in ``tunnel_to``
-        unit = vec / dist
-    direction = (unit[:, :1], unit[:, 1:])
-    centers = np.asarray(arrangement, dtype=float).take(ids, axis=0)
-    hits = tunnel_hits(home, direction, dist + b, scene.tunnel_width, centers, b)
+    for o in ids:
+        values.extend(arrangement[o])
+    packed = np.array(values)  # one array from flat floats: cheaper than from pairs
+    legs = packed[: 3 * k].reshape(k, 3)
+    centers = packed[3 * k :].reshape(-1, 2)
+    direction = (legs[:, :1], legs[:, 1:2])
+    hits = tunnel_hits(home, direction, legs[:, 2:], scene.tunnel_width, centers, b)
     return {o for o, hit in zip(ids, hits.any(axis=0).tolist()) if hit}
 
 

@@ -152,11 +152,10 @@ class _FloatReplay(_Replay):
             index.setdefault(a.src, len(index))
             index.setdefault(a.dst, len(index))
         super().__init__(scene, index.__getitem__, tuple(index))
-        self.coords = np.array(self.points, dtype=float).reshape(-1, 2)
 
     def check(self, arr: Sequence[int], step: _Step) -> str | None:
         act, scene = step.action, self.scene
-        if action_valid(scene, self.coords.take(arr, axis=0), act):
+        if action_valid(scene, self.positions(arr), act):
             return None
         inside = disc_in_workspace(Disc(Point(*act.dst), scene.object_radius), scene.workspace)
         return _COLLIDES if inside else _LEAVES

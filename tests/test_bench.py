@@ -191,6 +191,12 @@ class TestPublicApi:
         with pytest.raises(ValueError, match="not nan"):
             SearchBudget(wall_clock_limit=math.nan)
 
+    @pytest.mark.parametrize("bad", [2.5, 0, -3, True, "10", None])
+    def test_search_budget_rejects_an_iteration_count_that_is_not_a_positive_int(self, bad):
+        # 2.5 used to fail in range() inside solve_stage; 0 and -3 read as a timeout.
+        with pytest.raises(ValueError, match="max_iterations must be a positive int"):
+            SearchBudget(max_iterations=bad)
+
 
 class TestCli:
     def test_default_plan_equals_api_plan(self, tmp_path):

@@ -100,6 +100,14 @@ class TestActionValid:
                 after[obj] = dst
                 assert arrangement_valid(tuple(after), scene)
 
+    @pytest.mark.parametrize("obj", [-1, -3, 2, 7])
+    def test_object_outside_the_arrangement_raises(self, obj):
+        # A negative id used to stand for object n - 1; an id >= n was a bare IndexError.
+        scene = make_scene([Point(4, 5), Point(16, 5)], [Point(4, 15), Point(16, 15)])
+        act = Action(obj, Point(4, 5), Point(10, 15))
+        with pytest.raises(ValueError, match=f"object {obj} is not in an arrangement of 2"):
+            action_valid(scene, scene.start, act)
+
     def test_removing_bystander_never_invalidates(self, collinear_scene):
         # valid with both objects present stays valid when the bystander leaves
         scene = collinear_scene
@@ -107,6 +115,22 @@ class TestActionValid:
         assert action_valid(scene, scene.start, act)
         solo = make_scene([Point(10, 5)], [Point(4, 5)])
         assert action_valid(solo, (Point(10, 5),), act)
+
+
+FORMS = ["points", "lists", "float-array", "int-array"]
+
+
+def arrangement_forms(points):
+    """The same arrangement as Points, as ``[x, y]`` lists, as a float array and an int array."""
+    floats = np.array(points, dtype=float)
+    ints = floats.astype(int)
+    assert np.array_equal(ints, floats)  # grid points: the int form is the same arrangement
+    return {
+        "points": tuple(points),
+        "lists": [[p.x, p.y] for p in points],
+        "float-array": floats,
+        "int-array": ints,
+    }
 
 
 class TestAgainstTwoLegs:
@@ -123,20 +147,39 @@ class TestAgainstTwoLegs:
         expected = outcome(action_valid_by_legs, scene, arrangement, act)
         assert outcome(action_valid, scene, arrangement, act) == expected
 
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("leg", ["pick", "place"])
-    def test_tangent_pairs_on_both_legs(self, leg):
+    def test_tangent_pairs_on_both_legs(self, leg, form):
         scene = single_object_scene()
         for target, disc in LATTICE_TANGENCIES + FAR_CORNER_TANGENCIES:
             for other in scene.candidates[::7]:
                 src, dst = (target, other) if leg == "pick" else (other, target)
                 if src == dst:
                     continue
-                arrangement = (src, disc)
+                arrangement = arrangement_forms([src, disc])[form]
                 act = Action(0, src, dst)
-                expected = action_valid_by_legs(scene, arrangement, act)
+                expected = action_valid_by_legs(scene, (src, disc), act)
                 assert action_valid(scene, arrangement, act) == expected, (leg, target, disc)
                 if (target, disc) in LATTICE_TANGENCIES:
                     assert not expected  # closed contact blocks the leg
+            hits = collision_objs(scene, arrangement_forms([disc])[form], {0}, target)
+            assert hits == ({0} if (target, disc) in LATTICE_TANGENCIES else set())
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_grid_walk_in_every_form(self, form):
+        scene = generate_scene(SceneConfig(n_objects=6, rng_seed=5))
+        rng = np.random.default_rng(5)
+        arrangement = list(scene.start)
+        for _ in range(200):
+            obj = int(rng.integers(len(arrangement)))
+            dst = scene.candidates[int(rng.integers(len(scene.candidates)))]
+            if dst == arrangement[obj]:
+                continue
+            act = Action(obj, arrangement[obj], dst)
+            expected = action_valid_by_legs(scene, arrangement, act)
+            assert action_valid(scene, arrangement_forms(arrangement)[form], act) == expected
+            if expected:
+                arrangement[obj] = dst
 
     def test_target_at_home_still_raises(self):
         scene = single_object_scene()
@@ -150,6 +193,13 @@ class TestCollisionObjs:
     def test_empty_candidates(self, collinear_scene):
         target = Point(10, 12)
         assert collision_objs(collinear_scene, collinear_scene.start, set(), target) == set()
+
+    def test_no_targets_no_tunnels(self, collinear_scene):
+        assert collision_objs(collinear_scene, collinear_scene.start, {0, 1}) == set()
+
+    @pytest.mark.parametrize("target", [Point(np.inf, 5.0), Point(-np.inf, 5.0), Point(10.0, np.inf)])
+    def test_infinite_leg_aims_nowhere(self, collinear_scene, target):
+        assert collision_objs(collinear_scene, collinear_scene.start, {0, 1}, target) == set()
 
     def test_far_tunnel_hits_nothing(self, collinear_scene):
         target = Point(19, 1)

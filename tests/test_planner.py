@@ -455,6 +455,15 @@ class TestValidatePlan:
         plan_ = Plan((Action(0, Point(math.nan, math.nan), Point(16, 5)),))
         assert not validate_plan(lone, plan_).valid
 
+    @pytest.mark.parametrize("obj", [2, -1])
+    def test_unknown_object_has_its_own_reason(self, obj):
+        scene, bad = bad_second_step("unknown-object")
+        second = bad.actions[1]
+        bad = Plan((bad.actions[0], Action(obj, second.src, second.dst)))
+        check = validate_plan(scene, bad)
+        assert (check.valid, check.failed_step) == (False, 1)
+        assert check.reason == f"unknown object {obj}"
+
     @pytest.mark.parametrize("bad", ["off-floor", "nan", "inf", "-inf"])
     def test_destination_leaving_workspace_has_its_own_reason(self, bad):
         check = validate_plan(*bad_second_step(bad))

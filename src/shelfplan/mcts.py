@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import TOL, distance
 from .motion import Action
-from .occlusion import OcclusionTable
+from .occlusion import OcclusionTable, other_points
 from .scene import Arrangement, ObjectId, Scene
 
 _EPS = 1e-12
@@ -169,11 +169,6 @@ class SearchNode:
         self.dead = False
 
 
-def _others(positions: list[int], obj: ObjectId) -> list[int]:
-    """The points that every object but ``obj`` stands on."""
-    return [j for o, j in enumerate(positions) if o != obj]
-
-
 def blocked_pickups_at_goal(ctx: StageContext, positions: list[int]) -> set[ObjectId]:
     """Movable objects whose pickup tunnel the focus would block once at its goal."""
     rows = ctx.table.row
@@ -225,7 +220,7 @@ def new_region(
     table = ctx.table
     order, own_spot = table.nearest(positions[obj])
     ok = ((1 << table.n_candidates) - 1) & ~own_spot  # staying put is not a relocation
-    others = _others(positions, obj)
+    others = other_points(positions, obj)
     for j in others:
         ok &= table.far(j)
     blocked = table.row(positions[ctx.focus]) | table.row(ctx.focus_goal)
@@ -242,17 +237,9 @@ def new_region(
     return order[np.flatnonzero(accepted)[:EXPANSION_WIDTH]].tolist()
 
 
-def _move_valid(ctx: StageContext, positions: list[int], obj: ObjectId, dst: int) -> bool:
-    """``action_valid`` for moving ``obj`` to point ``dst``, looked up in the table."""
-    occupied = 0
-    for j in _others(positions, obj):
-        occupied |= 1 << j
-    return ctx.table.move_valid(positions[obj], dst, occupied)
-
-
 def _direct_move(ctx: StageContext, positions: list[int]) -> tuple[Move, ...]:
     focus, goal = ctx.focus, ctx.focus_goal
-    if positions[focus] != goal and _move_valid(ctx, positions, focus, goal):
+    if positions[focus] != goal and ctx.table.move_valid(positions, focus, positions[focus], goal):
         return ((focus, goal),)
     return ()
 
@@ -263,7 +250,7 @@ def _accessible_movables(ctx: StageContext, positions: list[int]) -> set[ObjectI
     return {
         obj
         for obj in ctx.movable_ids
-        if not any(rows(positions[obj]) >> j & 1 for j in _others(positions, obj))
+        if not any(rows(positions[obj]) >> j & 1 for j in other_points(positions, obj))
     }
 
 
@@ -327,7 +314,9 @@ def _relocation_moves(
                     else:
                         focus_tunnels = table.row(positions[focus]) | table.row(ctx.focus_goal)
                         goal_move_ok = not focus_tunnels >> goal & 1
-                    goal_move_ok = goal_move_ok and _move_valid(ctx, positions, o_i, goal)
+                    goal_move_ok = goal_move_ok and table.move_valid(
+                        positions, o_i, positions[o_i], goal
+                    )
                 if goal_move_ok:
                     push(o_i, goal)
                 else:

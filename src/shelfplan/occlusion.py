@@ -19,9 +19,10 @@ bit for bit:
   ``geometry.distance`` computes it.
 
 ``move_valid`` combines them into ``action_valid`` for one relocation between
-table points. Each point is a candidate or a start or goal point that ``Scene``
-checked, so its disc lies in the workspace; any other point is left to the
-float geometry.
+table points, given the point index of every object: it builds the bit set of
+the points the other objects stand on (``other_points``) itself. Each point is
+a candidate or a start or goal point that ``Scene`` checked, so its disc lies
+in the workspace; any other point is left to the float geometry.
 
 Both tunnel entries come from one kernel (``geometry.tunnel_hits``), so for a
 candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
@@ -47,13 +48,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import Point, tunnel_disc_mask
 from .motion import home_tunnel, placement_sweep_mask
-from .scene import Arrangement, Scene
+from .scene import Arrangement, ObjectId, Scene
 
 _SAME_SPOT_D2 = 1e-12  # squared distance under which a candidate is point j's own spot
 
@@ -71,6 +72,11 @@ def _shelf(scene: Scene) -> tuple:
         scene.tunnel_width,
         scene.grid_resolution,
     )
+
+
+def other_points(positions: Sequence[int], obj: ObjectId) -> list[int]:
+    """The points that every object but ``obj`` stands on."""
+    return [j for o, j in enumerate(positions) if o != obj]
 
 
 def to_bits(mask: np.ndarray) -> int:
@@ -201,15 +207,22 @@ class OcclusionTable:
             self._reach[j] = entry
         return entry
 
-    def move_valid(self, src: int, dst: int, others: int) -> bool:
-        """``action_valid`` for an object picked at point ``src`` and placed at point ``dst``.
+    def move_valid(self, positions: Sequence[int], obj: ObjectId, src: int, dst: int) -> bool:
+        """``action_valid`` for object ``obj`` picked at point ``src`` and placed at point ``dst``.
 
-        ``others`` is the bit set of the points the other objects stand on. The
-        move is valid iff the destination disc overlaps none of them and
-        neither home tunnel touches any of them; the disc at a table point
-        always lies in the workspace.
+        ``positions`` is the point index of every object. ``src`` is usually
+        ``positions[obj]``, but a replayed pick-up may be another point within
+        ``TOL`` of it. The move is valid iff the destination disc overlaps no
+        other object and neither home tunnel touches one; the disc at a table
+        point always lies in the workspace.
         """
-        return self.far(dst) & others == others and not (self.row(src) | self.row(dst)) & others
+        occupied = 0
+        for o, j in enumerate(positions):
+            if o != obj:
+                occupied |= 1 << j
+        if self.far(dst) & occupied != occupied:
+            return False
+        return not (self.row(src) | self.row(dst)) & occupied
 
     def _distances(self, j: int) -> np.ndarray:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)

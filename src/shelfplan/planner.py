@@ -11,9 +11,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import TOL, Disc, Point, disc_in_workspace, distance
-from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, _others, solve_stage
+from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, solve_stage
 from .motion import Action, action_valid
-from .occlusion import OcclusionTable
+from .occlusion import OcclusionTable, other_points
 from .scene import ObjectId, Scene, list_from_json, point_from_json
 from .topology import CycleError, build_dependency_graph, stage_order
 
@@ -87,9 +87,7 @@ class _Replay:
     """Replays of a plan's steps in point indices.
 
     ``points[i]`` is the point with index ``i``, and equal points share one
-    index. A subclass says why a step cannot be applied (``check``) and whether
-    one more object at a point would stop a step that is valid without it
-    (``blocks``).
+    index. A subclass says why a step cannot be applied (``check``).
     """
 
     def __init__(self, scene: Scene, index: Callable[[Point], int], points: Sequence[Point]):
@@ -99,9 +97,6 @@ class _Replay:
         self.start: Indices = tuple(index(p) for p in scene.start)
 
     def check(self, arr: Sequence[int], step: _Step) -> str | None:
-        raise NotImplementedError
-
-    def blocks(self, p: int, step: _Step) -> bool:
         raise NotImplementedError
 
     def steps(self, actions: Sequence[Action]) -> list[_Step]:
@@ -160,11 +155,6 @@ class _FloatReplay(_Replay):
         inside = disc_in_workspace(Disc(Point(*act.dst), scene.object_radius), scene.workspace)
         return _COLLIDES if inside else _LEAVES
 
-    def blocks(self, p: int, step: _Step) -> bool:
-        act = step.action
-        alone = (self.points[p], act.src)  # the object at ``p``, then the moved one
-        return not action_valid(self.scene, alone, Action(1, act.src, act.dst))
-
 
 class _TableReplay(_Replay):
     """Steps looked up in an occlusion table that indexes every point of the plan.
@@ -177,16 +167,7 @@ class _TableReplay(_Replay):
         self.table = table
 
     def check(self, arr: Sequence[int], step: _Step) -> str | None:
-        others = 0
-        for obj, p in enumerate(arr):
-            if obj != step.obj:
-                others |= 1 << p
-        return None if self.table.move_valid(step.src, step.dst, others) else _COLLIDES
-
-    def blocks(self, p: int, step: _Step) -> bool:
-        table = self.table
-        swept = (table.row(step.src) | table.row(step.dst)) >> p & 1
-        return bool(swept or not table.far(step.dst) >> p & 1)
+        return None if self.table.move_valid(arr, step.obj, step.src, step.dst) else _COLLIDES
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
@@ -240,38 +221,18 @@ def _merge_pair(
 
     The merged move replaces step ``t`` and step ``s`` is dropped; a merge
     that puts the object back exactly where it was picked up drops both. The
-    steps before ``t`` stay as they are, so the replay starts from
-    ``trail[t]``. When it ends exactly on ``trail[s+1]``, the unchanged suffix
-    replays exactly as before and is kept without replaying it. Otherwise the
-    suffix is replayed as well, and the end must lie within ``TOL`` of
-    ``final``, so every decision is that of a full replay.
-
-    When no step in between moves the object and the merge leaves it on step
-    ``s``'s destination ``at``, the steps in between see the same arrangement
-    as before but with the object at ``at``. Removing an obstacle never
-    invalidates a step, so each of them stays valid exactly when the object
-    at ``at`` does not block it, and the replay is these tests alone.
+    steps before ``t`` stay as they are, so the merged move and the steps
+    between the pair are replayed from ``trail[t]``; a step in between that
+    picks the object up where the merge no longer leaves it fails the
+    replay's pick check. When that replay ends exactly on ``trail[s+1]``, the
+    unchanged suffix replays exactly as before and is kept without replaying
+    it. Otherwise the suffix is replayed as well, and the end must lie within
+    ``TOL`` of ``final``, so every decision is that of a full replay.
     """
     first, last = steps[t], steps[s]
-    obj, before, middle = first.obj, trail[t], steps[t + 1 : s]
-    relocates = first.src != last.dst  # else the merge puts the object back
-    at = last.dst if relocates else before[obj]
-    own = next((step for step in middle if step.obj == obj), None)
-    if own is not None and own.src != at:
-        if not _near(replay.points[own.src], replay.points[at]):
-            return None  # the object is not where its next move picks it up
-    head = [_merge(first, last)] if relocates else []
-    if own is None and at == last.dst:
-        if head and replay.check(before, head[0]) is not None:
-            return None
-        if any(replay.blocks(at, step) for step in middle):
-            return None
-        moved = [arr[:obj] + (at,) + arr[obj + 1 :] for arr in trail[t + 1 : s]]
-        return (
-            steps[:t] + head + middle + steps[s + 1 :],
-            trail[:t] + [before] * len(head) + moved + trail[s + 1 :],
-        )
-    arr, part = list(before), []
+    middle = steps[t + 1 : s]
+    head = [_merge(first, last)] if first.src != last.dst else []
+    arr, part = list(trail[t]), []
     if replay.run(head + middle, arr, part)[0] is not None:
         return None
     if tuple(arr) == trail[s + 1]:
@@ -372,11 +333,11 @@ def _retarget_step(
     first, then = steps[k], steps[n]
     obj, src, dst = first.obj, first.src, then.dst
     ok = (1 << table.n_candidates) - 1 & ~(1 << src | 1 << dst)
-    for p in _others(trail[k], obj):
+    for p in other_points(trail[k], obj):
         ok &= table.far(p) & table.clear(p)
     for step in steps[k + 1 : n]:
         ok &= ~(table.row(step.src) | table.row(step.dst)) & table.far(step.dst)
-    for p in _others(trail[n], obj):
+    for p in other_points(trail[n], obj):
         ok &= table.clear(p)
     if not ok:
         return None

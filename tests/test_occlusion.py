@@ -331,11 +331,8 @@ def move_check(scene, arrangement, act):
     except ValueError:
         return None
     table = OcclusionTable(carrier)
-    others = 0
-    for o, p in enumerate(arrangement):
-        if o != act.obj:
-            others |= 1 << table.index_of(p)
-    return table.move_valid(table.index_of(act.src), table.index_of(act.dst), others)
+    positions = table.indices(arrangement)
+    return table.move_valid(positions, act.obj, table.index_of(act.src), table.index_of(act.dst))
 
 
 def parked_clear_of(scene, disc):

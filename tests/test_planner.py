@@ -370,10 +370,11 @@ def step_check(request, monkeypatch):
 
 
 class TestMergeShortcut:
-    """Merges whose middle steps leave the object alone test only its new point.
+    """A merge replays the merged move and the steps between the pair.
 
     Object 0 goes A -> B, others move, then it goes B -> C. Merged, it stands
-    on C while the others move, so each of their steps must clear C.
+    on C while the others move, so each of their steps must clear C. A move of
+    object 0 between the pair must pick it up where the merge leaves it.
     """
 
     def optimized(self, scene, actions, step_check):
@@ -432,6 +433,71 @@ class TestMergeShortcut:
         ]
         out = self.optimized(scene, actions, step_check)
         assert out.actions == tuple(actions[:3] + actions[4:5])
+
+    def test_own_middle_move_picking_up_away_from_the_merged_point(self, step_check, monkeypatch):
+        # Merging object 0's outermost pair leaves it on D, but its middle move
+        # picks it up at B, 8.5 away: the replay rejects that merge, and the
+        # inner pairs merge instead.
+        A, B, C, D = Point(4, 5), Point(4, 12), Point(10, 10), Point(10, 16)
+        starts, goals = [A, Point(16, 5)], [D, Point(16, 16)]
+        scene = make_scene(starts, goals)
+        actions = [
+            Action(0, A, B),
+            Action(1, starts[1], Point(16, 12)),
+            Action(0, B, C),
+            Action(1, Point(16, 12), goals[1]),
+            Action(0, C, D),
+        ]
+        tried = []
+        merge_pair = planner._merge_pair
+
+        def spy(replay, steps, trail, t, s, final):
+            merged = merge_pair(replay, steps, trail, t, s, final)
+            tried.append((t, s, merged is not None))
+            return merged
+
+        monkeypatch.setattr(planner, "_merge_pair", spy)
+        out = self.optimized(scene, actions, step_check)
+        assert tried[0] == (0, 4, False)
+        assert out.actions == (Action(0, A, D), Action(1, starts[1], goals[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_objects=st.integers(1, 5), steps=st.integers(1, 24))
+@pytest.mark.parametrize("kind", ["table", "float"])
+def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
+    # Every collapse and merge hands on the trail a replay of its steps from
+    # the start would give: the merge's skip of an unchanged suffix and
+    # plan()'s second optimise rely on it.
+    scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=steps)
+    handed_on = []  # (steps, trail) out of each pass
+    used = []  # the optimiser's replay
+    collapse_runs, sweep_merge = planner._collapse_runs, planner._sweep_merge
+
+    def collapse_spy(steps, trail, start):
+        out = collapse_runs(steps, trail, start)
+        handed_on.append(out)
+        return out
+
+    def sweep_spy(replay, steps, trail):
+        used.append(replay)
+        out = sweep_merge(replay, steps, trail)
+        handed_on.append(out[:2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "float":
+            mp.setattr(OcclusionTable, "covers", lambda self, points: False)
+        mp.setattr(planner, "_collapse_runs", collapse_spy)
+        mp.setattr(planner, "_sweep_merge", sweep_spy)
+        out = optimize_plan(Plan(tuple(actions)), scene)
+    replay = used[0]
+    assert isinstance(replay, planner._TableReplay) == (kind == "table")
+    for kept, trail in handed_on:
+        arr, fresh = list(replay.start), []
+        assert replay.run(kept, arr, fresh) == (None, None)
+        assert trail == fresh + [tuple(arr)]
+    assert [step.action for step in handed_on[-1][0]] == list(out.actions)
 
 
 class TestValidatePlan:

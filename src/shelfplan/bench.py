@@ -31,8 +31,11 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.difficulty not in LEVELS + ("all",):
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
-        if self.cases_per_level < 1:
-            raise ValueError("need at least one case per level")
+        n, seed = self.cases_per_level, self.base_seed
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"cases_per_level must be a positive int, not {n!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"base_seed must be a non-negative int, not {seed!r}")
         SceneConfig(grid_resolution=self.grid_resolution)  # checks the cases' candidate grid
 
     @property

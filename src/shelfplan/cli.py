@@ -75,7 +75,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     scene = _read(args.scene, scene_from_json, "scene")
-    report = plan(scene, _budget_from_args(args), seed=args.seed)
+    try:
+        report = plan(scene, _budget_from_args(args), seed=args.seed)
+    except ValueError as exc:
+        raise InputError(f"cannot plan: {exc}") from exc
     if not report.success:
         print(f"planning failed: {report.failure_kind} ({report.wall_time:.2f}s)", file=sys.stderr)
         return 1

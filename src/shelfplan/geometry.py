@@ -94,12 +94,13 @@ def tunnel_to(
 def tunnel_hits(
     anchor, direction, length, width: float, centers: np.ndarray, radius: float
 ) -> np.ndarray:
-    """The one tunnel--disc kernel: which closed discs touch the closed rectangle.
+    """The array tunnel--disc kernel: which closed discs touch the closed rectangle.
 
     Boundary contact counts, so a sweep is treated conservatively. ``centers``
     is (m, 2). One tunnel: ``direction`` is a unit ``(c, s)`` pair and ``length``
     a float; returns (m,) bools. k tunnels from one anchor: ``c``, ``s`` and
-    ``length`` are (k, 1) columns; returns (k, m).
+    ``length`` are (k, 1) columns; returns (k, m). ``tunnel_hits_disc`` is
+    the same arithmetic on floats, for one pair at a time.
     """
     c, s = direction
     dx = centers[:, 0] - anchor[0]
@@ -113,22 +114,25 @@ def tunnel_hits(
     return (u - uc) ** 2 + (v - vc) ** 2 <= radius * radius
 
 
-def tunnel_intersects_disc(t: Tunnel, d: Disc) -> bool:
-    """True iff the closed rectangle and the closed disc share a point.
+def tunnel_hits_disc(
+    dx: float, dy: float, c: float, s: float, length: float, half_width: float, r: float
+) -> bool:
+    """``tunnel_hits`` on floats for the disc at ``(dx, dy)`` from the anchor.
 
-    ``tunnel_hits`` written out on floats: the same operations in the same
-    order, so both give the same answer bit for bit, exact tangencies
-    included. Plain floats keep the one-disc test cheap.
+    The same operations in the same order (numpy squares by multiplying), so
+    both answer alike bit for bit, exact tangencies and NaN legs included.
     """
-    (ax, ay), (c, s) = t.anchor, t.direction
-    dx = d.center[0] - ax
-    dy = d.center[1] - ay
     u = dx * c + dy * s
     v = -dx * s + dy * c
-    uc = min(max(u, 0.0), t.length)
-    h = 0.5 * t.width
-    vc = min(max(v, -h), h)
-    return (u - uc) ** 2 + (v - vc) ** 2 <= d.radius * d.radius
+    du = u - min(max(u, 0.0), length)
+    dv = v - min(max(v, -half_width), half_width)
+    return du * du + dv * dv <= r * r
+
+
+def tunnel_intersects_disc(t: Tunnel, d: Disc) -> bool:
+    """True iff the closed rectangle and the closed disc share a point (``tunnel_hits_disc``)."""
+    (ax, ay), (cx, cy), (c, s) = t.anchor, d.center, t.direction
+    return tunnel_hits_disc(cx - ax, cy - ay, c, s, t.length, 0.5 * t.width, d.radius)
 
 
 def tunnel_disc_mask(t: Tunnel, centers: np.ndarray, radius: float) -> np.ndarray:

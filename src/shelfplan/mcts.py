@@ -507,7 +507,8 @@ def solve_stage(
     positions = table.indices(start)
     goal_idx = ctx.goal_indices
     for obj in ctx.static_ids:
-        if np.abs(table.coords[positions[obj]] - table.coords[goal_idx[obj]]).max() > TOL:
+        (x, y), (gx, gy) = table.points[positions[obj]], table.points[goal_idx[obj]]
+        if abs(x - gx) > TOL or abs(y - gy) > TOL:
             raise ValueError(f"static object {obj} is not at its goal at stage entry")
     if rng is None:
         rng = np.random.default_rng(0)

@@ -18,6 +18,7 @@ from .geometry import (
     disc_in_workspace,
     distance,
     tunnel_hits,
+    tunnel_hits_disc,
     tunnel_to,
 )
 from .scene import ObjectId, Scene
@@ -56,9 +57,9 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
 
     The overlap test runs on Python floats, with ``ex * ex + ey * ey``: the
     arithmetic numpy does for a squared difference summed over two columns.
-    One ``collision_objs`` call then answers both legs, so a relocation costs
-    one ``tunnel_hits`` call. Raises ``ValueError`` when ``action.obj`` is not
-    an index of ``arrangement``, and when a leg is aimed at the robot home.
+    One ``collision_objs`` call then answers both legs, on floats too. Raises
+    ``ValueError`` when ``action.obj`` is not an index of ``arrangement``, and
+    when a leg is aimed at the robot home.
     """
     obj, dst, n = action.obj, action.dst, len(arrangement)
     if not 0 <= obj < n:
@@ -84,36 +85,32 @@ def collision_objs(
     """Subset of ``candidates`` whose current disc a home tunnel to one of ``targets`` touches.
 
     Each tunnel's ``(c, s, length)`` is built on floats with the expressions of
-    ``tunnel_to``, ``np.hypot`` included, so each one answers as
-    ``tunnel_disc_mask(home_tunnel(scene, target), ...)`` bit for bit. The
-    tunnels and the candidates' centers are packed into one small array, and
-    one ``tunnel_hits`` call takes the tunnels as (k, 1) columns. Raises
-    ``ValueError`` when a target coincides with the robot home, as
-    ``home_tunnel`` does, even with no candidates.
+    ``tunnel_to``, ``np.hypot`` included, and each candidate is tested on
+    ``tunnel_hits_disc``, so each one answers as ``tunnel_disc_mask(
+    home_tunnel(scene, target), ...)`` bit for bit: on a few discs, cheaper
+    than a numpy call. Raises ``ValueError`` when a target coincides with the
+    robot home, as ``home_tunnel`` does, even with no candidates.
     """
     b = scene.object_radius
-    home = hx, hy = scene.robot_home
-    values: list[float] = []  # each leg's (c, s, length), then each candidate's (x, y)
+    hx, hy = scene.robot_home
+    legs = []
     for t in targets:
-        dx = t[0] - hx
-        dy = t[1] - hy
+        dx, dy = t[0] - hx, t[1] - hy
         dist = float(np.hypot(dx, dy))
         if dist == 0.0:
             raise ValueError("tunnel target coincides with its anchor")
         # inf / inf is nan in Python as in numpy: an infinite leg aims nowhere.
-        values.extend((dx / dist, dy / dist, dist + b))
-    ids = sorted(candidates)
-    k = len(values) // 3
-    if not ids or not k:
-        return set()
-    for o in ids:
-        values.extend(arrangement[o])
-    packed = np.array(values)  # one array from flat floats: cheaper than from pairs
-    legs = packed[: 3 * k].reshape(k, 3)
-    centers = packed[3 * k :].reshape(-1, 2)
-    direction = (legs[:, :1], legs[:, 1:2])
-    hits = tunnel_hits(home, direction, legs[:, 2:], scene.tunnel_width, centers, b)
-    return {o for o, hit in zip(ids, hits.any(axis=0).tolist()) if hit}
+        legs.append((dx / dist, dy / dist, dist + b))
+    h = 0.5 * scene.tunnel_width
+    hits = set()
+    for o in candidates:
+        x, y = arrangement[o]
+        dx, dy = x - hx, y - hy
+        for c, s, length in legs:
+            if tunnel_hits_disc(dx, dy, c, s, length, h, b):
+                hits.add(o)
+                break
+    return hits
 
 
 def placement_sweep_mask(scene: Scene, targets: np.ndarray, obstacles: np.ndarray) -> np.ndarray:

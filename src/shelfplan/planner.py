@@ -106,6 +106,14 @@ class _Replay:
     def positions(self, arr: Sequence[int]) -> list[Point]:
         return [self.points[i] for i in arr]
 
+    def trail(self, actions: Sequence[Action]) -> tuple[list[_Step], list[Indices]]:
+        """The steps of a plan and its trail; ``InvalidPlanError`` if it does not replay."""
+        steps, arr, trail = self.steps(actions), list(self.start), []
+        failed, reason = self.run(steps, arr, trail)
+        if failed is not None:
+            raise InvalidPlanError(f"input plan invalid at step {failed}: {reason}")
+        return steps, trail + [tuple(arr)]
+
     def run(
         self, steps: Sequence[_Step], arr: list[int], trail: list[Indices] | None = None
     ) -> tuple[int | None, str | None]:
@@ -217,17 +225,15 @@ def _collapse_runs(
 def _merge_pair(
     replay: _Replay, steps: list[_Step], trail: list[Indices], t: int, s: int, final: Indices
 ) -> tuple[list[_Step], list[Indices]] | None:
-    """The plan and trail with same-object steps ``t`` and ``s`` merged, or None if it fails.
+    """The plan and trail with consecutive moves ``t`` and ``s`` of one object merged.
 
     The merged move replaces step ``t`` and step ``s`` is dropped; a merge
     that puts the object back exactly where it was picked up drops both. The
-    steps before ``t`` stay as they are, so the merged move and the steps
-    between the pair are replayed from ``trail[t]``; a step in between that
-    picks the object up where the merge no longer leaves it fails the
-    replay's pick check. When that replay ends exactly on ``trail[s+1]``, the
-    unchanged suffix replays exactly as before and is kept without replaying
-    it. Otherwise the suffix is replayed as well, and the end must lie within
-    ``TOL`` of ``final``, so every decision is that of a full replay.
+    merged move and the steps between, which move other objects, are replayed
+    from ``trail[t]``, and the suffix is kept as it is, unless both moves were
+    dropped while the object stood only within ``TOL`` of where step ``s`` left
+    it: then the suffix is replayed too, and must end within ``TOL`` of
+    ``final``. Returns None on a failure.
     """
     first, last = steps[t], steps[s]
     middle = steps[t + 1 : s]
@@ -235,12 +241,10 @@ def _merge_pair(
     arr, part = list(trail[t]), []
     if replay.run(head + middle, arr, part)[0] is not None:
         return None
-    if tuple(arr) == trail[s + 1]:
-        tail = trail[s + 1 :]
-    else:
-        if replay.run(steps[s + 1 :], arr, part)[0] is not None:
-            return None
-        if not _within_tol(replay.positions(arr), replay.positions(final)):
+    tail = trail[s + 1 :]
+    if tuple(arr) != tail[0]:
+        failed, _ = replay.run(steps[s + 1 :], arr, part)
+        if failed is not None or not _within_tol(replay.positions(arr), replay.positions(final)):
             return None
         tail = [tuple(arr)]
     return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + tail
@@ -249,26 +253,21 @@ def _merge_pair(
 def _sweep_merge(
     replay: _Replay, steps: list[_Step], trail: list[Indices]
 ) -> tuple[list[_Step], list[Indices], bool]:
-    """One merge attempt per object over non-adjacent same-object pairs.
+    """At most one merge per object, of two consecutive moves that are not adjacent steps.
 
-    Pairs are scanned left-to-right, outermost partner first; a merge is kept
-    only when the shortened plan still replays collision-free to the same
-    final arrangement (within ``TOL``) as the plan at the start of the sweep
-    (see ``_merge_pair``). ``trail`` is the plan's, as in ``_collapse_runs``.
+    Each object's pairs are tried left to right (see ``_merge_pair``); a pair
+    with a move of the object between them could merge only if that move
+    picked the object up within ``TOL`` of the merged point, so none is tried.
+    ``final`` is the plan's end at the sweep's start, ``trail`` its trail.
     """
     final = trail[-1]
     changed = False
     for obj in sorted({step.obj for step in steps}):
         indices = [i for i, step in enumerate(steps) if step.obj == obj]
-        for ti in range(len(indices) - 1):
-            merged = None
-            for si in range(len(indices) - 1, ti, -1):
-                t, s = indices[ti], indices[si]
-                if s == t + 1:
-                    continue  # adjacent runs belong to the collapse pass
-                merged = _merge_pair(replay, steps, trail, t, s, final)
-                if merged is not None:
-                    break
+        for t, s in zip(indices, indices[1:]):
+            if s == t + 1:
+                continue  # adjacent runs belong to the collapse pass
+            merged = _merge_pair(replay, steps, trail, t, s, final)
             if merged is not None:
                 steps, trail = merged
                 changed = True
@@ -279,9 +278,9 @@ def _sweep_merge(
 def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     """Shorten a plan without breaking it.
 
-    First collapses consecutive same-object moves, then repeatedly merges
-    non-adjacent same-object pairs whenever the plan in between still replays
-    without collision, iterating both passes to a fixpoint. Never increases
+    First collapses one object's moves in adjacent steps, then merges two
+    consecutive moves of one object whenever the other objects' steps between
+    them still replay, iterating both passes to a fixpoint. Never increases
     the step count or the total displacement. Raises ``InvalidPlanError``,
     with the step and reason ``validate_plan`` reports, when the input plan
     does not replay. Steps that survive are the input's own ``Action`` objects.
@@ -300,12 +299,7 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
         replay: _Replay = _TableReplay(scene, table)
     else:
         replay = _FloatReplay(scene, plan.actions)
-    steps = replay.steps(plan.actions)
-    arr, trail = list(replay.start), []
-    step, reason = replay.run(steps, arr, trail)
-    if step is not None:
-        raise InvalidPlanError(f"input plan invalid at step {step}: {reason}")
-    trail.append(tuple(arr))
+    steps, trail = replay.trail(plan.actions)
     while True:
         collapsed, trail = _collapse_runs(steps, trail, replay.start)
         changed = len(collapsed) < len(steps)
@@ -373,13 +367,7 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     table = OcclusionTable.shared(scene)
     if not table.covers(p for a in plan.actions for p in (a.src, a.dst)):
         raise ValueError("re-targeting needs a plan on the scene's table points")
-    replay = _TableReplay(scene, table)
-    steps = replay.steps(plan.actions)
-    arr, trail = list(replay.start), []
-    failed, reason = replay.run(steps, arr, trail)
-    if failed is not None:
-        raise InvalidPlanError(f"input plan invalid at step {failed}: {reason}")
-    trail.append(tuple(arr))
+    steps, trail = _TableReplay(scene, table).trail(plan.actions)
     following: dict[int, int] = {}  # buffer step -> the same object's next step
     last: dict[ObjectId, int] = {}
     for n, step in enumerate(steps):
@@ -409,8 +397,10 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     arrangement into the next, then optimizes the concatenated sub-plans,
     re-targets their buffer moves and optimizes again.
     The wall-clock budget is split evenly across the remaining stages, so
-    time unused by early stages rolls forward.
+    time unused by early stages rolls forward. A negative seed is a ValueError.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     if budget is None:
         budget = SearchBudget()
     t0 = time.perf_counter()

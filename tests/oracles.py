@@ -185,8 +185,11 @@ def _replays_to(scene: Scene, actions, final=None) -> tuple[Point, ...] | None:
 def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
     """The optimiser's collapse and merge rules, each candidate replayed in full.
 
-    Brute force: every merge candidate is replayed from step 0 on the float
-    geometry, with no occlusion table and no trail.
+    A merge joins two consecutive moves of one object with other steps
+    between them, and is tried for each object's pairs left to right. Brute
+    force: every merge candidate is replayed from step 0 on the float
+    geometry, with no occlusion table and no trail, and its end must lie
+    within ``TOL`` of the plan's at the start of the sweep.
     """
     actions = list(actions)
     while True:
@@ -208,10 +211,9 @@ def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
         reference = _replays_to(scene, actions)
         for obj in sorted({a.obj for a in actions}):
             idx = [i for i, a in enumerate(actions) if a.obj == obj]
-            pairs = [
-                (t, s) for ti, t in enumerate(idx) for s in reversed(idx[ti + 1 :]) if s > t + 1
-            ]
-            for t, s in pairs:
+            for t, s in zip(idx, idx[1:]):
+                if s == t + 1:
+                    continue
                 first, last = actions[t], actions[s]
                 merged = [] if first.src == last.dst else [Action(obj, first.src, last.dst)]
                 candidate = actions[:t] + merged + actions[t + 1 : s] + actions[s + 1 :]

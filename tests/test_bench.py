@@ -197,6 +197,22 @@ class TestPublicApi:
         with pytest.raises(ValueError, match="max_iterations must be a positive int"):
             SearchBudget(max_iterations=bad)
 
+    @pytest.mark.parametrize("bad", [2.5, 0, -3, True, "3", None])
+    def test_suite_rejects_a_case_count_that_is_not_a_positive_int(self, bad):
+        # 2.5 used to raise TypeError mid-run, and True ran one case.
+        with pytest.raises(ValueError, match="cases_per_level must be a positive int"):
+            tiny_suite(cases_per_level=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, "0", None])
+    def test_suite_rejects_a_seed_that_is_not_a_non_negative_int(self, bad):
+        with pytest.raises(ValueError, match="base_seed must be a non-negative int"):
+            tiny_suite(base_seed=bad)
+
+    def test_plan_rejects_a_negative_seed(self):
+        scene = generate_scene(SceneConfig(n_objects=2, rng_seed=4))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            plan(scene, seed=-1)
+
 
 class TestCli:
     def test_default_plan_equals_api_plan(self, tmp_path):
@@ -369,6 +385,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_negative_seed_is_input_error(self, tmp_path, capsys, command):
+        # Both used to end in numpy's "expected non-negative integer" traceback.
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(scene_to_json(generate_scene(SceneConfig(n_objects=2, rng_seed=4))))
+        args = [str(scene_path)] if command == "plan" else ["--difficulty", "easy", "--cases", "1"]
+        assert main([command, *args, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
 
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"

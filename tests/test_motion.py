@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shelfplan import Action, Point, SceneConfig, action_valid, generate_scene, make_scene
-from shelfplan.geometry import Disc, tunnel_disc_mask, tunnel_intersects_disc
+from shelfplan.geometry import (
+    Disc,
+    tunnel_disc_mask,
+    tunnel_hits,
+    tunnel_hits_disc,
+    tunnel_intersects_disc,
+    tunnel_to,
+)
 from shelfplan.motion import collision_objs, home_tunnel, placement_sweep_mask
 from shelfplan.scene import arrangement_valid
 
@@ -244,6 +251,40 @@ class TestCollisionObjs:
         for target in targets:
             union |= collision_objs(scene, arrangement, candidates, target)
         assert collision_objs(scene, arrangement, candidates, *targets) == union
+
+
+def scalar_and_array(target, anchor, center, width, radius):
+    """``tunnel_hits_disc`` and ``tunnel_hits`` on the tunnel from ``anchor`` to ``target``."""
+    t = tunnel_to(target, anchor, radius, width)
+    (ax, ay), (c, s) = t.anchor, t.direction
+    dx, dy = center[0] - ax, center[1] - ay
+    scalar = tunnel_hits_disc(dx, dy, c, s, t.length, 0.5 * t.width, radius)
+    array = tunnel_hits(t.anchor, t.direction, t.length, t.width, np.array([center]), radius)
+    return scalar, bool(array[0])
+
+
+class TestScalarTunnelTest:
+    """``tunnel_hits_disc`` answers as ``tunnel_hits`` on every pair."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        anchor=st.one_of(st.just(Point(10.0, -3.0)), points),
+        target=destinations,
+        center=points,
+        width=st.one_of(st.sampled_from([4.0, 3.0, 1.5]), st.floats(0.1, 8.0)),
+        radius=st.one_of(st.just(1.0), st.floats(0.1, 3.0)),
+    )
+    def test_random_legs_and_centers(self, anchor, target, center, width, radius):
+        if target == anchor:
+            return  # no direction to aim at: ``tunnel_to`` raises
+        scalar, array = scalar_and_array(target, anchor, center, width, radius)
+        assert scalar == array
+
+    def test_tangent_pairs(self):
+        scene = single_object_scene()
+        for target, disc in LATTICE_TANGENCIES + FAR_CORNER_TANGENCIES:
+            hits = scalar_and_array(target, scene.robot_home, disc, scene.tunnel_width, 1.0)
+            assert hits == ((True, True) if (target, disc) in LATTICE_TANGENCIES else (False, False))
 
 
 class TestPlacementSweepMask:

@@ -223,6 +223,27 @@ class TestOptimizePlan:
         assert validate_plan(scene, out).valid
         assert list(out.actions) == optimize_by_full_replay(scene, list(actions))
 
+    def test_moves_shorter_than_tol_never_join_a_merge(self):
+        # Object 0 goes A -> X, X -> Y and Y -> Z, with Y and Z within TOL of X
+        # (but 9e-10 apart), and object 1 moves in between. Only consecutive
+        # moves merge, so the plan ends exactly on Z; merging the outer pair
+        # first would end on Y.
+        A, B, X = Point(4, 5), Point(16, 16), Point(3, 14)
+        Y, Z = Point(3 + 6e-10, 14), Point(3 - 3e-10, 14)
+        B2, B3 = Point(16, 12), Point(10, 16)
+        scene = make_scene([A, B], [Z, B3])
+        actions = [
+            Action(0, A, X),
+            Action(1, B, B2),
+            Action(0, X, Y),
+            Action(1, B2, B3),
+            Action(0, Y, Z),
+        ]
+        assert validate_plan(scene, Plan(tuple(actions))).valid
+        out = optimize_plan(Plan(tuple(actions)), scene)
+        assert out.actions == (Action(0, A, Z), Action(1, B, B3))
+        assert list(out.actions) == optimize_by_full_replay(scene, actions)
+
     def test_invalid_input_rejected(self):
         scene = make_scene([Point(4, 5)], [Point(10, 10)])
         broken = Plan((Action(0, Point(9, 9), Point(10, 10)),))
@@ -435,9 +456,9 @@ class TestMergeShortcut:
         assert out.actions == tuple(actions[:3] + actions[4:5])
 
     def test_own_middle_move_picking_up_away_from_the_merged_point(self, step_check, monkeypatch):
-        # Merging object 0's outermost pair leaves it on D, but its middle move
-        # picks it up at B, 8.5 away: the replay rejects that merge, and the
-        # inner pairs merge instead.
+        # Merging object 0's first and last moves would leave it on D, but its
+        # middle move picks it up at B, 8.5 away: no pair with a move of the
+        # object between them is tried, and the consecutive pairs merge.
         A, B, C, D = Point(4, 5), Point(4, 12), Point(10, 10), Point(10, 16)
         starts, goals = [A, Point(16, 5)], [D, Point(16, 16)]
         scene = make_scene(starts, goals)
@@ -452,13 +473,13 @@ class TestMergeShortcut:
         merge_pair = planner._merge_pair
 
         def spy(replay, steps, trail, t, s, final):
-            merged = merge_pair(replay, steps, trail, t, s, final)
-            tried.append((t, s, merged is not None))
-            return merged
+            between = [step.obj for step in steps[t + 1 : s]]
+            tried.append((t, s, steps[t].obj in between))
+            return merge_pair(replay, steps, trail, t, s, final)
 
         monkeypatch.setattr(planner, "_merge_pair", spy)
         out = self.optimized(scene, actions, step_check)
-        assert tried[0] == (0, 4, False)
+        assert tried and not any(own_move_between for _, _, own_move_between in tried)
         assert out.actions == (Action(0, A, D), Action(1, starts[1], goals[1]))
 
 

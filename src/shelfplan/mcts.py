@@ -3,12 +3,12 @@
 Tree nodes carry full object arrangements as index vectors: entry ``k`` is
 the index of object ``k``'s position among the points of the plan's
 ``OcclusionTable``, and every collision question is a bit-set lookup in that
-table. Edges are single relocations, recorded as ``Action``s over the table's
-points. Expansion is subgoal-focused: it only proposes relocations that
-clear the focus object's pickup and placement tunnels (or, recursively, the
-pickup tunnels of the objects doing the clearing). Rewards are negated
-displacement distances, so the search prefers short detours and nearby buffer
-regions.
+table. Edges are single relocations, recorded as ``Move``s: the object and
+the table index of its destination. Expansion is subgoal-focused: it only
+proposes relocations that clear the focus object's pickup and placement
+tunnels (or, recursively, the pickup tunnels of the objects doing the
+clearing). Rewards are negated displacement distances, so the search prefers
+short detours and nearby buffer regions.
 
 A stage is complete once the focus object rests at its goal and no remaining
 movable object would have its pickup tunnel blocked by the finished focus;
@@ -53,7 +53,11 @@ class StageFailure(RuntimeError):
 
 
 class StageTimeout(StageFailure):
-    """The stage ran out of wall-clock time or iterations."""
+    """The stage ran out of wall-clock time (or, as a subclass, of iterations)."""
+
+
+class StageIterationLimit(StageTimeout):
+    """The stage ran out of iterations (``SearchBudget.max_iterations``)."""
 
 
 class StageExhausted(StageFailure):
@@ -155,15 +159,16 @@ class SearchNode:
     def __init__(
         self,
         positions: list[int],
-        incoming: Action | None = None,
+        incoming: Move | None = None,
         parent: "SearchNode | None" = None,
+        edge_cost: float = 0.0,
     ) -> None:
         self.positions = positions
         self.incoming = incoming
         self.parent = parent
         self.children: list[SearchNode] = []
         self.depth = 0 if parent is None else parent.depth + 1
-        self.path_cost = 0.0 if parent is None else parent.path_cost + incoming.displacement
+        self.path_cost = 0.0 if parent is None else parent.path_cost + edge_cost
         self.visits = 0
         self.total_reward = 0.0
         self.dead = False
@@ -308,7 +313,7 @@ def _relocation_moves(
             if not pick_blockers:
                 goal = goal_idx[o_i]
                 goal_move_ok = False
-                if positions[o_i] != goal and not tunnel_blockers(o_i, goal):
+                if positions[o_i] != goal:
                     if o_i == focus:
                         goal_move_ok = not blocked_pickups_at_goal(ctx, positions)
                     else:
@@ -412,8 +417,8 @@ def expand(ctx: StageContext, node: SearchNode) -> SearchNode:
     for obj, dst in moves:
         updated = list(pos)
         updated[obj] = dst
-        incoming = Action(obj, points[pos[obj]], points[dst])
-        node.children.append(SearchNode(updated, incoming, parent=node))
+        cost = distance(points[pos[obj]], points[dst])
+        node.children.append(SearchNode(updated, (obj, dst), node, cost))
     return node.children[0]
 
 
@@ -467,15 +472,14 @@ def _mark_dead(node: SearchNode) -> None:
 
 def _action_chain(ctx: StageContext, node: SearchNode, moves: Sequence[Move]) -> list[Action]:
     """The tree path from the root to ``node``, then ``moves`` played from there."""
-    actions = []
-    current = node
-    while current.incoming is not None:
-        actions.append(current.incoming)
-        current = current.parent
-    actions.reverse()
+    path = []
+    while node.parent is not None:
+        path.append(node.incoming)
+        node = node.parent
     points = ctx.table.points
     pos = list(node.positions)
-    for obj, dst in moves:
+    actions = []
+    for obj, dst in path[::-1] + list(moves):
         actions.append(Action(obj, points[pos[obj]], points[dst]))
         pos[obj] = dst
     return actions
@@ -498,7 +502,8 @@ def solve_stage(
     budget checks, so a round that finds one is never wasted. Every
     expansion leaves the root expanded, so a round whose expansion makes a
     child that completes the stage ends the stage and runs no rollout. Raises
-    ``StageTimeout`` when the wall-clock or iteration budget runs out first
+    ``StageTimeout`` when the wall-clock budget runs out first, its subclass
+    ``StageIterationLimit`` when the iteration budget does,
     and ``StageExhausted`` when the whole tree is dead, and ``ValueError`` when
     ``start`` puts an object on a point that is not a candidate, start or goal
     point of the scene.
@@ -549,4 +554,4 @@ def solve_stage(
                     rollout(first_child)
         if best is not None and root.children:
             return _action_chain(ctx, best[1], best[2])
-    raise StageTimeout("stage iteration budget exhausted")
+    raise StageIterationLimit("stage iteration budget exhausted")

@@ -11,7 +11,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import TOL, Disc, Point, disc_in_workspace, distance
-from .mcts import SearchBudget, StageContext, StageExhausted, StageTimeout, solve_stage
+from .mcts import SearchBudget, StageContext, StageExhausted, StageIterationLimit
+from .mcts import StageTimeout, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable, other_points
 from .scene import ObjectId, Scene, list_from_json, point_from_json
@@ -51,7 +52,9 @@ class PlanReport:
     success: bool
     plan: Plan | None
     wall_time: float
-    failure_kind: str | None  # "timeout" | "stage-exhausted" | "topology-cycle"
+    # "timeout" (wall clock) | "iteration-limit" (a stage's max_iterations)
+    # | "stage-exhausted" | "topology-cycle"
+    failure_kind: str | None
 
 
 _LEAVES = "destination leaves the workspace"
@@ -77,10 +80,6 @@ def _merge(a: _Step, b: _Step) -> _Step:
 
 def _near(p: Point, q: Point, tol: float = TOL) -> bool:
     return abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol
-
-
-def _within_tol(a: Sequence[Point], b: Sequence[Point], tol: float = TOL) -> bool:
-    return all(_near(p, q, tol) for p, q in zip(a, b))
 
 
 class _Replay:
@@ -185,69 +184,54 @@ def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
     step, reason = replay.run(replay.steps(plan.actions), arr)
     if step is not None:
         return PlanCheck(False, step, reason)
-    if not _within_tol(replay.positions(arr), scene.goal, _GOAL_TOL):
+    if not all(_near(p, q, _GOAL_TOL) for p, q in zip(replay.positions(arr), scene.goal)):
         return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
     return PlanCheck(True)
 
 
-def _collapse_runs(
-    steps: list[_Step], trail: list[Indices], start: Indices
-) -> tuple[list[_Step], list[Indices]]:
-    """Merge consecutive moves of the same object into one relocation.
-
-    A run that returns the object exactly to the point it stood on disappears.
-    A return only within ``TOL`` of that point keeps its last two moves, since
-    later pick-ups may rely on the point it was returned to.
-
-    ``trail[k]`` is the arrangement before step ``k`` and ``trail[-1]`` the
-    final one. A run leaves the arrangement where its moves together take it,
-    so the collapsed plan's trail is the input's at the runs' first steps.
-    """
-    out: list[_Step] = []
-    begins: list[int] = []  # the input step that ``out[k]`` begins with
-    for k, step in enumerate(steps):
-        if out and out[-1].obj == step.obj:
-            prev, begin = out.pop(), begins.pop()
-            if prev.src != step.dst:
-                out.append(_merge(prev, step))
-                begins.append(begin)
-            elif step.dst != next(
-                (a.dst for a in reversed(out) if a.obj == step.obj), start[step.obj]
-            ):
-                out += [prev, step]
-                begins += [begin, k]
-        else:
-            out.append(step)
-            begins.append(k)
-    return out, [trail[k] for k in begins] + [trail[-1]]
-
-
 def _merge_pair(
-    replay: _Replay, steps: list[_Step], trail: list[Indices], t: int, s: int, final: Indices
+    replay: _Replay, steps: list[_Step], trail: list[Indices], t: int, s: int
 ) -> tuple[list[_Step], list[Indices]] | None:
     """The plan and trail with consecutive moves ``t`` and ``s`` of one object merged.
 
     The merged move replaces step ``t`` and step ``s`` is dropped; a merge
     that puts the object back exactly where it was picked up drops both. The
     merged move and the steps between, which move other objects, are replayed
-    from ``trail[t]``, and the suffix is kept as it is, unless both moves were
-    dropped while the object stood only within ``TOL`` of where step ``s`` left
-    it: then the suffix is replayed too, and must end within ``TOL`` of
-    ``final``. Returns None on a failure.
+    from ``trail[t]`` and must end on ``trail[s + 1]``, so the suffix replays
+    as before. They miss it only when both moves are dropped while the object
+    stood within ``TOL`` of the point it was put back on, not on it. Returns
+    None on a failure.
     """
     first, last = steps[t], steps[s]
     middle = steps[t + 1 : s]
     head = [_merge(first, last)] if first.src != last.dst else []
     arr, part = list(trail[t]), []
-    if replay.run(head + middle, arr, part)[0] is not None:
+    if replay.run(head + middle, arr, part)[0] is not None or tuple(arr) != trail[s + 1]:
         return None
-    tail = trail[s + 1 :]
-    if tuple(arr) != tail[0]:
-        failed, _ = replay.run(steps[s + 1 :], arr, part)
-        if failed is not None or not _within_tol(replay.positions(arr), replay.positions(final)):
-            return None
-        tail = [tuple(arr)]
-    return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + tail
+    return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
+
+
+def _collapse_runs(
+    replay: _Replay, steps: list[_Step], trail: list[Indices]
+) -> tuple[list[_Step], list[Indices]]:
+    """Merge one object's moves in adjacent steps, scanning left to right.
+
+    Each adjacent pair goes to ``_merge_pair``. A merged move may merge with
+    the next step, and after a merge that drops both moves the scan steps back
+    one place, since the steps on either side are now adjacent.
+    """
+    k = 0
+    while k + 1 < len(steps):
+        merged = None
+        if steps[k].obj == steps[k + 1].obj:
+            merged = _merge_pair(replay, steps, trail, k, k + 1)
+        if merged is None:
+            k += 1
+            continue
+        if len(merged[0]) == len(steps) - 2:  # both moves dropped
+            k = max(k - 1, 0)
+        steps, trail = merged
+    return steps, trail
 
 
 def _sweep_merge(
@@ -258,16 +242,14 @@ def _sweep_merge(
     Each object's pairs are tried left to right (see ``_merge_pair``); a pair
     with a move of the object between them could merge only if that move
     picked the object up within ``TOL`` of the merged point, so none is tried.
-    ``final`` is the plan's end at the sweep's start, ``trail`` its trail.
     """
-    final = trail[-1]
     changed = False
     for obj in sorted({step.obj for step in steps}):
         indices = [i for i, step in enumerate(steps) if step.obj == obj]
         for t, s in zip(indices, indices[1:]):
             if s == t + 1:
-                continue  # adjacent runs belong to the collapse pass
-            merged = _merge_pair(replay, steps, trail, t, s, final)
+                continue  # adjacent pairs belong to the collapse pass
+            merged = _merge_pair(replay, steps, trail, t, s)
             if merged is not None:
                 steps, trail = merged
                 changed = True
@@ -278,21 +260,23 @@ def _sweep_merge(
 def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     """Shorten a plan without breaking it.
 
-    First collapses one object's moves in adjacent steps, then merges two
-    consecutive moves of one object whenever the other objects' steps between
-    them still replay, iterating both passes to a fixpoint. Never increases
-    the step count or the total displacement. Raises ``InvalidPlanError``,
-    with the step and reason ``validate_plan`` reports, when the input plan
-    does not replay. Steps that survive are the input's own ``Action`` objects.
+    Merges two consecutive moves of one object whenever the merged move and
+    the other objects' steps between them replay to the arrangement the
+    plan had after the second move (see ``_merge_pair``): first every pair in
+    adjacent steps, then pairs with other steps between them, iterating both
+    passes to a fixpoint. Never increases the step count or the total
+    displacement. Raises ``InvalidPlanError``, with the step and reason
+    ``validate_plan`` reports, when the input plan does not replay. Steps
+    that survive are the input's own ``Action`` objects.
 
     The plan is replayed once, in point indices, and its trail of
-    arrangements is then kept up to date through every collapse and merge, so
-    a merge replays only the steps it changes (see ``_merge_pair``). When
-    ``OcclusionTable.shared(scene)`` indexes every pick-up and destination of
-    the plan, as it does for every plan ``plan()`` returns, each step is
-    looked up in that table. Otherwise, say for an off-grid destination or a
-    pick-up within ``TOL`` of an object's position, every step is checked on
-    the validator's float geometry, which gives the same answers.
+    arrangements is then kept up to date through every merge, so a merge
+    replays only the steps it changes. When ``OcclusionTable.shared(scene)``
+    indexes every pick-up and destination of the plan, as it does for every
+    plan ``plan()`` returns, each step is looked up in that table. Otherwise,
+    say for an off-grid destination or a pick-up within ``TOL`` of an
+    object's position, every step is checked on the validator's float
+    geometry, which gives the same answers.
     """
     table = OcclusionTable.shared(scene)
     if table.covers(p for a in plan.actions for p in (a.src, a.dst)):
@@ -301,10 +285,10 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
         replay = _FloatReplay(scene, plan.actions)
     steps, trail = replay.trail(plan.actions)
     while True:
-        collapsed, trail = _collapse_runs(steps, trail, replay.start)
-        changed = len(collapsed) < len(steps)
-        steps, trail, swept = _sweep_merge(replay, collapsed, trail)
-        if not (changed or swept):
+        n = len(steps)
+        steps, trail = _collapse_runs(replay, steps, trail)
+        steps, trail, swept = _sweep_merge(replay, steps, trail)
+        if not (swept or len(steps) < n):
             return Plan(tuple(step.action for step in steps))
 
 
@@ -397,10 +381,11 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     arrangement into the next, then optimizes the concatenated sub-plans,
     re-targets their buffer moves and optimizes again.
     The wall-clock budget is split evenly across the remaining stages, so
-    time unused by early stages rolls forward. A negative seed is a ValueError.
+    time unused by early stages rolls forward. A seed that is not a
+    non-negative int (bools included) is a ValueError.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, not {seed}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, not {seed!r}")
     if budget is None:
         budget = SearchBudget()
     t0 = time.perf_counter()
@@ -429,6 +414,8 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
             stage_budget = SearchBudget(budget.max_iterations, remaining / (len(order) - index))
         try:
             chunk = solve_stage(ctx, tuple(positions), stage_budget, rng)
+        except StageIterationLimit:
+            return report(False, None, "iteration-limit")
         except StageTimeout:
             return report(False, None, "timeout")
         except StageExhausted:

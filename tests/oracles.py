@@ -160,14 +160,16 @@ def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6):
     return scene, actions
 
 
-def _replays_to(scene: Scene, actions, final=None) -> tuple[Point, ...] | None:
-    """End arrangement of a full float replay from the start, or None if a step fails.
+def _arrangements(scene: Scene, actions) -> list[tuple[Point, ...]] | None:
+    """Every arrangement of a full float replay from the start, or None if a step fails.
 
-    Pick-ups may be off by ``TOL`` per coordinate, as in ``validate_plan``.
-    With ``final``, the end must also lie within ``TOL`` of it.
+    Entry ``k`` is the arrangement before step ``k`` and the last entry the
+    end. Pick-ups may be off by ``TOL`` per coordinate, as in
+    ``validate_plan``.
     """
     tol = 1e-9
     positions = list(scene.start)
+    seen = [tuple(positions)]
     for act in actions:
         cur = positions[act.obj]
         if abs(cur.x - act.src.x) > tol or abs(cur.y - act.src.y) > tol:
@@ -175,53 +177,77 @@ def _replays_to(scene: Scene, actions, final=None) -> tuple[Point, ...] | None:
         if not action_valid(scene, tuple(positions), act):
             return None
         positions[act.obj] = act.dst
+        seen.append(tuple(positions))
+    return seen
+
+
+def _replays_to(scene: Scene, actions, final=None) -> tuple[Point, ...] | None:
+    """End arrangement of a full float replay from the start, or None if a step fails.
+
+    With ``final``, the end must also lie within ``TOL`` of it.
+    """
+    tol = 1e-9
+    seen = _arrangements(scene, actions)
+    if seen is None:
+        return None
+    positions = seen[-1]
     if final is not None and any(
         abs(p.x - q.x) > tol or abs(p.y - q.y) > tol for p, q in zip(positions, final)
     ):
         return None
-    return tuple(positions)
+    return positions
+
+
+def _merged(scene: Scene, actions: list[Action], t: int, s: int) -> list[Action] | None:
+    """``actions`` with consecutive moves ``t`` and ``s`` of one object merged, or None.
+
+    The merged move replaces step ``t`` and step ``s`` is dropped, or both go
+    when the merged move would end where it starts. The whole candidate is
+    replayed from the start, and it must reach exactly the arrangement the
+    plan had after step ``s``, so it ends exactly on the plan's end.
+    """
+    first, last = actions[t], actions[s]
+    head = [] if first.src == last.dst else [Action(first.obj, first.src, last.dst)]
+    candidate = actions[:t] + head + actions[t + 1 : s] + actions[s + 1 :]
+    new, old = _arrangements(scene, candidate), _arrangements(scene, actions)
+    if new is None or new[len(candidate) - (len(actions) - s - 1)] != old[s + 1]:
+        return None
+    assert new[-1] == old[-1]
+    return candidate
 
 
 def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
-    """The optimiser's collapse and merge rules, each candidate replayed in full.
+    """The optimiser's merge rule, each candidate replayed in full (see ``_merged``).
 
-    A merge joins two consecutive moves of one object with other steps
-    between them, and is tried for each object's pairs left to right. Brute
-    force: every merge candidate is replayed from step 0 on the float
-    geometry, with no occlusion table and no trail, and its end must lie
-    within ``TOL`` of the plan's at the start of the sweep.
+    Each round first scans the adjacent pairs of one object's moves left to
+    right, stepping back one place after a merge that drops both moves, then
+    merges, for each object, its first pair of consecutive moves with other
+    steps between them that merges. Rounds repeat until nothing changes.
+    Brute force: every candidate is replayed from step 0 on the float
+    geometry, with no occlusion table and no trail.
     """
     actions = list(actions)
     while True:
-        collapsed: list[Action] = []
-        at = list(scene.start)  # where each object stands before its current run
-        for act in actions:
-            if collapsed and collapsed[-1].obj == act.obj:
-                prev = collapsed.pop()
-                if prev.src != act.dst:
-                    collapsed.append(Action(act.obj, prev.src, act.dst))
-                elif act.dst != at[act.obj]:
-                    collapsed += [prev, act]  # back only within TOL: keep the return
-            else:
-                if collapsed:
-                    at[collapsed[-1].obj] = collapsed[-1].dst
-                collapsed.append(act)
-        changed = collapsed != actions
-        actions = collapsed
-        reference = _replays_to(scene, actions)
+        before = actions
+        k = 0
+        while k + 1 < len(actions):
+            candidate = None
+            if actions[k].obj == actions[k + 1].obj:
+                candidate = _merged(scene, actions, k, k + 1)
+            if candidate is None:
+                k += 1
+                continue
+            if len(candidate) == len(actions) - 2:
+                k = max(k - 1, 0)
+            actions = candidate
         for obj in sorted({a.obj for a in actions}):
             idx = [i for i, a in enumerate(actions) if a.obj == obj]
             for t, s in zip(idx, idx[1:]):
-                if s == t + 1:
-                    continue
-                first, last = actions[t], actions[s]
-                merged = [] if first.src == last.dst else [Action(obj, first.src, last.dst)]
-                candidate = actions[:t] + merged + actions[t + 1 : s] + actions[s + 1 :]
-                if _replays_to(scene, candidate, reference) is not None:
+                candidate = None if s == t + 1 else _merged(scene, actions, t, s)
+                if candidate is not None:
                     actions = candidate
-                    changed = True
                     break
-        if not changed:
+        if actions == before:
             return actions
 
 

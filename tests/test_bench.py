@@ -210,8 +210,16 @@ class TestPublicApi:
 
     def test_plan_rejects_a_negative_seed(self):
         scene = generate_scene(SceneConfig(n_objects=2, rng_seed=4))
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
             plan(scene, seed=-1)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "3", None])
+    def test_plan_rejects_a_seed_that_is_not_an_int(self, bad):
+        # 1.5 used to end in numpy's TypeError, "3" and None in a TypeError
+        # from the sign check, and True planned with seed 1.
+        scene = generate_scene(SceneConfig(n_objects=2, rng_seed=4))
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            plan(scene, seed=bad)
 
 
 class TestCli:

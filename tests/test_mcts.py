@@ -18,6 +18,7 @@ from shelfplan.geometry import Disc, distance, tunnel_intersects_disc
 from shelfplan.mcts import (
     SearchNode,
     StageContext,
+    StageIterationLimit,
     StageTimeout,
     _candidate_moves,
     backpropagate,
@@ -53,11 +54,7 @@ def manual_children(root, stats):
     """Attach children with prescribed (visits, total_reward) to a root node."""
     children = []
     for i, (visits, total) in enumerate(stats):
-        child = SearchNode(
-            root.positions.copy(),
-            incoming=Action(0, Point(1 + i, 1), Point(2 + i, 2)),
-            parent=root,
-        )
+        child = SearchNode(root.positions.copy(), incoming=(0, i), parent=root)
         child.visits = visits
         child.total_reward = total
         root.children.append(child)
@@ -169,7 +166,8 @@ class TestExpand:
         root.visits = 1
         child = expand(ctx, root)
         assert len(root.children) == 1
-        assert child.incoming == Action(0, Point(10, 5), Point(10, 15))
+        assert child.incoming == (0, ctx.table.index_of(Point(10, 15)))
+        assert child.path_cost == 10.0
         reward, moves = simulate(ctx, child, np.random.default_rng(0))
         assert reward == pytest.approx(-10.0)
         assert moves == []
@@ -182,10 +180,12 @@ class TestExpand:
         expand(ctx, root)
         assert root.children
         for child in root.children:
-            assert child.incoming.obj == 1
+            obj, dst = child.incoming
+            assert obj == 1
             before = tuple(ctx.table.points[i] for i in root.positions)
             after = tuple(ctx.table.points[i] for i in child.positions)
-            assert action_valid(scene, before, child.incoming)
+            assert action_valid(scene, before, Action(obj, before[obj], ctx.table.points[dst]))
+            assert child.path_cost == distance(before[obj], after[obj])
             moved = [o for o in range(2) if after[o] != before[o]]
             assert moved == [1]
 
@@ -196,7 +196,7 @@ class TestExpand:
         root = SearchNode(at(ctx, scene.start))
         root.visits = 1
         expand(ctx, root)
-        assert any(child.incoming.obj == 0 for child in root.children)
+        assert any(obj == 0 for obj, _ in (child.incoming for child in root.children))
 
 
 class TestSimulate:
@@ -285,11 +285,7 @@ class TestBackpropagate:
         scene = make_scene([Point(10, 5)], [Point(10, 15)])
         nodes = [SearchNode(at(ctx_for(scene), scene.start))]
         for depth in range(3):
-            child = SearchNode(
-                nodes[-1].positions.copy(),
-                incoming=Action(0, Point(1 + depth, 1), Point(2 + depth, 2)),
-                parent=nodes[-1],
-            )
+            child = SearchNode(nodes[-1].positions.copy(), incoming=(0, depth), parent=nodes[-1])
             nodes[-1].children.append(child)
             nodes.append(child)
         backpropagate(nodes[-1], -7.0)
@@ -403,8 +399,9 @@ class TestSolveStage:
         # the stage returns only once the root has been expanded, in round two.
         scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
         ctx = ctx_for(scene, order=[0, 1])
-        with pytest.raises(StageTimeout, match="iteration budget"):
+        with pytest.raises(StageIterationLimit, match="iteration budget") as err:
             solve_stage(ctx, scene.start, SearchBudget(1, None), np.random.default_rng(0))
+        assert isinstance(err.value, StageTimeout)  # stage-failure counts still see it
         actions = solve_stage(ctx, scene.start, SearchBudget(2, None), np.random.default_rng(0))
         assert actions == [Action(0, Point(10, 5), Point(10, 15))]
 

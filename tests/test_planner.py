@@ -111,6 +111,14 @@ class TestPlan:
         assert report.failure_kind == "timeout"
         assert report.plan is None
 
+    def test_iteration_limit_reported_apart_from_timeout(self):
+        # No clock runs here: the stage stops at its one-iteration cap.
+        scene = generate_scene(SceneConfig(n_objects=4, rng_seed=3))
+        report = plan(scene, SearchBudget(max_iterations=1, wall_clock_limit=None))
+        assert not report.success
+        assert report.failure_kind == "iteration-limit"
+        assert report.plan is None
+
 
 # Object 0 first moves from (4, 5) to (4, 10); its second move is broken.
 # Object 1 stands at (10, 12), straight ahead of the robot home at (10, -3).
@@ -205,13 +213,15 @@ class TestOptimizePlan:
         assert validate_plan(scene, out).valid
         assert out.actions == (Action(0, near, Point(16, 5)),)
 
-    def test_merge_kept_after_replaying_the_suffix(self):
-        # Merging object 0's two moves drops them: its pick-up 6e-10 to the
-        # right of (4, 5) leaves it at (4, 5), not where the plan put it back,
-        # so the merge is kept only after object 1's move replays from there
-        # and ends within TOL of the plan's final arrangement.
+    @pytest.mark.parametrize("shift", [0.0, 9.999e-7, -9.999e-7])
+    def test_merge_dropping_a_return_within_tol_is_not_kept(self, shift):
+        # Merging object 0's two moves would drop them: its pick-up 6e-10 to
+        # the right of (4, 5) would leave it at (4, 5), not where the plan put
+        # it back, so the merge misses the plan's arrangement and is not kept.
+        # The goal lies within the validator's 1e-6 of where the plan puts the
+        # object back; shifted by +9.999e-7, (4, 5) would miss it.
         near = Point(4 + 6e-10, 5)
-        scene = make_scene([Point(4, 5), Point(10, 12)], [near, Point(12, 15)])
+        scene = make_scene([Point(4, 5), Point(10, 12)], [Point(near.x + shift, 5), Point(12, 15)])
         actions = (
             Action(0, near, Point(3, 12)),
             Action(1, Point(10, 12), Point(12, 15)),
@@ -219,7 +229,18 @@ class TestOptimizePlan:
         )
         assert validate_plan(scene, Plan(actions)).valid
         out = optimize_plan(Plan(actions), scene)
-        assert out.actions == (actions[1],)
+        assert out.actions == actions
+        assert validate_plan(scene, out).valid
+        assert list(out.actions) == optimize_by_full_replay(scene, list(actions))
+
+    @pytest.mark.parametrize("shift", [0.0, 9.999e-7, -9.999e-7])
+    def test_adjacent_return_within_tol_keeps_both_moves(self, shift):
+        near, away = Point(4 + 6e-10, 5), Point(10, 10)
+        scene = make_scene([Point(4, 5)], [Point(near.x + shift, 5)])
+        actions = (Action(0, near, away), Action(0, away, near))
+        assert validate_plan(scene, Plan(actions)).valid
+        out = optimize_plan(Plan(actions), scene)
+        assert out.actions == actions
         assert validate_plan(scene, out).valid
         assert list(out.actions) == optimize_by_full_replay(scene, list(actions))
 
@@ -472,10 +493,10 @@ class TestMergeShortcut:
         tried = []
         merge_pair = planner._merge_pair
 
-        def spy(replay, steps, trail, t, s, final):
+        def spy(replay, steps, trail, t, s):
             between = [step.obj for step in steps[t + 1 : s]]
             tried.append((t, s, steps[t].obj in between))
-            return merge_pair(replay, steps, trail, t, s, final)
+            return merge_pair(replay, steps, trail, t, s)
 
         monkeypatch.setattr(planner, "_merge_pair", spy)
         out = self.optimized(scene, actions, step_check)
@@ -488,15 +509,16 @@ class TestMergeShortcut:
 @pytest.mark.parametrize("kind", ["table", "float"])
 def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
     # Every collapse and merge hands on the trail a replay of its steps from
-    # the start would give: the merge's skip of an unchanged suffix and
-    # plan()'s second optimise rely on it.
+    # the start would give: the merge's skip of the suffix and plan()'s
+    # second optimise rely on it.
     scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=steps)
     handed_on = []  # (steps, trail) out of each pass
     used = []  # the optimiser's replay
     collapse_runs, sweep_merge = planner._collapse_runs, planner._sweep_merge
 
-    def collapse_spy(steps, trail, start):
-        out = collapse_runs(steps, trail, start)
+    def collapse_spy(replay, steps, trail):
+        used.append(replay)
+        out = collapse_runs(replay, steps, trail)
         handed_on.append(out)
         return out
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .mcts import SearchBudget
 from .planner import plan, plan_to_dict
-from .scene import SceneConfig, generate_scene, scene_to_dict
+from .scene import SceneConfig, generate_scene, require_int, scene_to_dict
 
 LEVELS = ("easy", "medium", "hard")
 LEVEL_OBJECT_COUNTS = {"easy": (4,), "medium": (5, 6), "hard": (7, 8)}
@@ -31,11 +31,8 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.difficulty not in LEVELS + ("all",):
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
-        n, seed = self.cases_per_level, self.base_seed
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"cases_per_level must be a positive int, not {n!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"base_seed must be a non-negative int, not {seed!r}")
+        require_int("cases_per_level", self.cases_per_level, 1)
+        require_int("base_seed", self.base_seed, 0)
         SceneConfig(grid_resolution=self.grid_resolution)  # checks the cases' candidate grid
 
     @property

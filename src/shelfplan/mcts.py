@@ -27,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from .geometry import TOL, distance
 from .motion import Action
 from .occlusion import OcclusionTable, other_points
-from .scene import Arrangement, ObjectId, Scene
+from .scene import Arrangement, ObjectId, Scene, require_int
 
 _EPS = 1e-12
 
@@ -134,11 +135,11 @@ class SearchBudget:
     wall_clock_limit: float | None = 30.0
 
     def __post_init__(self) -> None:
-        n = self.max_iterations
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"max_iterations must be a positive int, not {n!r}")
-        if self.wall_clock_limit is not None and math.isnan(self.wall_clock_limit):
-            raise ValueError("wall_clock_limit must be a number of seconds or None, not nan")
+        require_int("max_iterations", self.max_iterations, 1)
+        t = self.wall_clock_limit
+        # A limit of 0 or less times out before any search, and nan never does.
+        if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or not t > 0):
+            raise ValueError(f"wall_clock_limit must be positive seconds or None, not {t!r}")
 
 
 class SearchNode:

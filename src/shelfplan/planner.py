@@ -15,7 +15,7 @@ from .mcts import SearchBudget, StageContext, StageExhausted, StageIterationLimi
 from .mcts import StageTimeout, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable, other_points
-from .scene import ObjectId, Scene, list_from_json, point_from_json
+from .scene import ObjectId, Scene, list_from_json, point_from_json, require_int
 from .topology import CycleError, build_dependency_graph, stage_order
 
 _GOAL_TOL = 1e-6  # per-coordinate tolerance for the terminal arrangement
@@ -60,22 +60,16 @@ class PlanReport:
 _LEAVES = "destination leaves the workspace"
 _COLLIDES = "relocation is not collision-free"
 
-# An arrangement as the point index of every object.
-Indices = tuple[int, ...]
+Key = int | Point  # a point as a replay names it: a table index, or the Point itself
+Keys = tuple[Key, ...]  # an arrangement: the key of every object
 
 
 class _Step(NamedTuple):
-    """One relocation in point indices, with the ``Action`` it stands for."""
+    """One relocation in point keys."""
 
     obj: ObjectId
-    src: int
-    dst: int
-    action: Action
-
-
-def _merge(a: _Step, b: _Step) -> _Step:
-    """One relocation from ``a``'s pick-up to ``b``'s destination."""
-    return _Step(a.obj, a.src, b.dst, Action(a.obj, a.action.src, b.action.dst))
+    src: Key
+    dst: Key
 
 
 def _near(p: Point, q: Point, tol: float = TOL) -> bool:
@@ -83,29 +77,32 @@ def _near(p: Point, q: Point, tol: float = TOL) -> bool:
 
 
 class _Replay:
-    """Replays of a plan's steps in point indices.
+    """Replays of a plan's steps in point keys.
 
-    ``points[i]`` is the point with index ``i``, and equal points share one
-    index. A subclass says why a step cannot be applied (``check``).
+    ``index`` maps a point to its key and ``point`` maps a key back to its
+    point; equal points share one key. A subclass says why a step cannot be
+    applied (``check``).
     """
 
-    def __init__(self, scene: Scene, index: Callable[[Point], int], points: Sequence[Point]):
+    def __init__(self, scene: Scene, index: Callable[[Point], Key], point: Callable[[Key], Point]):
         self.scene = scene
         self.index = index
-        self.points = points
-        self.start: Indices = tuple(index(p) for p in scene.start)
+        self.point = point
+        self.start: Keys = tuple(index(p) for p in scene.start)
 
-    def check(self, arr: Sequence[int], step: _Step) -> str | None:
+    def check(self, arr: Sequence[Key], step: _Step) -> str | None:
         raise NotImplementedError
 
     def steps(self, actions: Sequence[Action]) -> list[_Step]:
         index = self.index
-        return [_Step(a.obj, index(a.src), index(a.dst), a) for a in actions]
+        return [_Step(a.obj, index(a.src), index(a.dst)) for a in actions]
 
-    def positions(self, arr: Sequence[int]) -> list[Point]:
-        return [self.points[i] for i in arr]
+    def plan(self, steps: Sequence[_Step]) -> Plan:
+        """The plan of ``steps``: the one place that builds output ``Action`` objects."""
+        point = self.point
+        return Plan(tuple(Action(step.obj, point(step.src), point(step.dst)) for step in steps))
 
-    def trail(self, actions: Sequence[Action]) -> tuple[list[_Step], list[Indices]]:
+    def trail(self, actions: Sequence[Action]) -> tuple[list[_Step], list[Keys]]:
         """The steps of a plan and its trail; ``InvalidPlanError`` if it does not replay."""
         steps, arr, trail = self.steps(actions), list(self.start), []
         failed, reason = self.run(steps, arr, trail)
@@ -114,22 +111,22 @@ class _Replay:
         return steps, trail + [tuple(arr)]
 
     def run(
-        self, steps: Sequence[_Step], arr: list[int], trail: list[Indices] | None = None
+        self, steps: Sequence[_Step], arr: list[Key], trail: list[Keys] | None = None
     ) -> tuple[int | None, str | None]:
-        """Replay ``steps`` on ``arr``, the point index of every object, in place.
+        """Replay ``steps`` on ``arr``, the point key of every object, in place.
 
         Each step must name a known object and pick it up within ``TOL`` of its
         current point, and then pass ``check``. Returns ``(failed_step,
         reason)``, both None when every step applied. With ``trail``, appends
         the arrangement before each applied step.
         """
-        n, points = len(arr), self.points
+        n, point = len(arr), self.point
         for k, step in enumerate(steps):
             obj = step.obj
             if not 0 <= obj < n:
                 return k, f"unknown object {obj}"
             current = arr[obj]
-            if current != step.src and not _near(points[current], points[step.src]):
+            if current != step.src and not _near(point(current), point(step.src)):
                 return k, "pick location does not match the object's current region"
             reason = self.check(arr, step)
             if reason is not None:
@@ -143,34 +140,29 @@ class _Replay:
 class _FloatReplay(_Replay):
     """Steps checked on the float geometry: the validator's check, independent of the table.
 
-    The scene's start points and the points of ``actions`` are numbered here.
+    A point's key is the Point itself, so an arrangement is a list of Points.
     """
 
-    def __init__(self, scene: Scene, actions: Sequence[Action]) -> None:
-        index: dict[Point, int] = {}
-        for p in scene.start:
-            index.setdefault(p, len(index))
-        for a in actions:
-            index.setdefault(a.src, len(index))
-            index.setdefault(a.dst, len(index))
-        super().__init__(scene, index.__getitem__, tuple(index))
+    def __init__(self, scene: Scene) -> None:
+        super().__init__(scene, lambda p: p, lambda p: p)
 
-    def check(self, arr: Sequence[int], step: _Step) -> str | None:
-        act, scene = step.action, self.scene
-        if action_valid(scene, self.positions(arr), act):
+    def check(self, arr: Sequence[Point], step: _Step) -> str | None:
+        scene = self.scene
+        if action_valid(scene, arr, Action(*step)):
             return None
-        inside = disc_in_workspace(Disc(Point(*act.dst), scene.object_radius), scene.workspace)
+        inside = disc_in_workspace(Disc(Point(*step.dst), scene.object_radius), scene.workspace)
         return _COLLIDES if inside else _LEAVES
 
 
 class _TableReplay(_Replay):
     """Steps looked up in an occlusion table that indexes every point of the plan.
 
-    A table point's disc lies in the workspace, so a rejected step collides.
+    A point's key is its table index. A table point's disc lies in the
+    workspace, so a rejected step collides.
     """
 
     def __init__(self, scene: Scene, table: OcclusionTable) -> None:
-        super().__init__(scene, table.index_of, table.points)
+        super().__init__(scene, table.index_of, table.points.__getitem__)
         self.table = table
 
     def check(self, arr: Sequence[int], step: _Step) -> str | None:
@@ -178,20 +170,20 @@ class _TableReplay(_Replay):
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
-    """Independent replay check on the float geometry: every step valid and the goal reached."""
-    replay = _FloatReplay(scene, plan.actions)
-    arr = list(replay.start)
+    """Independent float replay of the plan's own Points: every step valid and the goal reached."""
+    replay = _FloatReplay(scene)
+    arr = list(scene.start)
     step, reason = replay.run(replay.steps(plan.actions), arr)
     if step is not None:
         return PlanCheck(False, step, reason)
-    if not all(_near(p, q, _GOAL_TOL) for p, q in zip(replay.positions(arr), scene.goal)):
+    if not all(_near(p, q, _GOAL_TOL) for p, q in zip(arr, scene.goal)):
         return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
     return PlanCheck(True)
 
 
 def _merge_pair(
-    replay: _Replay, steps: list[_Step], trail: list[Indices], t: int, s: int
-) -> tuple[list[_Step], list[Indices]] | None:
+    replay: _Replay, steps: list[_Step], trail: list[Keys], t: int, s: int
+) -> tuple[list[_Step], list[Keys]] | None:
     """The plan and trail with consecutive moves ``t`` and ``s`` of one object merged.
 
     The merged move replaces step ``t`` and step ``s`` is dropped; a merge
@@ -204,7 +196,7 @@ def _merge_pair(
     """
     first, last = steps[t], steps[s]
     middle = steps[t + 1 : s]
-    head = [_merge(first, last)] if first.src != last.dst else []
+    head = [_Step(first.obj, first.src, last.dst)] if first.src != last.dst else []
     arr, part = list(trail[t]), []
     if replay.run(head + middle, arr, part)[0] is not None or tuple(arr) != trail[s + 1]:
         return None
@@ -212,8 +204,8 @@ def _merge_pair(
 
 
 def _collapse_runs(
-    replay: _Replay, steps: list[_Step], trail: list[Indices]
-) -> tuple[list[_Step], list[Indices]]:
+    replay: _Replay, steps: list[_Step], trail: list[Keys]
+) -> tuple[list[_Step], list[Keys]]:
     """Merge one object's moves in adjacent steps, scanning left to right.
 
     Each adjacent pair goes to ``_merge_pair``. A merged move may merge with
@@ -235,8 +227,8 @@ def _collapse_runs(
 
 
 def _sweep_merge(
-    replay: _Replay, steps: list[_Step], trail: list[Indices]
-) -> tuple[list[_Step], list[Indices], bool]:
+    replay: _Replay, steps: list[_Step], trail: list[Keys]
+) -> tuple[list[_Step], list[Keys], bool]:
     """At most one merge per object, of two consecutive moves that are not adjacent steps.
 
     Each object's pairs are tried left to right (see ``_merge_pair``); a pair
@@ -266,34 +258,35 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     adjacent steps, then pairs with other steps between them, iterating both
     passes to a fixpoint. Never increases the step count or the total
     displacement. Raises ``InvalidPlanError``, with the step and reason
-    ``validate_plan`` reports, when the input plan does not replay. Steps
-    that survive are the input's own ``Action`` objects.
+    ``validate_plan`` reports, when the input plan does not replay.
 
-    The plan is replayed once, in point indices, and its trail of
-    arrangements is then kept up to date through every merge, so a merge
-    replays only the steps it changes. When ``OcclusionTable.shared(scene)``
-    indexes every pick-up and destination of the plan, as it does for every
-    plan ``plan()`` returns, each step is looked up in that table. Otherwise,
-    say for an off-grid destination or a pick-up within ``TOL`` of an
-    object's position, every step is checked on the validator's float
-    geometry, which gives the same answers.
+    The plan is replayed once, in point keys, and its trail of arrangements
+    is then kept up to date through every merge, so a merge replays only the
+    steps it changes. When ``OcclusionTable.shared(scene)`` indexes every
+    pick-up and destination of the plan, as it does for every plan
+    ``plan()`` returns, a key is a table index and each step is looked up in
+    that table; the output's points are then the table's, each equal to the
+    input's. Otherwise, say for an off-grid destination or a pick-up within
+    ``TOL`` of an object's position, a key is the input's own Point and every
+    step is checked on the validator's float geometry, which gives the same
+    answers.
     """
     table = OcclusionTable.shared(scene)
     if table.covers(p for a in plan.actions for p in (a.src, a.dst)):
         replay: _Replay = _TableReplay(scene, table)
     else:
-        replay = _FloatReplay(scene, plan.actions)
+        replay = _FloatReplay(scene)
     steps, trail = replay.trail(plan.actions)
     while True:
         n = len(steps)
         steps, trail = _collapse_runs(replay, steps, trail)
         steps, trail, swept = _sweep_merge(replay, steps, trail)
         if not (swept or len(steps) < n):
-            return Plan(tuple(step.action for step in steps))
+            return replay.plan(steps)
 
 
 def _retarget_step(
-    table: OcclusionTable, steps: list[_Step], trail: list[Indices], k: int, n: int
+    table: OcclusionTable, steps: list[_Step], trail: list[Keys], k: int, n: int
 ) -> int | None:
     """The candidate to re-target buffer step ``k`` to, or None to keep its point.
 
@@ -321,8 +314,8 @@ def _retarget_step(
         return None
     detour = table.reach(src) + table.reach(dst)
     b = int(np.where(table.candidate_mask(ok), detour, np.inf).argmin())
-    via = first.action.dst
-    current = distance(first.action.src, via) + distance(via, then.action.dst)
+    via = table.points[first.dst]
+    current = distance(table.points[src], via) + distance(via, table.points[dst])
     return b if detour[b] < current else None
 
 
@@ -351,7 +344,8 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     table = OcclusionTable.shared(scene)
     if not table.covers(p for a in plan.actions for p in (a.src, a.dst)):
         raise ValueError("re-targeting needs a plan on the scene's table points")
-    steps, trail = _TableReplay(scene, table).trail(plan.actions)
+    replay = _TableReplay(scene, table)
+    steps, trail = replay.trail(plan.actions)
     following: dict[int, int] = {}  # buffer step -> the same object's next step
     last: dict[ObjectId, int] = {}
     for n, step in enumerate(steps):
@@ -365,13 +359,12 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
             b = _retarget_step(table, steps, trail, k, n)
             if b is None:
                 continue
-            first, then, at = steps[k], steps[n], table.points[b]
-            steps[k] = _Step(first.obj, first.src, b, Action(first.obj, first.action.src, at))
-            steps[n] = _Step(then.obj, b, then.dst, Action(then.obj, at, then.action.dst))
+            obj = steps[k].obj
+            steps[k], steps[n] = steps[k]._replace(dst=b), steps[n]._replace(src=b)
             for m in range(k + 1, n + 1):
-                trail[m] = trail[m][: first.obj] + (b,) + trail[m][first.obj + 1 :]
+                trail[m] = trail[m][:obj] + (b,) + trail[m][obj + 1 :]
             changed = True
-    return Plan(tuple(step.action for step in steps))
+    return replay.plan(steps)
 
 
 def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> PlanReport:
@@ -384,8 +377,7 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     time unused by early stages rolls forward. A seed that is not a
     non-negative int (bools included) is a ValueError.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, not {seed!r}")
+    require_int("seed", seed, 0)
     if budget is None:
         budget = SearchBudget()
     t0 = time.perf_counter()

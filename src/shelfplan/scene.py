@@ -189,8 +189,10 @@ class SceneConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_objects < 1:
+        if self.n_objects == 0:
             raise ValueError("need at least one object")
+        require_int("n_objects", self.n_objects, 1)
+        require_int("rng_seed", self.rng_seed, 0)
         if self.min_center_separation < 2.0 * self.object_radius:
             raise ValueError("separation below one object diameter would allow overlaps")
         grid_shape(Workspace(self.width, self.depth), self.object_radius, self.grid_resolution)
@@ -275,6 +277,13 @@ def number_from_json(value, what: str) -> float:
         number = math.inf
     _require_finite((what, number))
     return number
+
+
+def require_int(name: str, value, least: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an int (not a bool) >= ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} int, not {value!r}")
 
 
 def list_from_json(value, what: str) -> list | tuple:

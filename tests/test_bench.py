@@ -191,6 +191,17 @@ class TestPublicApi:
         with pytest.raises(ValueError, match="not nan"):
             SearchBudget(wall_clock_limit=math.nan)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 0, -math.inf, True, "3"])
+    def test_search_budget_rejects_a_wall_clock_that_is_not_positive_seconds(self, bad):
+        # 0.0 and -1.0 used to report "timeout" before any search, True read as
+        # one second and "3" failed in math.isnan.
+        with pytest.raises(ValueError, match="wall_clock_limit must be positive seconds"):
+            SearchBudget(wall_clock_limit=bad)
+
+    @pytest.mark.parametrize("limit", [None, 1e-4, 2, 30.0, math.inf])
+    def test_search_budget_accepts_none_or_positive_seconds(self, limit):
+        assert SearchBudget(wall_clock_limit=limit).wall_clock_limit == limit
+
     @pytest.mark.parametrize("bad", [2.5, 0, -3, True, "10", None])
     def test_search_budget_rejects_an_iteration_count_that_is_not_a_positive_int(self, bad):
         # 2.5 used to fail in range() inside solve_stage; 0 and -3 read as a timeout.

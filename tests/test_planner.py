@@ -150,6 +150,25 @@ class TestOptimizePlan:
         assert out.actions == (Action(0, Point(4, 5), Point(10, 10)),)
         assert out.total_displacement <= raw.total_displacement
 
+    def test_table_path_outputs_the_table_points(self):
+        # Every point is a table point, so the output is built from the table's
+        # float Points: equal to the input's int ones, and printed as floats.
+        scene = make_scene([Point(4, 5)], [Point(10, 10)])
+        raw = Plan((Action(0, Point(4, 5), Point(4, 16)), Action(0, Point(4, 16), Point(10, 10))))
+        out = optimize_plan(raw, scene)
+        assert out.actions == (Action(0, Point(4, 5), Point(10, 10)),)
+        assert '"from": [4.0, 5.0], "object": 0, "to": [10.0, 10.0]' in plan_to_json(out)
+
+    def test_float_path_keeps_the_input_points(self):
+        # (4.25, 16) is off the grid, so the steps are replayed on the input's own Points.
+        scene = make_scene([Point(4, 5)], [Point(10, 10)])
+        first = Action(0, Point(4, 5), Point(4.25, 16))
+        second = Action(0, Point(4.25, 16), Point(10, 10))
+        out = optimize_plan(Plan((first, second)), scene)
+        (merged,) = out.actions
+        assert merged.src is first.src and merged.dst is second.dst
+        assert '"from": [4, 5], "object": 0, "to": [10, 10]' in plan_to_json(out)
+
     def test_round_trip_vanishes(self):
         scene = make_scene([Point(4, 5), Point(16, 15)], [Point(4, 5), Point(16, 6)])
         raw = Plan(
@@ -540,7 +559,7 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
         arr, fresh = list(replay.start), []
         assert replay.run(kept, arr, fresh) == (None, None)
         assert trail == fresh + [tuple(arr)]
-    assert [step.action for step in handed_on[-1][0]] == list(out.actions)
+    assert replay.plan(handed_on[-1][0]) == out
 
 
 class TestValidatePlan:
@@ -584,6 +603,21 @@ class TestValidatePlan:
         check = validate_plan(*bad_second_step(bad))
         assert (check.valid, check.failed_step) == (False, 1)
         assert check.reason == "relocation is not collision-free"
+
+    def test_validator_never_touches_the_table(self, monkeypatch):
+        scene = generate_scene(SceneConfig(n_objects=4, rng_seed=12))
+        full = plan(scene, NO_TIMEOUT, seed=12).plan
+        cut = Plan(full.actions[:-1])
+        expected = [validate_plan(scene, p) for p in (full, cut)]
+        assert expected[0].valid and not expected[1].valid
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate_plan read the occlusion table")
+
+        methods = ("__init__", "shared", "covers", "index_of", "move_valid", "row", "far", "clear")
+        for name in methods:
+            monkeypatch.setattr(OcclusionTable, name, refuse)
+        assert [validate_plan(scene, p) for p in (full, cut)] == expected
 
     def test_empty_plan_misses_goal(self):
         scene = make_scene([Point(4, 5)], [Point(10, 10)])

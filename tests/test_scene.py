@@ -164,6 +164,24 @@ class TestGenerateScene:
         with pytest.raises(SceneGenerationError):
             generate_scene(SceneConfig(n_objects=50, rng_seed=0))
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            # 2.5 and True used to end in a TypeError from numpy.
+            ("n_objects", 2.5, "n_objects must be a positive int"),
+            ("n_objects", True, "n_objects must be a positive int"),
+            ("n_objects", 0, "need at least one object"),
+            ("n_objects", -2, "n_objects must be a positive int"),
+            # -1 ended in numpy's "expected non-negative integer", 1.5 in SeedSequence.
+            ("rng_seed", -1, "rng_seed must be a non-negative int"),
+            ("rng_seed", 1.5, "rng_seed must be a non-negative int"),
+            ("rng_seed", True, "rng_seed must be a non-negative int"),
+        ],
+    )
+    def test_config_rejects_a_bad_count_or_seed_by_name(self, field, bad, message):
+        with pytest.raises(ValueError, match=message):
+            generate_scene(SceneConfig(**{field: bad}))
+
     def test_generated_arrangements_are_valid(self):
         for seed in range(10):
             scene = generate_scene(SceneConfig(n_objects=6, rng_seed=seed))

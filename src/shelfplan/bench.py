@@ -18,7 +18,7 @@ LEVELS = ("easy", "medium", "hard")
 LEVEL_OBJECT_COUNTS = {"easy": (4,), "medium": (5, 6), "hard": (7, 8)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     """One benchmark run: which difficulty bands, how many cases, what budget."""
 

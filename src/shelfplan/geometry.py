@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-TOL = 1e-9
-
 
 class Point(NamedTuple):
     """A location on the workspace floor."""

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import TOL, distance
+from .geometry import distance
 from .motion import Action
 from .occlusion import OcclusionTable, other_points
 from .scene import Arrangement, ObjectId, Scene, require_int
@@ -127,7 +127,7 @@ class StageContext:
         return {}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
     """Limits of one planning run: MCTS iterations per stage and wall-clock seconds."""
 
@@ -245,7 +245,7 @@ def new_region(
 
 def _direct_move(ctx: StageContext, positions: list[int]) -> tuple[Move, ...]:
     focus, goal = ctx.focus, ctx.focus_goal
-    if positions[focus] != goal and ctx.table.move_valid(positions, focus, positions[focus], goal):
+    if positions[focus] != goal and ctx.table.move_valid(positions, focus, goal):
         return ((focus, goal),)
     return ()
 
@@ -320,9 +320,7 @@ def _relocation_moves(
                     else:
                         focus_tunnels = table.row(positions[focus]) | table.row(ctx.focus_goal)
                         goal_move_ok = not focus_tunnels >> goal & 1
-                    goal_move_ok = goal_move_ok and table.move_valid(
-                        positions, o_i, positions[o_i], goal
-                    )
+                    goal_move_ok = goal_move_ok and table.move_valid(positions, o_i, goal)
                 if goal_move_ok:
                     push(o_i, goal)
                 else:
@@ -507,14 +505,13 @@ def solve_stage(
     ``StageIterationLimit`` when the iteration budget does,
     and ``StageExhausted`` when the whole tree is dead, and ``ValueError`` when
     ``start`` puts an object on a point that is not a candidate, start or goal
-    point of the scene.
+    point of the scene, or a static object anywhere but exactly on its goal.
     """
     table = ctx.table
     positions = table.indices(start)
     goal_idx = ctx.goal_indices
     for obj in ctx.static_ids:
-        (x, y), (gx, gy) = table.points[positions[obj]], table.points[goal_idx[obj]]
-        if abs(x - gx) > TOL or abs(y - gy) > TOL:
+        if positions[obj] != goal_idx[obj]:
             raise ValueError(f"static object {obj} is not at its goal at stage entry")
     if rng is None:
         rng = np.random.default_rng(0)

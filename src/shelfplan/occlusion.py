@@ -207,14 +207,13 @@ class OcclusionTable:
             self._reach[j] = entry
         return entry
 
-    def move_valid(self, positions: Sequence[int], obj: ObjectId, src: int, dst: int) -> bool:
-        """``action_valid`` for object ``obj`` picked at point ``src`` and placed at point ``dst``.
+    def move_valid(self, positions: Sequence[int], obj: ObjectId, dst: int) -> bool:
+        """``action_valid`` for object ``obj`` picked where it stands and placed at point ``dst``.
 
-        ``positions`` is the point index of every object. ``src`` is usually
-        ``positions[obj]``, but a replayed pick-up may be another point within
-        ``TOL`` of it. The move is valid iff the destination disc overlaps no
-        other object and neither home tunnel touches one; the disc at a table
-        point always lies in the workspace.
+        ``positions`` is the point index of every object, so the pick-up is
+        ``positions[obj]``. The move is valid iff the destination disc
+        overlaps no other object and neither home tunnel touches one; the disc
+        at a table point always lies in the workspace.
         """
         occupied = 0
         for o, j in enumerate(positions):
@@ -222,7 +221,7 @@ class OcclusionTable:
                 occupied |= 1 << j
         if self.far(dst) & occupied != occupied:
             return False
-        return not (self.row(src) | self.row(dst)) & occupied
+        return not (self.row(positions[obj]) | self.row(dst)) & occupied
 
     def _distances(self, j: int) -> np.ndarray:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)

@@ -10,15 +10,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import TOL, Disc, Point, disc_in_workspace, distance
+from .geometry import Disc, Point, disc_in_workspace, distance
 from .mcts import SearchBudget, StageContext, StageExhausted, StageIterationLimit
 from .mcts import StageTimeout, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable, other_points
 from .scene import ObjectId, Scene, list_from_json, point_from_json, require_int
 from .topology import CycleError, build_dependency_graph, stage_order
-
-_GOAL_TOL = 1e-6  # per-coordinate tolerance for the terminal arrangement
 
 
 class InvalidPlanError(ValueError):
@@ -72,10 +70,6 @@ class _Step(NamedTuple):
     dst: Key
 
 
-def _near(p: Point, q: Point, tol: float = TOL) -> bool:
-    return abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol
-
-
 class _Replay:
     """Replays of a plan's steps in point keys.
 
@@ -115,18 +109,17 @@ class _Replay:
     ) -> tuple[int | None, str | None]:
         """Replay ``steps`` on ``arr``, the point key of every object, in place.
 
-        Each step must name a known object and pick it up within ``TOL`` of its
-        current point, and then pass ``check``. Returns ``(failed_step,
+        Each step must name a known object and pick it up at its current
+        point, and then pass ``check``. Returns ``(failed_step,
         reason)``, both None when every step applied. With ``trail``, appends
         the arrangement before each applied step.
         """
-        n, point = len(arr), self.point
+        n = len(arr)
         for k, step in enumerate(steps):
             obj = step.obj
             if not 0 <= obj < n:
                 return k, f"unknown object {obj}"
-            current = arr[obj]
-            if current != step.src and not _near(point(current), point(step.src)):
+            if arr[obj] != step.src:
                 return k, "pick location does not match the object's current region"
             reason = self.check(arr, step)
             if reason is not None:
@@ -166,7 +159,7 @@ class _TableReplay(_Replay):
         self.table = table
 
     def check(self, arr: Sequence[int], step: _Step) -> str | None:
-        return None if self.table.move_valid(arr, step.obj, step.src, step.dst) else _COLLIDES
+        return None if self.table.move_valid(arr, step.obj, step.dst) else _COLLIDES
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
@@ -176,7 +169,7 @@ def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
     step, reason = replay.run(replay.steps(plan.actions), arr)
     if step is not None:
         return PlanCheck(False, step, reason)
-    if not all(_near(p, q, _GOAL_TOL) for p, q in zip(arr, scene.goal)):
+    if arr != list(scene.goal):
         return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
     return PlanCheck(True)
 
@@ -189,16 +182,16 @@ def _merge_pair(
     The merged move replaces step ``t`` and step ``s`` is dropped; a merge
     that puts the object back exactly where it was picked up drops both. The
     merged move and the steps between, which move other objects, are replayed
-    from ``trail[t]`` and must end on ``trail[s + 1]``, so the suffix replays
-    as before. They miss it only when both moves are dropped while the object
-    stood within ``TOL`` of the point it was put back on, not on it. Returns
-    None on a failure.
+    from ``trail[t]``. A replay that passes ends on ``trail[s + 1]``: the
+    object goes from ``trail[t][obj]`` to ``last.dst``, and the others as
+    before. So the suffix replays as before and is kept as it is. Returns
+    None when the replay fails.
     """
     first, last = steps[t], steps[s]
     middle = steps[t + 1 : s]
     head = [_Step(first.obj, first.src, last.dst)] if first.src != last.dst else []
     arr, part = list(trail[t]), []
-    if replay.run(head + middle, arr, part)[0] is not None or tuple(arr) != trail[s + 1]:
+    if replay.run(head + middle, arr, part)[0] is not None:
         return None
     return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
 
@@ -231,9 +224,8 @@ def _sweep_merge(
 ) -> tuple[list[_Step], list[Keys], bool]:
     """At most one merge per object, of two consecutive moves that are not adjacent steps.
 
-    Each object's pairs are tried left to right (see ``_merge_pair``); a pair
-    with a move of the object between them could merge only if that move
-    picked the object up within ``TOL`` of the merged point, so none is tried.
+    Each object's pairs of consecutive moves are tried left to right (see
+    ``_merge_pair``), so the steps between a pair move only other objects.
     """
     changed = False
     for obj in sorted({step.obj for step in steps}):
@@ -266,10 +258,9 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     pick-up and destination of the plan, as it does for every plan
     ``plan()`` returns, a key is a table index and each step is looked up in
     that table; the output's points are then the table's, each equal to the
-    input's. Otherwise, say for an off-grid destination or a pick-up within
-    ``TOL`` of an object's position, a key is the input's own Point and every
-    step is checked on the validator's float geometry, which gives the same
-    answers.
+    input's. Otherwise, for a plan with a point the table lacks, such as an
+    off-grid destination, a key is the input's own Point and every step is
+    checked on the validator's float geometry, which gives the same answers.
     """
     table = OcclusionTable.shared(scene)
     if table.covers(p for a in plan.actions for p in (a.src, a.dst)):
@@ -387,6 +378,8 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     def report(success: bool, result: Plan | None, kind: str | None) -> PlanReport:
         return PlanReport(success, result, time.perf_counter() - t0, kind)
 
+    if scene.start == scene.goal:
+        return report(True, Plan(()), None)
     try:
         order = stage_order(build_dependency_graph(scene), scene)
     except CycleError:

@@ -175,7 +175,7 @@ def make_scene(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
     """Parameters for random scene generation."""
 
@@ -193,6 +193,10 @@ class SceneConfig:
             raise ValueError("need at least one object")
         require_int("n_objects", self.n_objects, 1)
         require_int("rng_seed", self.rng_seed, 0)
+        _require_finite(
+            ("min_center_separation", self.min_center_separation),
+            ("tunnel_width", self.tunnel_width),
+        )
         if self.min_center_separation < 2.0 * self.object_radius:
             raise ValueError("separation below one object diameter would allow overlaps")
         grid_shape(Workspace(self.width, self.depth), self.object_radius, self.grid_resolution)

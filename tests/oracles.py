@@ -164,15 +164,12 @@ def _arrangements(scene: Scene, actions) -> list[tuple[Point, ...]] | None:
     """Every arrangement of a full float replay from the start, or None if a step fails.
 
     Entry ``k`` is the arrangement before step ``k`` and the last entry the
-    end. Pick-ups may be off by ``TOL`` per coordinate, as in
-    ``validate_plan``.
+    end. Each step must pick its object up exactly where it stands.
     """
-    tol = 1e-9
     positions = list(scene.start)
     seen = [tuple(positions)]
     for act in actions:
-        cur = positions[act.obj]
-        if abs(cur.x - act.src.x) > tol or abs(cur.y - act.src.y) > tol:
+        if positions[act.obj] != act.src:
             return None
         if not action_valid(scene, tuple(positions), act):
             return None
@@ -184,18 +181,12 @@ def _arrangements(scene: Scene, actions) -> list[tuple[Point, ...]] | None:
 def _replays_to(scene: Scene, actions, final=None) -> tuple[Point, ...] | None:
     """End arrangement of a full float replay from the start, or None if a step fails.
 
-    With ``final``, the end must also lie within ``TOL`` of it.
+    With ``final``, the end must also equal it.
     """
-    tol = 1e-9
     seen = _arrangements(scene, actions)
-    if seen is None:
+    if seen is None or final is not None and seen[-1] != tuple(final):
         return None
-    positions = seen[-1]
-    if final is not None and any(
-        abs(p.x - q.x) > tol or abs(p.y - q.y) > tol for p, q in zip(positions, final)
-    ):
-        return None
-    return positions
+    return seen[-1]
 
 
 def _merged(scene: Scene, actions: list[Action], t: int, s: int) -> list[Action] | None:

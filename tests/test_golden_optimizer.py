@@ -2,9 +2,8 @@
 
 Each entry stores a scene, a valid walk of relocations on it (the scene's goal
 is where the walk ends) and the JSON of ``optimize_plan`` on that walk. Some
-walks place objects off the candidate grid, and some pick objects up at a point
-that differs from their position by less than ``TOL``. A change that alters
-the optimiser's output on purpose regenerates the file and says why:
+walks place objects off the candidate grid. A change that alters the
+optimiser's output on purpose regenerates the file and says why:
 
     PYTHONPATH=src python tests/test_golden_optimizer.py --write
 """
@@ -36,13 +35,10 @@ from shelfplan import (
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_optimizer.json"
 
-SHIFT = 5e-10  # pick-up offset, below TOL per coordinate
-
-# (kind, walk seeds, objects, steps, share of off-grid destinations, share of shifted pick-ups)
+# (kind, walk seeds, objects, steps, share of off-grid destinations)
 CORPUS = (
-    ("grid", range(0, 8), 8, 40, 0.0, 0.0),
-    ("off-grid", range(8, 14), 6, 30, 0.3, 0.0),
-    ("shifted-src", range(14, 20), 5, 30, 0.2, 0.3),
+    ("grid", range(0, 8), 8, 40, 0.0),
+    ("off-grid", range(8, 14), 6, 30, 0.3),
 )
 
 
@@ -50,7 +46,7 @@ def corpus_cases() -> list[tuple]:
     return [(kind, seed, *rest) for kind, seeds, *rest in CORPUS for seed in seeds]
 
 
-def random_walk(seed: int, n_objects: int, steps: int, off_grid: float, shifted: float):
+def random_walk(seed: int, n_objects: int, steps: int, off_grid: float):
     """A scene whose goal ends a random walk accepted by ``action_valid``, and the walk."""
     rng = np.random.default_rng(seed)
     base = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
@@ -63,12 +59,10 @@ def random_walk(seed: int, n_objects: int, steps: int, off_grid: float, shifted:
             dst = Point(float(rng.uniform(b, ws.width - b)), float(rng.uniform(b, ws.depth - b)))
         else:
             dst = base.candidates[int(rng.integers(len(base.candidates)))]
-        src = positions[obj]
-        if rng.random() < shifted:
-            src = Point(src.x + SHIFT, src.y - SHIFT)
-        if dst == src or dst == positions[obj]:
+        rng.random()  # unused, kept so the recorded walks stay the same
+        if dst == positions[obj]:
             continue
-        act = Action(obj, src, dst)
+        act = Action(obj, positions[obj], dst)
         if action_valid(base, tuple(positions), act):
             positions[obj] = dst
             actions.append(act)
@@ -122,10 +116,8 @@ def test_corpus_exercises_the_optimiser():
     def frac(v):
         return abs(v - round(v))
 
-    # The default grid has integer points: off-grid destinations and shifted
-    # pick-ups both survive into optimised plans.
+    # The default grid has integer points: off-grid destinations survive into optimised plans.
     assert any(frac(a.dst.x) > 1e-6 or frac(a.dst.y) > 1e-6 for a in kept("off-grid"))
-    assert any(0.0 < frac(a.src.x) < 1e-6 for a in kept("shifted-src"))
 
 
 if __name__ == "__main__":

@@ -457,6 +457,13 @@ class TestUnknownPositions:
             Action(1, Point(16, 5), Point(16, 15))
         ]
 
+    def test_static_object_5e_10_off_its_goal_at_stage_entry(self):
+        # Object 0 starts 5e-10 right of its goal: a point of the table, but not the goal.
+        scene = make_scene([Point(4 + 5e-10, 15), Point(16, 5)], [Point(4, 15), Point(16, 15)])
+        ctx = ctx_for(scene, order=[0, 1], index=1)
+        with pytest.raises(ValueError, match="static object 0 is not at its goal at stage entry"):
+            solve_stage(ctx, scene.start, BUDGET)
+
     def test_context_rejects_another_scenes_table(self):
         # A table of the same shelf serves the scene; one of another shelf does not.
         scene = make_scene([Point(10, 5)], [Point(10, 15)])

@@ -330,9 +330,9 @@ def move_check(scene, arrangement, act):
         carrier = dataclasses.replace(scene, start=tuple(arrangement), goal=goal)
     except ValueError:
         return None
+    assert act.src == arrangement[act.obj]
     table = OcclusionTable(carrier)
-    positions = table.indices(arrangement)
-    return table.move_valid(positions, act.obj, table.index_of(act.src), table.index_of(act.dst))
+    return table.move_valid(table.indices(arrangement), act.obj, table.index_of(act.dst))
 
 
 def parked_clear_of(scene, disc):

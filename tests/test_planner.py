@@ -28,6 +28,7 @@ from shelfplan.motion import home_tunnel
 from shelfplan import planner
 from shelfplan.occlusion import OcclusionTable
 from shelfplan.planner import retarget_buffers
+from shelfplan.topology import build_dependency_graph
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,16 @@ class TestPlan:
         report = plan(make_scene(points, points), NO_TIMEOUT)
         assert report.success
         assert report.plan.steps == 0
+
+    def test_solved_scene_with_a_goal_cycle_needs_no_steps(self):
+        # Each object's tunnel at the goal touches the other's disc, a 2-cycle
+        # no stage order breaks; but nothing has to move.
+        points = [Point(9, 10), Point(11.5, 10)]
+        scene = make_scene(points, points)
+        assert build_dependency_graph(scene).edges == {(0, 1), (1, 0)}
+        report = plan(scene, NO_TIMEOUT)
+        assert (report.success, report.plan, report.failure_kind) == (True, Plan(()), None)
+        assert validate_plan(scene, report.plan).valid
 
     def test_flip_case(self, flip_scene):
         report = plan(flip_scene, NO_TIMEOUT)
@@ -142,6 +153,18 @@ def bad_second_step(name):
     return scene, Plan((first, Action(obj, Point(*src), Point(*dst))))
 
 
+PICK_MISMATCH = "pick location does not match the object's current region"
+
+
+def assert_pick_up_rejected(scene, actions, step):
+    """``validate_plan`` fails the pick-up at ``step``, and ``optimize_plan`` says the same."""
+    check = validate_plan(scene, Plan(tuple(actions)))
+    assert (check.valid, check.failed_step, check.reason) == (False, step, PICK_MISMATCH)
+    with pytest.raises(InvalidPlanError) as err:
+        optimize_plan(Plan(tuple(actions)), scene)
+    assert str(err.value) == f"input plan invalid at step {step}: {check.reason}"
+
+
 class TestOptimizePlan:
     def test_consecutive_moves_collapse(self):
         scene = make_scene([Point(4, 5)], [Point(10, 10)])
@@ -219,26 +242,16 @@ class TestOptimizePlan:
         assert out.steps == 2
         assert validate_plan(scene, out).valid
 
-    def test_round_trip_to_a_pick_up_within_tol_keeps_the_plan_valid(self):
-        # The object stands at (4, 5); it is picked and put back 6e-10 to the
-        # right, and the last pick-up, 1.4e-9 to the right, relies on that.
+    def test_round_trip_from_a_pick_up_off_the_object_is_rejected(self):
+        # The object stands at (4, 5); the first pick-up is 6e-10 to the right.
         scene = make_scene([Point(4, 5)], [Point(16, 5)])
         near, nearer, away = Point(4 + 6e-10, 5), Point(4 + 1.4e-9, 5), Point(10, 10)
-        raw = Plan(
-            (Action(0, near, away), Action(0, away, near), Action(0, nearer, Point(16, 5)))
-        )
-        assert validate_plan(scene, raw).valid
-        out = optimize_plan(raw, scene)
-        assert validate_plan(scene, out).valid
-        assert out.actions == (Action(0, near, Point(16, 5)),)
+        actions = (Action(0, near, away), Action(0, away, near), Action(0, nearer, Point(16, 5)))
+        assert_pick_up_rejected(scene, actions, 0)
 
     @pytest.mark.parametrize("shift", [0.0, 9.999e-7, -9.999e-7])
-    def test_merge_dropping_a_return_within_tol_is_not_kept(self, shift):
-        # Merging object 0's two moves would drop them: its pick-up 6e-10 to
-        # the right of (4, 5) would leave it at (4, 5), not where the plan put
-        # it back, so the merge misses the plan's arrangement and is not kept.
-        # The goal lies within the validator's 1e-6 of where the plan puts the
-        # object back; shifted by +9.999e-7, (4, 5) would miss it.
+    def test_pair_picking_up_off_the_object_is_rejected(self, shift):
+        # Object 0 stands at (4, 5) and is picked up 6e-10 to the right.
         near = Point(4 + 6e-10, 5)
         scene = make_scene([Point(4, 5), Point(10, 12)], [Point(near.x + shift, 5), Point(12, 15)])
         actions = (
@@ -246,28 +259,19 @@ class TestOptimizePlan:
             Action(1, Point(10, 12), Point(12, 15)),
             Action(0, Point(3, 12), near),
         )
-        assert validate_plan(scene, Plan(actions)).valid
-        out = optimize_plan(Plan(actions), scene)
-        assert out.actions == actions
-        assert validate_plan(scene, out).valid
-        assert list(out.actions) == optimize_by_full_replay(scene, list(actions))
+        assert_pick_up_rejected(scene, actions, 0)
 
     @pytest.mark.parametrize("shift", [0.0, 9.999e-7, -9.999e-7])
-    def test_adjacent_return_within_tol_keeps_both_moves(self, shift):
+    def test_adjacent_pair_picking_up_off_the_object_is_rejected(self, shift):
         near, away = Point(4 + 6e-10, 5), Point(10, 10)
         scene = make_scene([Point(4, 5)], [Point(near.x + shift, 5)])
-        actions = (Action(0, near, away), Action(0, away, near))
-        assert validate_plan(scene, Plan(actions)).valid
-        out = optimize_plan(Plan(actions), scene)
-        assert out.actions == actions
-        assert validate_plan(scene, out).valid
-        assert list(out.actions) == optimize_by_full_replay(scene, list(actions))
+        assert_pick_up_rejected(scene, (Action(0, near, away), Action(0, away, near)), 0)
 
-    def test_moves_shorter_than_tol_never_join_a_merge(self):
-        # Object 0 goes A -> X, X -> Y and Y -> Z, with Y and Z within TOL of X
-        # (but 9e-10 apart), and object 1 moves in between. Only consecutive
-        # moves merge, so the plan ends exactly on Z; merging the outer pair
-        # first would end on Y.
+    def test_moves_shorter_than_1e_9_never_join_a_merge(self):
+        # Object 0 goes A -> X, X -> Y and Y -> Z, with Y and Z within 1e-9
+        # of X (but 9e-10 apart), and object 1 moves in between. Only
+        # consecutive moves merge, so the plan ends exactly on Z; merged, the
+        # outer pair would leave the object on Z, where X -> Y does not pick it up.
         A, B, X = Point(4, 5), Point(16, 16), Point(3, 14)
         Y, Z = Point(3 + 6e-10, 14), Point(3 - 3e-10, 14)
         B2, B3 = Point(16, 12), Point(10, 16)
@@ -412,6 +416,17 @@ class TestRetargetBuffers:
         with pytest.raises(InvalidPlanError, match="input plan invalid at step 0"):
             retarget_buffers(broken, scene)
 
+    def test_shifted_pick_up_rejected(self):
+        # The goal puts (4 + 1e-10, 5) in the table, and the plan picks the
+        # object up there although it stands on (4, 5).
+        near, away = Point(4 + 1e-10, 5), Point(10, 10)
+        scene = make_scene([Point(4, 5)], [near])
+        shifted = Plan((Action(0, near, away), Action(0, away, near)))
+        assert OcclusionTable.shared(scene).covers([near, away])
+        with pytest.raises(InvalidPlanError) as err:
+            retarget_buffers(shifted, scene)
+        assert str(err.value) == f"input plan invalid at step 0: {PICK_MISMATCH}"
+
     def test_off_table_point_rejected(self):
         scene = make_scene([Point(4, 5)], [Point(4, 5)])
         off_grid = Plan(
@@ -434,8 +449,8 @@ class TestMergeShortcut:
     """A merge replays the merged move and the steps between the pair.
 
     Object 0 goes A -> B, others move, then it goes B -> C. Merged, it stands
-    on C while the others move, so each of their steps must clear C. A move of
-    object 0 between the pair must pick it up where the merge leaves it.
+    on C while the others move, so each of their steps must clear C. No pair
+    with a move of object 0 between them is tried.
     """
 
     def optimized(self, scene, actions, step_check):
@@ -475,9 +490,10 @@ class TestMergeShortcut:
         ]
         assert self.optimized(scene, actions, step_check).actions == tuple(actions)
 
-    def test_own_middle_move_picking_up_within_tol(self, step_check):
-        # Object 3 leaves B', 5e-10 off the grid point B; object 0 is put on B',
-        # picked up at B on its way to C, and put back on B'.
+    def test_own_middle_move_picking_up_off_the_object_is_rejected(self, step_check):
+        # Object 3 leaves B', 5e-10 off the grid point B; object 0 is put on B'
+        # and then picked up at B, where it does not stand. Both are table
+        # points, so the table path rejects the step as the float path does.
         B = Point(3, 14)
         shifted = Point(B.x + 5e-10, B.y - 5e-10)
         A, C, away = Point(15, 15), Point(3, 1), Point(8, 17)
@@ -492,8 +508,9 @@ class TestMergeShortcut:
             Action(2, starts[2], goals[2]),
             Action(0, C, shifted),
         ]
-        out = self.optimized(scene, actions, step_check)
-        assert out.actions == tuple(actions[:3] + actions[4:5])
+        points = [p for a in actions for p in (a.src, a.dst)]
+        assert OcclusionTable.shared(scene).covers(points) == (step_check == "table")
+        assert_pick_up_rejected(scene, actions, 3)
 
     def test_own_middle_move_picking_up_away_from_the_merged_point(self, step_check, monkeypatch):
         # Merging object 0's first and last moves would leave it on D, but its
@@ -618,6 +635,12 @@ class TestValidatePlan:
         for name in methods:
             monkeypatch.setattr(OcclusionTable, name, refuse)
         assert [validate_plan(scene, p) for p in (full, cut)] == expected
+
+    def test_end_1e_7_off_the_goal_misses_it(self):
+        scene = make_scene([Point(4, 5)], [Point(10 + 1e-7, 10)])
+        check = validate_plan(scene, Plan((Action(0, Point(4, 5), Point(10, 10)),)))
+        assert (check.valid, check.failed_step) == (False, 1)
+        assert check.reason == "terminal arrangement misses the goal"
 
     def test_empty_plan_misses_goal(self):
         scene = make_scene([Point(4, 5)], [Point(10, 10)])

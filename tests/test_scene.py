@@ -11,6 +11,8 @@ from shelfplan import (
     Point,
     SceneConfig,
     SceneGenerationError,
+    SearchBudget,
+    SuiteConfig,
     generate_scene,
     make_scene,
     scene_from_dict,
@@ -181,6 +183,26 @@ class TestGenerateScene:
     def test_config_rejects_a_bad_count_or_seed_by_name(self, field, bad, message):
         with pytest.raises(ValueError, match=message):
             generate_scene(SceneConfig(**{field: bad}))
+
+    @pytest.mark.parametrize("field", ["min_center_separation", "tunnel_width"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_a_non_finite_length_by_name(self, field, bad):
+        # A nan separation used to pass: no d2 < nan, so placement ignored it.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SceneConfig(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (SearchBudget(), "wall_clock_limit"),
+            (SceneConfig(), "rng_seed"),
+            (SuiteConfig(), "base_seed"),
+        ],
+        ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v,
+    )
+    def test_configs_cannot_be_changed_after_their_checks(self, config, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, -1)
 
     def test_generated_arrangements_are_valid(self):
         for seed in range(10):

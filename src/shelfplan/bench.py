@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mcts import SearchBudget
+from .mcts import SearchBudget, require_budget
 from .planner import plan, plan_to_dict
 from .scene import SceneConfig, generate_scene, require_int, scene_to_dict
 
@@ -33,6 +33,7 @@ class SuiteConfig:
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
         require_int("cases_per_level", self.cases_per_level, 1)
         require_int("base_seed", self.base_seed, 0)
+        require_budget(self.budget)
         SceneConfig(grid_resolution=self.grid_resolution)  # checks the cases' candidate grid
 
     @property

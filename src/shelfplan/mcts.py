@@ -142,6 +142,15 @@ class SearchBudget:
             raise ValueError(f"wall_clock_limit must be positive seconds or None, not {t!r}")
 
 
+def require_budget(budget) -> SearchBudget:
+    """``budget``, or the default ``SearchBudget`` for None; anything else is a ``ValueError``."""
+    if budget is None:
+        return SearchBudget()
+    if not isinstance(budget, SearchBudget):
+        raise ValueError(f"budget must be a SearchBudget or None, not {budget!r}")
+    return budget
+
+
 class SearchNode:
     """One tree node: an arrangement as an index vector, plus search statistics."""
 

@@ -53,7 +53,11 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     object, and the destination disc fits the workspace without overlapping
     another object. The moved object itself travels inside the tunnels and is
     ignored on both legs. ``arrangement`` is a sequence of ``(x, y)`` pairs:
-    Points, lists or the rows of an array.
+    Points, lists or the rows of an array. ``action`` is read only through
+    its ``obj``, ``src`` and ``dst``, so it may be any record with those
+    fields, such as the validator's replay step, which is not rebuilt as an
+    ``Action`` for each check. Such a record must have ``src != dst``, as an
+    ``Action`` checks on construction.
 
     The overlap test runs on Python floats, with ``ex * ex + ey * ey``: the
     arithmetic numpy does for a squared difference summed over two columns.
@@ -87,9 +91,12 @@ def collision_objs(
     Each tunnel's ``(c, s, length)`` is built on floats with the expressions of
     ``tunnel_to``, ``np.hypot`` included, and each candidate is tested on
     ``tunnel_hits_disc``, so each one answers as ``tunnel_disc_mask(
-    home_tunnel(scene, target), ...)`` bit for bit: on a few discs, cheaper
-    than a numpy call. Raises ``ValueError`` when a target coincides with the
-    robot home, as ``home_tunnel`` does, even with no candidates.
+    home_tunnel(scene, target), ...)`` bit for bit. A call makes up to
+    candidates × legs scalar tests, which timed cheaper than one packed
+    ``tunnel_hits`` call up to about 32 candidates (README, "A scalar tunnel
+    test"); a default shelf holds at most 21 objects. Raises
+    ``ValueError`` when a target coincides with the robot home, as
+    ``home_tunnel`` does, even with no candidates.
     """
     b = scene.object_radius
     hx, hy = scene.robot_home

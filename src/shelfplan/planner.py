@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import Disc, Point, disc_in_workspace, distance
 from .mcts import SearchBudget, StageContext, StageExhausted, StageIterationLimit
-from .mcts import StageTimeout, solve_stage
+from .mcts import StageTimeout, require_budget, solve_stage
 from .motion import Action, action_valid
 from .occlusion import OcclusionTable, other_points
 from .scene import ObjectId, Scene, list_from_json, point_from_json, require_int
@@ -105,14 +105,15 @@ class _Replay:
         return steps, trail + [tuple(arr)]
 
     def run(
-        self, steps: Sequence[_Step], arr: list[Key], trail: list[Keys] | None = None
+        self, steps: Sequence[_Step | Action], arr: list[Key], trail: list[Keys] | None = None
     ) -> tuple[int | None, str | None]:
         """Replay ``steps`` on ``arr``, the point key of every object, in place.
 
         Each step must name a known object and pick it up at its current
         point, and then pass ``check``. Returns ``(failed_step,
         reason)``, both None when every step applied. With ``trail``, appends
-        the arrangement before each applied step.
+        the arrangement before each applied step. Where a key is the Point
+        itself (``_FloatReplay``), a plan's ``Action``s are steps as they are.
         """
         n = len(arr)
         for k, step in enumerate(steps):
@@ -139,9 +140,9 @@ class _FloatReplay(_Replay):
     def __init__(self, scene: Scene) -> None:
         super().__init__(scene, lambda p: p, lambda p: p)
 
-    def check(self, arr: Sequence[Point], step: _Step) -> str | None:
+    def check(self, arr: Sequence[Point], step: _Step | Action) -> str | None:
         scene = self.scene
-        if action_valid(scene, arr, Action(*step)):
+        if action_valid(scene, arr, step):  # a step never has src == dst
             return None
         inside = disc_in_workspace(Disc(Point(*step.dst), scene.object_radius), scene.workspace)
         return _COLLIDES if inside else _LEAVES
@@ -163,10 +164,13 @@ class _TableReplay(_Replay):
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
-    """Independent float replay of the plan's own Points: every step valid and the goal reached."""
-    replay = _FloatReplay(scene)
+    """Independent float replay of the plan's own Points: every step valid and the goal reached.
+
+    A float replay's key is the Point itself, so the plan's ``Action``s are
+    replayed as its steps, with no ``_Step`` built for them.
+    """
     arr = list(scene.start)
-    step, reason = replay.run(replay.steps(plan.actions), arr)
+    step, reason = _FloatReplay(scene).run(plan.actions, arr)
     if step is not None:
         return PlanCheck(False, step, reason)
     if arr != list(scene.goal):
@@ -366,11 +370,11 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     re-targets their buffer moves and optimizes again.
     The wall-clock budget is split evenly across the remaining stages, so
     time unused by early stages rolls forward. A seed that is not a
-    non-negative int (bools included) is a ValueError.
+    non-negative int (bools included), or a budget that is neither a
+    ``SearchBudget`` nor None, is a ValueError.
     """
     require_int("seed", seed, 0)
-    if budget is None:
-        budget = SearchBudget()
+    budget = require_budget(budget)
     t0 = time.perf_counter()
     limit = budget.wall_clock_limit
     deadline = None if limit is None else time.monotonic() + limit

@@ -58,6 +58,21 @@ def rect_disc_clearance(t: Tunnel, d: Disc) -> float:
     return math.hypot(u - uc, v - vc) - d.radius
 
 
+def tunnel_hits_disc_by_min_max(
+    dx: float, dy: float, c: float, s: float, length: float, half_width: float, r: float
+) -> bool:
+    """``geometry.tunnel_hits_disc`` with its clamps as ``min``/``max`` builtin calls.
+
+    The reference for the kernel's comparison clamps, which must give the
+    same answer on every input.
+    """
+    u = dx * c + dy * s
+    v = -dx * s + dy * c
+    du = u - min(max(u, 0.0), length)
+    dv = v - min(max(v, -half_width), half_width)
+    return du * du + dv * dv <= r * r
+
+
 def action_valid_by_legs(scene: Scene, arrangement, action: Action) -> bool:
     """``action_valid`` leg by leg: one ``home_tunnel`` and one ``tunnel_disc_mask`` per leg.
 

@@ -219,6 +219,24 @@ class TestPublicApi:
         with pytest.raises(ValueError, match="base_seed must be a non-negative int"):
             tiny_suite(base_seed=bad)
 
+    @pytest.mark.parametrize("bad", [30.0, 0, "30", {"wall_clock_limit": 30.0}])
+    def test_plan_rejects_a_budget_that_is_not_a_search_budget(self, bad):
+        # 30.0 used to end in AttributeError: 'float' object has no attribute 'wall_clock_limit'.
+        scene = generate_scene(SceneConfig(n_objects=2, rng_seed=4))
+        with pytest.raises(ValueError, match="budget must be a SearchBudget or None"):
+            plan(scene, budget=bad)
+
+    @pytest.mark.parametrize("bad", [30.0, "30", (10_000, 30.0)])
+    def test_suite_rejects_a_budget_that_is_not_a_search_budget(self, bad):
+        # 30.0 used to be accepted and then fail inside run_suite.
+        with pytest.raises(ValueError, match="budget must be a SearchBudget or None"):
+            tiny_suite(budget=bad)
+
+    def test_plan_and_suite_take_none_as_the_default_budget(self):
+        scene = generate_scene(SceneConfig(n_objects=2, rng_seed=4))
+        assert plan(scene, budget=None).success
+        assert tiny_suite(budget=None).budget is None
+
     def test_plan_rejects_a_negative_seed(self):
         scene = generate_scene(SceneConfig(n_objects=2, rng_seed=4))
         with pytest.raises(ValueError, match="seed must be a non-negative int"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,11 +15,12 @@ from shelfplan.geometry import (
     discs_overlap,
     distance,
     tunnel_disc_mask,
+    tunnel_hits_disc,
     tunnel_intersects_disc,
     tunnel_to,
 )
 
-from oracles import rect_disc_clearance, sampled_tunnel_disc_hit
+from oracles import rect_disc_clearance, sampled_tunnel_disc_hit, tunnel_hits_disc_by_min_max
 
 ORIGIN = Point(0, 0)
 
@@ -140,6 +142,37 @@ class TestTunnelDisc:
         t2 = Tunnel(moved(t.anchor), ln, w, along(ang + rot))
         d2 = Disc(moved(d.center), r)
         assert tunnel_intersects_disc(t2, d2) == base
+
+
+INF, NAN = math.inf, math.nan
+LENGTH, HALF = 3.0, 2.0
+
+
+class TestClampsByComparison:
+    """``tunnel_hits_disc`` clamps with comparisons and answers as its ``min``/``max`` form."""
+
+    def test_special_values(self):
+        # Axis-aligned directions give u == dx and v == dy exactly, so the grid
+        # puts the center at the anchor (0, 0), at u == length and at
+        # v == +-half_width, alongside signed zeros, infinities and NaN in
+        # every argument.
+        specials = [0.0, -0.0, INF, -INF, NAN]
+        offsets = specials + [-1.0, 1.0, LENGTH, 5.0, HALF, -HALF]
+        directions = [(1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-1.0, 0.0), (0.6, 0.8)]
+        directions += [(NAN, NAN), (INF, 0.0)]
+        lengths = specials + [LENGTH]
+        halves = specials + [HALF]
+        radii = [0.0, -0.0, 1.0, INF, NAN]
+        grid = itertools.product(offsets, offsets, directions, lengths, halves, radii)
+        for dx, dy, (c, s), length, half, r in grid:
+            args = (dx, dy, c, s, length, half, r)
+            assert tunnel_hits_disc(*args) == tunnel_hits_disc_by_min_max(*args), args
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=7, max_size=7))
+    def test_raw_floats(self, args):
+        # Not only reachable legs: any seven floats, unit directions or not.
+        assert tunnel_hits_disc(*args) == tunnel_hits_disc_by_min_max(*args)
 
 
 class TestDiscs:

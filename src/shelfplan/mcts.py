@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Sequence
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .geometry import distance
 from .motion import Action
-from .occlusion import OcclusionTable, other_points
+from .occlusion import OcclusionTable, occupancy, other_points
 from .scene import Arrangement, ObjectId, Scene, require_int
 
 _EPS = 1e-12
@@ -78,12 +77,26 @@ class StageContext:
     table of the scene's shelf. ``move_memo`` is the stage's transposition
     table: it fills as the search reaches arrangements, and it is dropped with
     the context, since ``plan()`` builds one per stage.
+
+    The derived fields are worked out once, when the context is built: the
+    search reads them in every round.
     """
 
     scene: Scene
     order: tuple[ObjectId, ...]
     index: int
     table: OcclusionTable
+    focus: ObjectId = field(init=False, repr=False, compare=False)
+    static_ids: tuple[ObjectId, ...] = field(init=False, repr=False, compare=False)
+    movable_ids: tuple[ObjectId, ...] = field(init=False, repr=False, compare=False)
+    goal_indices: list[int] = field(init=False, repr=False, compare=False)
+    focus_goal: int = field(init=False, repr=False, compare=False)
+    topo_index: dict[ObjectId, int] = field(init=False, repr=False, compare=False)
+    movers_except_focus: tuple[ObjectId, ...] = field(init=False, repr=False, compare=False)
+    # ``_candidate_moves`` results, keyed by ``(arrangement, stuck)``.
+    move_memo: dict[tuple[tuple[int, ...], bool], tuple[Move, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if sorted(self.order) != list(range(self.scene.n_objects)) or not (
@@ -92,39 +105,20 @@ class StageContext:
             raise ValueError("stage order must permute the scene's objects and index one of them")
         if not self.table.serves(self.scene):
             raise ValueError("occlusion table belongs to another shelf")
-
-    @cached_property
-    def focus(self) -> ObjectId:
-        return self.order[self.index]
-
-    @cached_property
-    def static_ids(self) -> tuple[ObjectId, ...]:
-        return self.order[: self.index]
-
-    @cached_property
-    def movable_ids(self) -> tuple[ObjectId, ...]:
-        return tuple(sorted(self.order[self.index :]))
-
-    @cached_property
-    def goal_indices(self) -> list[int]:
-        return self.table.indices(self.scene.goal)
-
-    @cached_property
-    def focus_goal(self) -> int:
-        return self.goal_indices[self.focus]
-
-    @cached_property
-    def topo_index(self) -> dict[ObjectId, int]:
-        return {obj: i for i, obj in enumerate(self.order)}
-
-    @cached_property
-    def movers_except_focus(self) -> tuple[ObjectId, ...]:
-        return tuple(o for o in self.movable_ids if o != self.focus)
-
-    @cached_property
-    def move_memo(self) -> dict[tuple[tuple[int, ...], bool], tuple[Move, ...]]:
-        """``_candidate_moves`` results, keyed by ``(arrangement, stuck)``."""
-        return {}
+        order, index = self.order, self.index
+        focus = order[index]
+        movable = tuple(sorted(order[index:]))
+        goal_indices = self.table.indices(self.scene.goal)
+        vars(self).update(  # past the frozen dataclass's __setattr__
+            focus=focus,
+            static_ids=order[:index],
+            movable_ids=movable,
+            goal_indices=goal_indices,
+            focus_goal=goal_indices[focus],
+            topo_index={obj: i for i, obj in enumerate(order)},
+            movers_except_focus=tuple(o for o in movable if o != focus),
+            move_memo={},
+        )
 
 
 @dataclass(frozen=True)
@@ -254,7 +248,8 @@ def new_region(
 
 def _direct_move(ctx: StageContext, positions: list[int]) -> tuple[Move, ...]:
     focus, goal = ctx.focus, ctx.focus_goal
-    if positions[focus] != goal and ctx.table.move_valid(positions, focus, goal):
+    src = positions[focus]
+    if src != goal and ctx.table.move_valid(occupancy(positions) & ~(1 << src), src, goal):
         return ((focus, goal),)
     return ()
 
@@ -284,6 +279,7 @@ def _relocation_moves(
     focus = ctx.focus
     goal_idx = ctx.goal_indices
     movable = ctx.movable_ids
+    occupied = occupancy(positions)
     moves: list[Move] = []
     seen: set[Move] = set()
 
@@ -319,17 +315,20 @@ def _relocation_moves(
         next_wave: set[ObjectId] = set()
         for o_i in sorted(current):
             processed.add(o_i)
-            pick_blockers = tunnel_blockers(o_i, positions[o_i])
+            src = positions[o_i]
+            pick_blockers = tunnel_blockers(o_i, src)
             if not pick_blockers:
                 goal = goal_idx[o_i]
                 goal_move_ok = False
-                if positions[o_i] != goal:
+                if src != goal:
                     if o_i == focus:
                         goal_move_ok = not blocked_pickups_at_goal(ctx, positions)
                     else:
                         focus_tunnels = table.row(positions[focus]) | table.row(ctx.focus_goal)
                         goal_move_ok = not focus_tunnels >> goal & 1
-                    goal_move_ok = goal_move_ok and table.move_valid(positions, o_i, goal)
+                    goal_move_ok = goal_move_ok and table.move_valid(
+                        occupied & ~(1 << src), src, goal
+                    )
                 if goal_move_ok:
                     push(o_i, goal)
                 else:

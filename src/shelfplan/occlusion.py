@@ -19,10 +19,10 @@ bit for bit:
   ``geometry.distance`` computes it.
 
 ``move_valid`` combines them into ``action_valid`` for one relocation between
-table points, given the point index of every object: it builds the bit set of
-the points the other objects stand on (``other_points``) itself. Each point is
-a candidate or a start or goal point that ``Scene`` checked, so its disc lies
-in the workspace; any other point is left to the float geometry.
+table points, given the bit set of the points the other objects stand on
+(``occupancy``). Each point is a candidate or a start or goal point that
+``Scene`` checked, so its disc lies in the workspace; any other point is left
+to the float geometry.
 
 Both tunnel entries come from one kernel (``geometry.tunnel_hits``), so for a
 candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
@@ -77,6 +77,18 @@ def _shelf(scene: Scene) -> tuple:
 def other_points(positions: Sequence[int], obj: ObjectId) -> list[int]:
     """The points that every object but ``obj`` stands on."""
     return [j for o, j in enumerate(positions) if o != obj]
+
+
+def occupancy(positions: Iterable[int]) -> int:
+    """Bit set of the points the objects stand on.
+
+    No two objects of an arrangement share a point, so clearing one object's
+    bit leaves the points of all the others.
+    """
+    bits = 0
+    for j in positions:
+        bits |= 1 << j
+    return bits
 
 
 def to_bits(mask: np.ndarray) -> int:
@@ -207,21 +219,18 @@ class OcclusionTable:
             self._reach[j] = entry
         return entry
 
-    def move_valid(self, positions: Sequence[int], obj: ObjectId, dst: int) -> bool:
-        """``action_valid`` for object ``obj`` picked where it stands and placed at point ``dst``.
+    def move_valid(self, others: int, src: int, dst: int) -> bool:
+        """``action_valid`` for an object picked up at point ``src`` and placed at point ``dst``.
 
-        ``positions`` is the point index of every object, so the pick-up is
-        ``positions[obj]``. The move is valid iff the destination disc
+        ``others`` is the bit set of the points the other objects stand on
+        (``occupancy``), which a caller that asks about many moves from one
+        arrangement builds once. The move is valid iff the destination disc
         overlaps no other object and neither home tunnel touches one; the disc
         at a table point always lies in the workspace.
         """
-        occupied = 0
-        for o, j in enumerate(positions):
-            if o != obj:
-                occupied |= 1 << j
-        if self.far(dst) & occupied != occupied:
+        if self.far(dst) & others != others:
             return False
-        return not (self.row(positions[obj]) | self.row(dst)) & occupied
+        return not (self.row(src) | self.row(dst)) & others
 
     def _distances(self, j: int) -> np.ndarray:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)

@@ -14,7 +14,7 @@ from .geometry import Disc, Point, disc_in_workspace, distance
 from .mcts import SearchBudget, StageContext, StageExhausted, StageIterationLimit
 from .mcts import StageTimeout, require_budget, solve_stage
 from .motion import Action, action_valid
-from .occlusion import OcclusionTable, other_points
+from .occlusion import OcclusionTable, occupancy, other_points
 from .scene import ObjectId, Scene, list_from_json, point_from_json, require_int
 from .topology import CycleError, build_dependency_graph, stage_order
 
@@ -75,7 +75,9 @@ class _Replay:
 
     ``index`` maps a point to its key and ``point`` maps a key back to its
     point; equal points share one key. A subclass says why a step cannot be
-    applied (``check``).
+    applied (``check``). ``run`` asks ``check`` only about the step it applies
+    next, after ``begin`` on the arrangement it starts from, so a subclass
+    may follow the arrangement through these two calls.
     """
 
     def __init__(self, scene: Scene, index: Callable[[Point], Key], point: Callable[[Key], Point]):
@@ -84,7 +86,11 @@ class _Replay:
         self.point = point
         self.start: Keys = tuple(index(p) for p in scene.start)
 
+    def begin(self, arr: Sequence[Key]) -> None:
+        """A run starts from ``arr``."""
+
     def check(self, arr: Sequence[Key], step: _Step) -> str | None:
+        """Why ``step`` cannot be applied to ``arr``, or None when ``run`` applies it."""
         raise NotImplementedError
 
     def steps(self, actions: Sequence[Action]) -> list[_Step]:
@@ -116,6 +122,7 @@ class _Replay:
         itself (``_FloatReplay``), a plan's ``Action``s are steps as they are.
         """
         n = len(arr)
+        self.begin(arr)
         for k, step in enumerate(steps):
             obj = step.obj
             if not 0 <= obj < n:
@@ -152,15 +159,26 @@ class _TableReplay(_Replay):
     """Steps looked up in an occlusion table that indexes every point of the plan.
 
     A point's key is its table index. A table point's disc lies in the
-    workspace, so a rejected step collides.
+    workspace, so a rejected step collides. The replay keeps the bit set of
+    the points the objects stand on as it applies steps: a step clears its
+    pick-up bit and sets its destination bit. No other object stands on the
+    destination, since ``far(dst)`` lacks ``dst``.
     """
 
     def __init__(self, scene: Scene, table: OcclusionTable) -> None:
         super().__init__(scene, table.index_of, table.points.__getitem__)
         self.table = table
+        self.occupied = 0
+
+    def begin(self, arr: Sequence[int]) -> None:
+        self.occupied = occupancy(arr)
 
     def check(self, arr: Sequence[int], step: _Step) -> str | None:
-        return None if self.table.move_valid(arr, step.obj, step.dst) else _COLLIDES
+        others = self.occupied & ~(1 << step.src)
+        if not self.table.move_valid(others, step.src, step.dst):
+            return _COLLIDES
+        self.occupied = others | 1 << step.dst
+        return None
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
@@ -320,10 +338,20 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     A buffer step puts an object down where it does not stay: the object
     moves again later. ``new_region`` picks buffer points near where the
     object stands, not on the way to where it goes next, so the detour
-    through a buffer point can often be shortened. Steps are scanned in
-    order and each is re-targeted as ``_retarget_step`` decides, and the
+    through a buffer point can often be shortened. Buffer steps are scanned
+    in order and each is re-targeted as ``_retarget_step`` decides, and the
     scan repeats until nothing changes. The plan keeps its steps and its
     final arrangement, and its displacement only shrinks.
+
+    A buffer step ``k`` and the object's next step ``n`` form a pair whose
+    answer depends only on steps ``k`` to ``n``, so each pair carries a stale
+    flag. A scan tests only stale pairs and clears their flags; a re-target
+    of ``(k', n')`` sets the flags of the other pairs whose window ``[k, n]``
+    overlaps ``[k', n']``. The scans end once no pair is stale. A pair that
+    is not stale would keep its point: its window is as it was when it last
+    kept it, or when it was re-targeted to the least detour. So the scans
+    skip only tests that a full rescan would answer with None, and they
+    re-target as it would.
 
     The plan is replayed once, in the indices of ``OcclusionTable.shared(
     scene)``, into a trail of arrangements as in ``optimize_plan``. A
@@ -347,10 +375,13 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
         if step.obj in last:
             following[last[step.obj]] = n
         last[step.obj] = n
-    changed = True
-    while changed:
-        changed = False
-        for k, n in sorted(following.items()):
+    pairs = sorted(following.items())
+    stale = [True] * len(pairs)
+    while any(stale):
+        for i, (k, n) in enumerate(pairs):
+            if not stale[i]:
+                continue
+            stale[i] = False
             b = _retarget_step(table, steps, trail, k, n)
             if b is None:
                 continue
@@ -358,7 +389,12 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
             steps[k], steps[n] = steps[k]._replace(dst=b), steps[n]._replace(src=b)
             for m in range(k + 1, n + 1):
                 trail[m] = trail[m][:obj] + (b,) + trail[m][obj + 1 :]
-            changed = True
+            # Pair (k2, n2) reads steps k2 to n2 and the trail at k2 and n2, so
+            # only a re-target whose window overlaps its own can change its
+            # answer. Pair i itself would now keep b: its detour is no shorter.
+            for j, (k2, n2) in enumerate(pairs):
+                if j != i and k2 <= n and k <= n2:
+                    stale[j] = True
     return replay.plan(steps)
 
 

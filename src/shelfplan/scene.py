@@ -90,6 +90,29 @@ def candidate_grid(workspace: Workspace, object_radius: float, resolution: float
     return [Point(b + i * resolution, b + j * resolution) for j in range(ny) for i in range(nx)]
 
 
+def _shelf_grid(
+    workspace: Workspace, object_radius: float, resolution: float
+) -> tuple[tuple[Point, ...], np.ndarray]:
+    """The candidate grid of a shelf and its coordinates as a read-only float array.
+
+    Built once for the last shelf asked about and shared by its scenes:
+    ``generate_scene`` draws from it and ``Scene.candidates`` is the tuple.
+    The coordinates keep the type of the resolution, so the key holds it.
+    """
+    global _last_grid
+    key = (workspace, object_radius, resolution, type(resolution))
+    if _last_grid is None or _last_grid[0] != key:
+        points = tuple(candidate_grid(workspace, object_radius, resolution))
+        coords = np.asarray(points, dtype=float)
+        coords.flags.writeable = False
+        _last_grid = (key, points, coords)
+    return _last_grid[1], _last_grid[2]
+
+
+# The shelf ``_shelf_grid`` last served, its candidate grid and the grid's coordinates.
+_last_grid: tuple[tuple, tuple[Point, ...], np.ndarray] | None = None
+
+
 def _points_ok(points: Arrangement, workspace: Workspace, radius: float) -> bool:
     discs = [Disc(p, radius) for p in points]
     if not all(disc_in_workspace(d, workspace) for d in discs):
@@ -142,7 +165,7 @@ class Scene:
 
     @cached_property
     def candidates(self) -> tuple[Point, ...]:
-        return tuple(candidate_grid(self.workspace, self.object_radius, self.grid_resolution))
+        return _shelf_grid(self.workspace, self.object_radius, self.grid_resolution)[0]
 
 
 def make_scene(
@@ -236,8 +259,7 @@ def _sample_indices(
 def generate_scene(config: SceneConfig) -> Scene:
     """Sample a random scene; deterministic for a given ``config.rng_seed``."""
     workspace = Workspace(config.width, config.depth)
-    grid = candidate_grid(workspace, config.object_radius, config.grid_resolution)
-    grid_arr = np.asarray(grid, dtype=float)
+    grid, grid_arr = _shelf_grid(workspace, config.object_radius, config.grid_resolution)
     rng = np.random.default_rng(config.rng_seed)
     start_idx = _sample_indices(rng, grid_arr, config.n_objects, config.min_center_separation)
     goal_idx = _sample_indices(rng, grid_arr, config.n_objects, config.min_center_separation)
@@ -250,13 +272,6 @@ def generate_scene(config: SceneConfig) -> Scene:
         tunnel_width=config.tunnel_width,
         grid_resolution=config.grid_resolution,
     )
-
-
-def arrangement_valid(a: Arrangement, scene: Scene) -> bool:
-    """True iff every disc fits the workspace and no pair overlaps."""
-    if len(a) != scene.n_objects:
-        return False
-    return _points_ok(tuple(Point(*p) for p in a), scene.workspace, scene.object_radius)
 
 
 def scene_to_dict(scene: Scene) -> dict:

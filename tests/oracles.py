@@ -13,8 +13,25 @@ from collections import deque
 import numpy as np
 
 from shelfplan import Action, Point, Scene, action_valid
-from shelfplan.geometry import Disc, Tunnel, disc_in_workspace, distance, tunnel_disc_mask
+from shelfplan.geometry import (
+    Disc,
+    Tunnel,
+    disc_in_workspace,
+    discs_overlap,
+    distance,
+    tunnel_disc_mask,
+)
 from shelfplan.motion import home_tunnel
+
+
+def arrangement_valid(a, scene: Scene) -> bool:
+    """True iff it places every object, each disc fits the workspace and no pair overlaps."""
+    if len(a) != scene.n_objects:
+        return False
+    discs = [Disc(Point(*p), scene.object_radius) for p in a]
+    if not all(disc_in_workspace(d, scene.workspace) for d in discs):
+        return False
+    return not any(discs_overlap(d, e) for i, d in enumerate(discs) for e in discs[i + 1 :])
 
 
 def sampled_tunnel_disc_hit(t: Tunnel, d: Disc, pitch: float) -> bool:
@@ -257,7 +274,7 @@ def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
             return actions
 
 
-def retarget_by_full_replay(scene: Scene, actions) -> list[Action]:
+def retarget_by_full_replay(scene: Scene, actions, counts: dict | None = None) -> list[Action]:
     """The re-targeting rule of ``retarget_buffers``, each trial replayed in full.
 
     A buffer step ``k`` moves an object that moves again later, at its next
@@ -267,7 +284,8 @@ def retarget_by_full_replay(scene: Scene, actions) -> list[Action]:
     the current one; the first whose whole plan replays on the float geometry
     to the same final arrangement is taken. Steps are scanned in order until a
     scan changes nothing. Brute force: no occlusion table, no trail, no bit
-    sets.
+    sets. With ``counts``, stores there the number of buffer steps
+    (``pairs``) and of scans (``scans``), every buffer step tested in each.
     """
     actions = list(actions)
     final = _replays_to(scene, actions)
@@ -277,9 +295,11 @@ def retarget_by_full_replay(scene: Scene, actions) -> list[Action]:
         if later:
             following[k] = later[0]
     cands = scene.candidates
+    scans = 0
     changed = True
     while changed:
         changed = False
+        scans += 1
         for k, n in following.items():
             first, then = actions[k], actions[n]
             src, dst = first.src, then.dst
@@ -298,4 +318,6 @@ def retarget_by_full_replay(scene: Scene, actions) -> list[Action]:
                     actions = trial
                     changed = True
                     break
+    if counts is not None:
+        counts.update(pairs=len(following), scans=scans)
     return actions

@@ -1,14 +1,17 @@
 """Golden plans: a fixed corpus must keep producing byte-identical plan JSON.
 
 The corpus is planned with the wall clock off, so the recorded output does
-not depend on machine speed. A change that alters plans on purpose
-regenerates the file and says why:
+not depend on machine speed. Beside the plans of a small corpus, kept in
+full so that a diff shows what moved, one SHA-256 digest covers the plans of
+every hard and fine-grid scene that ``shelfbench/run.py`` plans. A change
+that alters plans on purpose regenerates both files and says why:
 
     PYTHONPATH=src python tests/test_golden_plans.py --write
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ import pytest
 from shelfplan import SceneConfig, SearchBudget, generate_scene, plan, plan_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_plans.json"
+DIGEST = Path(__file__).resolve().parent / "data" / "benchmark_plans.sha256"
 
 # (band, scene seeds, object counts alternating by seed, grid resolution);
 # each scene is searched with its own seed, as ``shelfplan bench`` does.
@@ -25,12 +29,17 @@ CORPUS = (
     ("hard", range(80, 88), (7, 8), 1.0),
     ("medium-0.5", range(0, 4), (5, 6), 0.5),
 )
+# The scenes of the benchmark's hard and fine-grid workloads, in the same terms.
+BENCHMARK_CORPUS = (
+    ("hard", range(80, 132), (7, 8), 1.0),
+    ("fine-grid", range(0, 44), (5, 6), 0.5),
+)
 
 
-def corpus_cases() -> list[tuple[str, int, int, float]]:
+def corpus_cases(corpus=CORPUS) -> list[tuple[str, int, int, float]]:
     return [
         (band, seed, counts[k % len(counts)], grid)
-        for band, seeds, counts, grid in CORPUS
+        for band, seeds, counts, grid in corpus
         for k, seed in enumerate(seeds)
     ]
 
@@ -52,6 +61,15 @@ def record_all() -> list[dict]:
     ]
 
 
+def benchmark_digest() -> str:
+    """SHA-256 over the plan JSON of every benchmark scene, one line each, in corpus order."""
+    h = hashlib.sha256()
+    for _, seed, n, grid in corpus_cases(BENCHMARK_CORPUS):
+        case = plan_case(seed, n, grid)
+        h.update((case["plan_json"] or f"failed: {case['failure_kind']}").encode() + b"\n")
+    return h.hexdigest()
+
+
 def load_golden() -> list[dict]:
     with open(GOLDEN) as fh:
         return json.load(fh)
@@ -71,6 +89,10 @@ def test_golden_covers_corpus():
     assert recorded == corpus_cases()
 
 
+def test_benchmark_plans_match_digest():
+    assert benchmark_digest() == DIGEST.read_text().strip()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden_plans.py --write")
@@ -78,4 +100,5 @@ if __name__ == "__main__":
     with open(GOLDEN, "w") as fh:
         json.dump(record_all(), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {GOLDEN}")
+    DIGEST.write_text(benchmark_digest() + "\n")
+    print(f"wrote {GOLDEN} and {DIGEST}")

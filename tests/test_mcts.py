@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -492,6 +494,33 @@ class TestUnknownPositions:
         assert ctx.static_ids == (2,)
         assert ctx.movable_ids == (0, 1)
         assert ctx.movers_except_focus == (1,)
+
+    @pytest.mark.parametrize("seed, n_objects", [(82, 7), (99, 8)])
+    def test_every_field_equals_its_definition_at_every_stage(self, seed, n_objects):
+        scene = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+        order = tuple(stage_order(build_dependency_graph(scene), scene))
+        table = OcclusionTable(scene)
+        memos = []
+        for index in range(len(order)):
+            ctx = StageContext(scene, order, index, table)
+            focus = order[index]
+            goal_indices = [table.index_of(p) for p in scene.goal]
+            assert ctx.focus == focus
+            assert ctx.static_ids == order[:index]
+            assert ctx.movable_ids == tuple(sorted(order[index:]))
+            assert ctx.goal_indices == goal_indices
+            assert ctx.focus_goal == goal_indices[focus]
+            assert ctx.topo_index == {obj: i for i, obj in enumerate(order)}
+            assert ctx.movers_except_focus == tuple(o for o in sorted(order[index:]) if o != focus)
+            assert ctx.move_memo == {} and all(ctx.move_memo is not m for m in memos)
+            memos.append(ctx.move_memo)
+            for name in (f.name for f in dataclasses.fields(ctx)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(ctx, name, getattr(ctx, name))
+            # Equality, hashing and repr see the four arguments only, memo filled or not.
+            _candidate_moves(ctx, list(table.indices(scene.start)))
+            again = StageContext(scene, order, index, table)
+            assert ctx == again and hash(ctx) == hash(again) and repr(ctx) == repr(again)
 
 
 class TestMoveMemo:

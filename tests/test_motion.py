@@ -13,9 +13,8 @@ from shelfplan.geometry import (
     tunnel_to,
 )
 from shelfplan.motion import collision_objs, home_tunnel, placement_sweep_mask
-from shelfplan.scene import arrangement_valid
 
-from oracles import action_valid_by_legs
+from oracles import action_valid_by_legs, arrangement_valid
 from test_occlusion import LATTICE_TANGENCIES
 
 # Grid points, where exact tangencies live, and arbitrary floats around the floor.

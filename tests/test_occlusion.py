@@ -42,7 +42,7 @@ from shelfplan.geometry import (
 )
 from shelfplan.motion import home_tunnel, placement_sweep_mask
 from shelfplan import occlusion
-from shelfplan.occlusion import OcclusionTable, to_bits
+from shelfplan.occlusion import OcclusionTable, occupancy, other_points, to_bits
 
 SCENES = {
     "default-grid": lambda: make_scene([Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)]),
@@ -332,7 +332,9 @@ def move_check(scene, arrangement, act):
         return None
     assert act.src == arrangement[act.obj]
     table = OcclusionTable(carrier)
-    return table.move_valid(table.indices(arrangement), act.obj, table.index_of(act.dst))
+    positions = table.indices(arrangement)
+    others = occupancy(other_points(positions, act.obj))
+    return table.move_valid(others, positions[act.obj], table.index_of(act.dst))
 
 
 def parked_clear_of(scene, disc):
@@ -445,6 +447,55 @@ def test_move_valid_equals_action_valid(data):
         assert not action_valid(scene, arrangement, act)
     else:
         assert table_says == action_valid(scene, arrangement, act)
+
+
+def touching(scene, p):
+    """Candidates other than ``p`` whose discs overlap or touch the disc at ``p``."""
+    gap = 2.0 * scene.object_radius
+    return [q for q in scene.candidates if q != p and distance(p, q) <= gap]
+
+
+# Besides ``SCENES``: on a half grid with a 0.5-wide tunnel, discs 1.5 apart
+# overlap although neither tunnel touches the other, so ``far`` alone rejects them.
+GRID_SCENES = {
+    **SCENES,
+    "thin-tunnel-half-grid": lambda: make_scene(
+        [Point(4, 4), Point(16, 16)],
+        [Point(16, 4), Point(4, 16)],
+        tunnel_width=0.5,
+        grid_resolution=0.5,
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_move_valid_on_the_search_bit_set_equals_action_valid(data):
+    # Moves between candidates, each asked as the search asks it: the bit set of
+    # the whole arrangement, less the mover's own bit.
+    scene = GRID_SCENES[data.draw(st.sampled_from(sorted(GRID_SCENES)))]()
+    table = OcclusionTable(dataclasses.replace(scene, start=(), goal=()))
+    n = data.draw(st.integers(1, 6), label="n_objects")
+    cells = st.lists(st.sampled_from(scene.candidates), min_size=n, max_size=n, unique=True)
+    arrangement = tuple(data.draw(cells, label="arrangement"))
+    assume(fits(scene, arrangement))
+    obj = data.draw(st.integers(0, n - 1), label="obj")
+    src = arrangement[obj]
+    dst = data.draw(
+        st.one_of(
+            st.sampled_from(scene.candidates),
+            st.sampled_from(arrangement),  # onto another object's point
+            st.sampled_from(touching(scene, src)),  # next to the mover's own point
+            st.sampled_from([q for p in arrangement for q in touching(scene, p)]),
+        ),
+        label="dst",
+    )
+    assume(dst != src)
+    positions = table.indices(arrangement)
+    others = occupancy(positions) & ~(1 << positions[obj])
+    assert others == occupancy(other_points(positions, obj))
+    got = table.move_valid(others, positions[obj], table.index_of(dst))
+    assert got == action_valid(scene, arrangement, Action(obj, src, dst))
 
 
 def entries(table):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from json_fuzz import hostile_edits
+from oracles import arrangement_valid
 
 from shelfplan import (
     Point,
@@ -21,7 +22,7 @@ from shelfplan import (
     scene_to_json,
 )
 from shelfplan.geometry import Disc, Workspace, disc_in_workspace
-from shelfplan.scene import MAX_CANDIDATES, arrangement_valid, candidate_grid
+from shelfplan.scene import MAX_CANDIDATES, candidate_grid
 
 
 class TestCandidateGrid:
@@ -217,6 +218,8 @@ class TestGenerateScene:
 
 
 class TestArrangementValid:
+    """The oracle that the generator and JSON tests check arrangements with rejects bad ones."""
+
     def test_coincident_objects_invalid(self):
         scene = generate_scene(SceneConfig(n_objects=2, rng_seed=0))
         assert not arrangement_valid((Point(5, 5), Point(5, 5)), scene)
@@ -256,6 +259,17 @@ class TestSceneChecks:
         assert scene.candidates == make_scene(start, goal, grid_resolution=0.5).candidates
         assert len(scene.candidates) == 37 * 37
         assert scene_from_json(scene_to_json(scene)) == scene
+
+    def test_scenes_of_one_shelf_share_one_candidate_tuple(self):
+        drawn = generate_scene(SceneConfig(n_objects=3, rng_seed=4, grid_resolution=0.5))
+        again = make_scene(drawn.goal, drawn.start, grid_resolution=0.5)
+        assert again.candidates is drawn.candidates
+        assert drawn.candidates == tuple(candidate_grid(Workspace(20, 20), 1.0, 0.5))
+        # A resolution of another type gets a grid of its own, of points of that type.
+        typed = make_scene(drawn.start, drawn.goal, grid_resolution=np.float64(0.5))
+        assert type(typed.candidates[1].x) is np.float64
+        plain = make_scene(drawn.start, drawn.goal, grid_resolution=0.5)
+        assert type(plain.candidates[1].x) is float
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -3,8 +3,10 @@
 The corpus is planned with the wall clock off, so the recorded output does
 not depend on machine speed. Beside the plans of a small corpus, kept in
 full so that a diff shows what moved, one SHA-256 digest covers the plans of
-every hard and fine-grid scene that ``shelfbench/run.py`` plans. A change
-that alters plans on purpose regenerates both files and says why:
+every hard and fine-grid scene that ``shelfbench/run.py`` plans, and a
+second one covers the optimiser's output on every random walk of its replay
+workload. A change that alters plans on purpose regenerates the files and
+says why:
 
     PYTHONPATH=src python tests/test_golden_plans.py --write
 """
@@ -12,16 +14,19 @@ that alters plans on purpose regenerates both files and says why:
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from shelfplan import SceneConfig, SearchBudget, generate_scene, plan, plan_to_json
+from shelfplan import SceneConfig, SearchBudget, generate_scene, optimize_plan, plan, plan_to_json
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_plans.json"
-DIGEST = Path(__file__).resolve().parent / "data" / "benchmark_plans.sha256"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden_plans.json"
+DIGEST = ROOT / "tests" / "data" / "benchmark_plans.sha256"
+REPLAY_DIGEST = ROOT / "tests" / "data" / "replay_plans.sha256"
 
 # (band, scene seeds, object counts alternating by seed, grid resolution);
 # each scene is searched with its own seed, as ``shelfplan bench`` does.
@@ -70,6 +75,29 @@ def benchmark_digest() -> str:
     return h.hexdigest()
 
 
+def benchmark_module():
+    """``shelfbench/run.py`` as a module; importing it does not run the benchmark."""
+    bench = ROOT / "shelfbench"
+    sys.path.insert(0, str(bench))  # run.py imports layertrace from beside it
+    try:
+        spec = importlib.util.spec_from_file_location("shelfbench_run", bench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+def replay_digest() -> str:
+    """SHA-256 over the optimised JSON of every benchmark replay walk, one line each, in order."""
+    run = benchmark_module()
+    h = hashlib.sha256()
+    for seed in range(run.WALK_SEED0, run.WALK_SEED0 + run.REPLAY_WALKS):
+        scene, walk = run.random_walk(seed)
+        h.update(plan_to_json(optimize_plan(walk, scene)).encode() + b"\n")
+    return h.hexdigest()
+
+
 def load_golden() -> list[dict]:
     with open(GOLDEN) as fh:
         return json.load(fh)
@@ -93,6 +121,10 @@ def test_benchmark_plans_match_digest():
     assert benchmark_digest() == DIGEST.read_text().strip()
 
 
+def test_replay_plans_match_digest():
+    assert replay_digest() == REPLAY_DIGEST.read_text().strip()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden_plans.py --write")
@@ -101,4 +133,5 @@ if __name__ == "__main__":
         json.dump(record_all(), fh, indent=1, sort_keys=True)
         fh.write("\n")
     DIGEST.write_text(benchmark_digest() + "\n")
-    print(f"wrote {GOLDEN} and {DIGEST}")
+    REPLAY_DIGEST.write_text(replay_digest() + "\n")
+    print(f"wrote {GOLDEN}, {DIGEST} and {REPLAY_DIGEST}")

@@ -4,11 +4,13 @@ Tree nodes carry full object arrangements as index vectors: entry ``k`` is
 the index of object ``k``'s position among the points of the plan's
 ``OcclusionTable``, and every collision question is a bit-set lookup in that
 table. Edges are single relocations, recorded as ``Move``s: the object and
-the table index of its destination. Expansion is subgoal-focused: it only
-proposes relocations that clear the focus object's pickup and placement
-tunnels (or, recursively, the pickup tunnels of the objects doing the
-clearing). Rewards are negated displacement distances, so the search prefers
-short detours and nearby buffer regions.
+the table index of its destination. A stage starts from an index vector and
+returns its chain as ``Move``s, so no Point or ``Action`` enters the search.
+Expansion is subgoal-focused: it only proposes relocations that clear the
+focus object's pickup and placement tunnels (or, recursively, the pickup
+tunnels of the objects doing the clearing). Rewards are negated
+displacement distances, so the search prefers short detours and nearby
+buffer regions.
 
 A stage is complete once the focus object rests at its goal and no remaining
 movable object would have its pickup tunnel blocked by the finished focus;
@@ -32,9 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import distance
-from .motion import Action
 from .occlusion import OcclusionTable, occupancy, other_points
-from .scene import Arrangement, ObjectId, Scene, require_int
+from .scene import ObjectId, Scene, require_int
 
 _EPS = 1e-12
 
@@ -218,17 +219,18 @@ def new_region(
 ) -> list[int]:
     """Up to ``EXPANSION_WIDTH`` buffer regions for ``obj`` as candidate indices, nearest first.
 
-    A candidate is accepted when its disc avoids every other object, stays off
-    the focus's pickup and goal-placing tunnels and off the current pickup
-    tunnels of all ``deps`` objects, and the placing motion to it sweeps past
-    nobody. With ``keep_goal_access`` the candidate's own future pickup tunnel
-    must additionally clear the focus disc parked at its goal, so the object
-    does not land in a spot it could never leave once the stage finishes.
+    A candidate other than the object's own point is accepted when its disc
+    avoids every other object, stays off the focus's pickup and goal-placing
+    tunnels and off the current pickup tunnels of all ``deps`` objects, and
+    the placing motion to it sweeps past nobody. With ``keep_goal_access`` the
+    candidate's own future pickup tunnel must additionally clear the focus
+    disc parked at its goal, so the object does not land in a spot it could
+    never leave once the stage finishes.
     Ties in distance fall to the lower grid index.
     """
     table = ctx.table
-    order, own_spot = table.nearest(positions[obj])
-    ok = ((1 << table.n_candidates) - 1) & ~own_spot  # staying put is not a relocation
+    order = table.nearest(positions[obj])
+    ok = ((1 << table.n_candidates) - 1) & ~(1 << positions[obj])  # staying put is not a move
     others = other_points(positions, obj)
     for j in others:
         ok &= table.far(j)
@@ -477,29 +479,22 @@ def _mark_dead(node: SearchNode) -> None:
         parent = parent.parent
 
 
-def _action_chain(ctx: StageContext, node: SearchNode, moves: Sequence[Move]) -> list[Action]:
-    """The tree path from the root to ``node``, then ``moves`` played from there."""
+def _move_path(node: SearchNode) -> list[Move]:
+    """The moves of the tree path from the root to ``node``."""
     path = []
     while node.parent is not None:
         path.append(node.incoming)
         node = node.parent
-    points = ctx.table.points
-    pos = list(node.positions)
-    actions = []
-    for obj, dst in path[::-1] + list(moves):
-        actions.append(Action(obj, points[pos[obj]], points[dst]))
-        pos[obj] = dst
-    return actions
+    return path[::-1]
 
 
 def solve_stage(
-    ctx: StageContext,
-    start: Arrangement,
-    budget: SearchBudget,
-    rng: np.random.Generator | None = None,
-) -> list[Action]:
-    """Drive the focus object to its goal; returns the action chain.
+    ctx: StageContext, positions: Sequence[int], budget: SearchBudget, rng: np.random.Generator
+) -> list[Move]:
+    """Drive the focus object to its goal from ``positions``; returns the chain of moves.
 
+    ``positions`` is the arrangement the stage starts from as an index
+    vector of ``ctx.table``, and the chain's moves are in its indices too.
     Runs select / expand / simulate / backpropagate rounds and keeps the
     cheapest trajectory that completes the stage: the tree path to a node
     followed by that node's rollout, or a child that completes the stage on
@@ -512,22 +507,17 @@ def solve_stage(
     ``StageTimeout`` when the wall-clock budget runs out first, its subclass
     ``StageIterationLimit`` when the iteration budget does,
     and ``StageExhausted`` when the whole tree is dead, and ``ValueError`` when
-    ``start`` puts an object on a point that is not a candidate, start or goal
-    point of the scene, or a static object anywhere but exactly on its goal.
+    ``positions`` puts a static object anywhere but exactly on its goal.
     """
-    table = ctx.table
-    positions = table.indices(start)
     goal_idx = ctx.goal_indices
     for obj in ctx.static_ids:
         if positions[obj] != goal_idx[obj]:
             raise ValueError(f"static object {obj} is not at its goal at stage entry")
-    if rng is None:
-        rng = np.random.default_rng(0)
     limit = budget.wall_clock_limit
     deadline = None if limit is None else time.monotonic() + limit
     if stage_complete(ctx, positions):
         return []
-    root = SearchNode(positions)
+    root = SearchNode(list(positions))
     # The cheapest completed trajectory so far: its cost, its node and the moves after it.
     best: tuple[float, SearchNode, Sequence[Move]] | None = None
 
@@ -559,5 +549,5 @@ def solve_stage(
                 if not done:
                     rollout(first_child)
         if best is not None and root.children:
-            return _action_chain(ctx, best[1], best[2])
+            return _move_path(best[1]) + list(best[2])
     raise StageIterationLimit("stage iteration budget exhausted")

@@ -14,7 +14,7 @@ bit for bit:
   ``j`` (``placement_sweep_mask``);
 - ``far(j)``: the point discs that do not overlap the disc at point ``j``;
 - ``nearest(j)``: the candidates in stable order of distance from point
-  ``j``, and those at point ``j``'s own spot (closer than 1e-6);
+  ``j``;
 - ``reach(j)``: the distance from point ``j`` to each candidate, as
   ``geometry.distance`` computes it.
 
@@ -31,22 +31,21 @@ candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
 A search visits only a small share of the points, so filling the whole table
 up front would cost more than most plans. Every entry is a pure function of
 the shelf (workspace, object radius, robot home, tunnel width and grid
-resolution, which fix the candidates) and of the table's points. Task after
+resolution, which fix the candidates) and of the table's points, and a point
+added to a table changes no entry's bits for the points it had. Task after
 task on one shelf only the start and goal arrangements change, and on a grid
 they stand on candidates. So ``OcclusionTable.shared`` keeps one process-wide
-table of the last shelf it served, over its candidates only (a transposition
-table over geometry that spans searches), and returns that object for every
-scene of the shelf whose points are all candidates; one with an off-grid start
-or goal point gets a cold table of its own, kept until another off-grid scene
-asks, and leaves the shelf's table alone. A table
-``serves`` every scene of its shelf. The store assumes one thread: an entry
-is filled by a plain list write, and two writes of one entry store equal
-values. ``OcclusionTable(scene)`` stays cold and private to its caller.
+table, the last one it built (a transposition table over geometry that spans
+searches), and returns that object for every scene of its shelf whose start
+and goal points it indexes; for any other scene it builds and keeps the
+scene's own table. A table ``serves`` every scene of its shelf. The store
+assumes one thread: an entry is filled by a plain list write, and two writes
+of one entry store equal values. ``OcclusionTable(scene)`` stays cold and
+private to its caller.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Iterable, Sequence
 
@@ -55,8 +54,6 @@ import numpy as np
 from .geometry import Point, tunnel_disc_mask
 from .motion import home_tunnel, placement_sweep_mask
 from .scene import Arrangement, ObjectId, Scene
-
-_SAME_SPOT_D2 = 1e-12  # squared distance under which a candidate is point j's own spot
 
 
 def _shelf(scene: Scene) -> tuple:
@@ -115,30 +112,25 @@ class OcclusionTable:
         self._rows: list[int | None] = [None] * size
         self._clear: list[int | None] = [None] * size
         self._far: list[int | None] = [None] * size
-        self._nearest: list[tuple[np.ndarray, int] | None] = [None] * size
+        self._nearest: list[np.ndarray | None] = [None] * size
         self._reach: list[np.ndarray | None] = [None] * size
 
     @classmethod
     def shared(cls, scene: Scene) -> OcclusionTable:
-        """The process-wide table of ``scene``'s shelf, or a cold table for off-grid points.
+        """The process-wide table, when it serves ``scene`` and indexes its points.
 
-        The shelf's table numbers the candidates only, so it indexes every
-        scene of the shelf whose start and goal points are all candidates, and
-        each of them gets that one object and the entries the ones before
-        filled. When a point is not a candidate, the result is a cold
-        ``OcclusionTable(scene)`` and the shelf's table is kept for the next
-        grid scene. The last such table is kept as well, so asking again for
-        an equal scene, as ``plan()``'s search and its optimiser do, returns
-        it with its entries filled.
+        Otherwise a cold ``OcclusionTable(scene)`` takes the store's place and
+        is returned. A table built for a scene on candidates numbers the
+        candidates only, so every grid scene of the shelf gets that one object
+        and the entries the ones before filled. A table built for an off-grid
+        scene adds its start and goal points; asking again for that scene, as
+        ``plan()``'s optimiser does after its search, returns it with its
+        entries filled, and so does asking for a grid scene of its shelf.
         """
-        global _store, _cold
-        if _store is None or not _store.serves(scene):
-            _store = cls(dataclasses.replace(scene, start=(), goal=()))
-        if _store.covers(scene.start + scene.goal):
-            return _store
-        if _cold is None or _cold.scene != scene:
-            _cold = cls(scene)
-        return _cold
+        global _store
+        if _store is None or not (_store.serves(scene) and _store.covers(scene.start + scene.goal)):
+            _store = cls(scene)
+        return _store
 
     def serves(self, scene: Scene) -> bool:
         """The table's entries hold for ``scene``: both stand on one shelf."""
@@ -147,6 +139,16 @@ class OcclusionTable:
     def covers(self, points: Iterable[Point]) -> bool:
         """Every one of ``points`` is a point of the table."""
         return all(p in self._index for p in points)
+
+    def indexes_for(self, scene: Scene, points: Iterable[Point]) -> bool:
+        """Every one of ``points`` is a candidate or a start or goal point of ``scene``.
+
+        Those are the points ``OcclusionTable(scene)`` indexes. The table
+        ``shared`` returns for ``scene`` indexes them too and may index more,
+        so a path picked by this test does not depend on what the store held.
+        """
+        index, n, ends = self._index, self.n_candidates, scene.start + scene.goal
+        return all(index.get(p, n) < n or p in ends for p in points)
 
     def index_of(self, p) -> int:
         """Index of a position; ``ValueError`` if the scene has no such point."""
@@ -191,17 +193,16 @@ class OcclusionTable:
             ok = self._far[j] = to_bits(self._distances(j) >= self._min_gap2)
         return ok
 
-    def nearest(self, j: int) -> tuple[np.ndarray, int]:
-        """Candidates by distance from point ``j`` (stable argsort), and those at its own spot."""
-        entry = self._nearest[j]
-        if entry is None:
+    def nearest(self, j: int) -> np.ndarray:
+        """Candidates by distance from point ``j`` (stable argsort)."""
+        order = self._nearest[j]
+        if order is None:
             d2 = self._distances(j)[: self.n_candidates]
             # uint16 holds every candidate index: a scene has at most 65,536 candidates.
             order = np.argsort(d2, kind="stable").astype(np.uint16)
-            order.flags.writeable = False  # shared by every table of the store
-            entry = (order, to_bits(d2 <= _SAME_SPOT_D2))
-            self._nearest[j] = entry
-        return entry
+            order.flags.writeable = False  # shared by every search that asks the store
+            self._nearest[j] = order
+        return order
 
     def reach(self, j: int) -> np.ndarray:
         """Distance from point ``j`` to each candidate, bit for bit ``geometry.distance``.
@@ -215,7 +216,7 @@ class OcclusionTable:
             x, y = self.points[j]
             grid = self.points[: self.n_candidates]
             entry = np.fromiter((math.hypot(p.x - x, p.y - y) for p in grid), float, len(grid))
-            entry.flags.writeable = False  # shared by every table of the store
+            entry.flags.writeable = False  # shared by every search that asks the store
             self._reach[j] = entry
         return entry
 
@@ -236,7 +237,5 @@ class OcclusionTable:
         return ((self.coords - self.coords[j]) ** 2).sum(axis=1)
 
 
-# The table of the shelf ``OcclusionTable.shared`` last served, over its candidates.
+# The table ``OcclusionTable.shared`` last built.
 _store: OcclusionTable | None = None
-# The cold table of the last off-grid scene ``OcclusionTable.shared`` served.
-_cold: OcclusionTable | None = None

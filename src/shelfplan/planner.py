@@ -276,16 +276,18 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
 
     The plan is replayed once, in point keys, and its trail of arrangements
     is then kept up to date through every merge, so a merge replays only the
-    steps it changes. When ``OcclusionTable.shared(scene)`` indexes every
-    pick-up and destination of the plan, as it does for every plan
-    ``plan()`` returns, a key is a table index and each step is looked up in
-    that table; the output's points are then the table's, each equal to the
-    input's. Otherwise, for a plan with a point the table lacks, such as an
-    off-grid destination, a key is the input's own Point and every step is
-    checked on the validator's float geometry, which gives the same answers.
+    steps it changes. When every pick-up and destination of the plan is a
+    candidate or a start or goal point of the scene, as in every plan
+    ``plan()`` returns, a key is an index of ``OcclusionTable.shared(scene)``
+    and each step is looked up in that table; the output's points are then
+    the table's, each equal to the input's. Otherwise, for a plan with
+    another point, such as an off-grid destination, a key is the input's own
+    Point and every step is checked on the validator's float geometry, which
+    gives the same answers. The path depends on the plan and the scene only,
+    not on what the shared table held before.
     """
     table = OcclusionTable.shared(scene)
-    if table.covers(p for a in plan.actions for p in (a.src, a.dst)):
+    if table.indexes_for(scene, (p for a in plan.actions for p in (a.src, a.dst))):
         replay: _Replay = _TableReplay(scene, table)
     else:
         replay = _FloatReplay(scene)
@@ -359,13 +361,13 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     from ``n + 1`` on; in between, replaying the steps would give the old
     arrangements with the object at its new point, so that is what the trail
     gets. The output equals ``tests/oracles.retarget_by_full_replay``, which
-    replays the whole plan for every trial. Raises ``ValueError`` when the
-    table does not index every point of the plan, which it does for every
-    plan the search returns, and ``InvalidPlanError`` when the plan does not
-    replay.
+    replays the whole plan for every trial. Raises ``ValueError`` when a
+    point of the plan is neither a candidate nor a start or goal point of
+    the scene, which no plan the search returns has, and
+    ``InvalidPlanError`` when the plan does not replay.
     """
     table = OcclusionTable.shared(scene)
-    if not table.covers(p for a in plan.actions for p in (a.src, a.dst)):
+    if not table.indexes_for(scene, (p for a in plan.actions for p in (a.src, a.dst))):
         raise ValueError("re-targeting needs a plan on the scene's table points")
     replay = _TableReplay(scene, table)
     steps, trail = replay.trail(plan.actions)
@@ -403,7 +405,10 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
 
     Solves one stage per object in topology order, feeding each stage's end
     arrangement into the next, then optimizes the concatenated sub-plans,
-    re-targets their buffer moves and optimizes again.
+    re-targets their buffer moves and optimizes again. The stages run in the
+    indices of ``OcclusionTable.shared(scene)``, which indexes the start
+    once; their moves are collected as steps, and ``_TableReplay.plan``
+    turns those into the raw plan's ``Action``s.
     The wall-clock budget is split evenly across the remaining stages, so
     time unused by early stages rolls forward. A seed that is not a
     non-negative int (bools included), or a budget that is neither a
@@ -427,8 +432,9 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     rng = np.random.default_rng(seed)
     # Entries fill as the search asks, and later plans on the same shelf reuse them.
     table = OcclusionTable.shared(scene)
-    positions = list(scene.start)
-    actions: list[Action] = []
+    replay = _TableReplay(scene, table)
+    positions = list(replay.start)
+    steps: list[_Step] = []
     for index in range(len(order)):
         ctx = StageContext(scene, tuple(order), index, table)
         stage_budget = budget
@@ -438,17 +444,17 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
                 return report(False, None, "timeout")
             stage_budget = SearchBudget(budget.max_iterations, remaining / (len(order) - index))
         try:
-            chunk = solve_stage(ctx, tuple(positions), stage_budget, rng)
+            chunk = solve_stage(ctx, positions, stage_budget, rng)
         except StageIterationLimit:
             return report(False, None, "iteration-limit")
         except StageTimeout:
             return report(False, None, "timeout")
         except StageExhausted:
             return report(False, None, "stage-exhausted")
-        for act in chunk:
-            positions[act.obj] = act.dst
-        actions.extend(chunk)
-    optimized = optimize_plan(Plan(tuple(actions)), scene)
+        for obj, dst in chunk:
+            steps.append(_Step(obj, positions[obj], dst))
+            positions[obj] = dst
+    optimized = optimize_plan(replay.plan(steps), scene)
     return report(True, optimize_plan(retarget_buffers(optimized, scene), scene), None)
 
 

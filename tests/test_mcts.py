@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shelfplan import (
     Action,
@@ -50,6 +52,15 @@ def ctx_for(scene, order=None, index=0):
 def at(ctx, arrangement):
     """Index vector of an arrangement in the stage's occlusion table."""
     return ctx.table.indices(arrangement)
+
+
+def as_actions(ctx, positions, moves):
+    """``moves`` played from the index vector ``positions``, as ``Action``s."""
+    points, pos, actions = ctx.table.points, list(positions), []
+    for obj, dst in moves:
+        actions.append(Action(obj, points[pos[obj]], points[dst]))
+        pos[obj] = dst
+    return actions
 
 
 def manual_children(root, stats):
@@ -143,6 +154,14 @@ class TestNewRegion:
             break
         assert got[0] == best
 
+    def test_a_candidate_1e_7_away_is_the_nearest_buffer(self):
+        # Only the object's own point is excluded, so the candidate beside it comes first.
+        scene = make_scene([Point(4, 4), Point(16.0000001, 16)], [Point(4, 12), Point(16, 8)])
+        ctx = ctx_for(scene, order=[0, 1])
+        found = new_region(ctx, 1, set(), at(ctx, scene.start))
+        assert found[0] == ctx.table.index_of(Point(16, 16))
+        assert action_valid(scene, scene.start, Action(1, scene.start[1], Point(16, 16)))
+
     def test_full_rejection_returns_empty(self):
         # a tunnel as wide as the workspace rejects every candidate
         scene = make_scene([Point(4, 4), Point(16, 16)], [Point(4, 12), Point(16, 8)], tunnel_width=40)
@@ -158,6 +177,44 @@ class TestNewRegion:
         for target in new_region(ctx, 1, {0}, at(ctx, scene.start)):
             act = Action(1, scene.start[1], scene.candidates[target])
             assert action_valid(scene, scene.start, act)
+
+
+def near_points(scene):
+    """Candidates, points 1e-7 from a candidate, and other off-grid points."""
+    inside = st.floats(scene.object_radius, scene.workspace.width - scene.object_radius)
+    nudge = st.sampled_from([(1e-7, 0.0), (-1e-7, 0.0), (0.0, 1e-7), (0.0, -1e-7)])
+    candidate = st.sampled_from(scene.candidates)
+    return st.one_of(
+        candidate,
+        st.builds(lambda p, d: Point(p.x + d[0], p.y + d[1]), candidate, nudge),
+        st.builds(Point, inside, inside),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_proposed_move_changes_the_point_and_is_valid(data):
+    # Only the object's own point is excluded as a buffer, so a candidate 1e-7
+    # from it is a move like any other, and the float geometry accepts it.
+    kw = data.draw(st.sampled_from([{}, {"grid_resolution": 0.5}, {"tunnel_width": 1.5}]))
+    base = make_scene([Point(4, 4)], [Point(16, 16)], **kw)
+    n = data.draw(st.integers(1, 5), label="n_objects")
+    points = near_points(base)
+    try:
+        scene = make_scene(
+            data.draw(st.lists(points, min_size=n, max_size=n), label="start"),
+            data.draw(st.lists(points, min_size=n, max_size=n), label="goal"),
+            **kw,
+        )
+    except ValueError:
+        assume(False)  # discs overlap, or one leaves the floor
+    order = data.draw(st.permutations(range(n)), label="order")
+    ctx = StageContext(scene, tuple(order), 0, OcclusionTable(scene))
+    points = ctx.table.points
+    for stuck in (False, True):
+        for obj, dst in _candidate_moves(ctx, at(ctx, scene.start), stuck):
+            assert points[dst] != scene.start[obj]
+            assert action_valid(scene, scene.start, Action(obj, scene.start[obj], points[dst]))
 
 
 class TestExpand:
@@ -301,19 +358,27 @@ class TestSolveStage:
     def test_unblocked_focus_single_action(self):
         scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
         ctx = ctx_for(scene, order=[0, 1])
-        actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
-        assert actions == [Action(0, Point(10, 5), Point(10, 15))]
+        moves = solve_stage(ctx, at(ctx, scene.start), BUDGET, np.random.default_rng(0))
+        assert moves == [(0, ctx.table.index_of(Point(10, 15)))]
 
     def test_focus_already_at_goal(self):
         scene = make_scene([Point(10, 12), Point(4, 5)], [Point(10, 12), Point(4, 15)])
         ctx = ctx_for(scene, order=[0, 1])
-        assert solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0)) == []
+        assert solve_stage(ctx, at(ctx, scene.start), BUDGET, np.random.default_rng(0)) == []
+
+    def test_start_vector_is_left_as_it_was(self):
+        scene = make_scene([Point(10, 5), Point(10, 12)], [Point(10, 5), Point(16, 12)])
+        ctx = ctx_for(scene, order=[0, 1])
+        start = at(ctx, scene.start)
+        assert solve_stage(ctx, start, BUDGET, np.random.default_rng(0))
+        assert start == at(ctx, scene.start)
 
     def test_focus_at_goal_but_trapping_another(self):
         # the finished focus would seal object 1 in; the stage must shuffle
         scene = make_scene([Point(10, 5), Point(10, 12)], [Point(10, 5), Point(16, 12)])
         ctx = ctx_for(scene, order=[0, 1])
-        actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
+        start = at(ctx, scene.start)
+        actions = as_actions(ctx, start, solve_stage(ctx, start, BUDGET, np.random.default_rng(0)))
         assert actions  # something had to move
         positions = list(scene.start)
         for act in actions:
@@ -338,15 +403,17 @@ class TestSolveStage:
             return not tunnel_intersects_disc(pick, goal_disc)
 
         oracle = bfs_min_steps(scene, stage_goal, max_depth=4)
-        actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
+        moves = solve_stage(ctx, at(ctx, scene.start), BUDGET, np.random.default_rng(0))
         assert oracle == 2
-        assert len(actions) == oracle
+        assert len(moves) == oracle
 
     def test_solution_replays_validly(self):
         for seed in (0, 1, 2, 3):
             scene = generate_scene(SceneConfig(n_objects=5, rng_seed=seed))
             ctx = ctx_for(scene, order=list(range(5)), index=0)
-            actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(seed))
+            start = at(ctx, scene.start)
+            moves = solve_stage(ctx, start, BUDGET, np.random.default_rng(seed))
+            actions = as_actions(ctx, start, moves)
             positions = list(scene.start)
             for act in actions:
                 assert action_valid(scene, tuple(positions), act)
@@ -385,7 +452,8 @@ class TestSolveStage:
         for index in range(len(order)):
             seen.clear()
             ctx = StageContext(scene, tuple(order), index, table)
-            chain = solve_stage(ctx, tuple(positions), BUDGET, rng)
+            start = at(ctx, positions)
+            chain = as_actions(ctx, start, solve_stage(ctx, start, BUDGET, rng))
             for act in chain:
                 assert action_valid(scene, tuple(positions), act)
                 positions[act.obj] = act.dst
@@ -401,11 +469,12 @@ class TestSolveStage:
         # the stage returns only once the root has been expanded, in round two.
         scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
         ctx = ctx_for(scene, order=[0, 1])
+        start = at(ctx, scene.start)
         with pytest.raises(StageIterationLimit, match="iteration budget") as err:
-            solve_stage(ctx, scene.start, SearchBudget(1, None), np.random.default_rng(0))
+            solve_stage(ctx, start, SearchBudget(1, None), np.random.default_rng(0))
         assert isinstance(err.value, StageTimeout)  # stage-failure counts still see it
-        actions = solve_stage(ctx, scene.start, SearchBudget(2, None), np.random.default_rng(0))
-        assert actions == [Action(0, Point(10, 5), Point(10, 15))]
+        moves = solve_stage(ctx, start, SearchBudget(2, None), np.random.default_rng(0))
+        assert moves == [(0, ctx.table.index_of(Point(10, 15)))]
 
     def test_completing_child_counts_when_no_rollout_completes(self, monkeypatch):
         # With every rollout reported as failed, the only completed trajectory
@@ -417,8 +486,8 @@ class TestSolveStage:
         monkeypatch.setattr(mcts, "simulate", failing_simulate)
         scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
         ctx = ctx_for(scene, order=[0, 1])
-        actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
-        assert actions == [Action(0, Point(10, 5), Point(10, 15))]
+        moves = solve_stage(ctx, at(ctx, scene.start), BUDGET, np.random.default_rng(0))
+        assert moves == [(0, ctx.table.index_of(Point(10, 15)))]
 
     def test_planning_the_benchmark_self_test_scene_reaches_expand(self, monkeypatch):
         # The benchmark's self-test plans this scene and requires every traced
@@ -436,35 +505,31 @@ class TestSolveStage:
         assert calls
 
 
-class TestUnknownPositions:
-    def test_solve_stage_names_the_point(self):
-        scene = make_scene([Point(10, 5), Point(16, 16)], [Point(10, 15), Point(16, 8)])
-        ctx = ctx_for(scene, order=[0, 1])
-        with pytest.raises(ValueError, match=r"\(16\.5, 16\.0\) is not a candidate"):
-            solve_stage(ctx, (Point(10, 5), Point(16.5, 16.0)), BUDGET)
-
+class TestStageEntry:
     def test_off_grid_start_and_goal_are_known(self):
         scene = make_scene([Point(10.3, 5), Point(16, 16)], [Point(10, 15.2), Point(16, 8)])
         ctx = ctx_for(scene, order=[0, 1])
-        actions = solve_stage(ctx, scene.start, BUDGET, np.random.default_rng(0))
-        assert actions == [Action(0, Point(10.3, 5.0), Point(10, 15.2))]
+        start = at(ctx, scene.start)
+        moves = solve_stage(ctx, start, BUDGET, np.random.default_rng(0))
+        assert moves == [(0, ctx.table.index_of(Point(10, 15.2)))]
+        assert as_actions(ctx, start, moves) == [Action(0, Point(10.3, 5.0), Point(10, 15.2))]
 
     def test_static_object_off_its_goal_at_stage_entry(self):
         # Stage 1 of the order (0, 1): object 0 is done, yet the start leaves it off its goal.
         scene = make_scene([Point(4, 5), Point(16, 5)], [Point(4, 15), Point(16, 15)])
         ctx = ctx_for(scene, order=[0, 1], index=1)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="static object 0 is not at its goal at stage entry"):
-            solve_stage(ctx, scene.start, BUDGET)
-        assert solve_stage(ctx, (Point(4, 15), Point(16, 5)), BUDGET) == [
-            Action(1, Point(16, 5), Point(16, 15))
-        ]
+            solve_stage(ctx, at(ctx, scene.start), BUDGET, rng)
+        moves = solve_stage(ctx, at(ctx, (Point(4, 15), Point(16, 5))), BUDGET, rng)
+        assert moves == [(1, ctx.table.index_of(Point(16, 15)))]
 
     def test_static_object_5e_10_off_its_goal_at_stage_entry(self):
         # Object 0 starts 5e-10 right of its goal: a point of the table, but not the goal.
         scene = make_scene([Point(4 + 5e-10, 15), Point(16, 5)], [Point(4, 15), Point(16, 15)])
         ctx = ctx_for(scene, order=[0, 1], index=1)
         with pytest.raises(ValueError, match="static object 0 is not at its goal at stage entry"):
-            solve_stage(ctx, scene.start, BUDGET)
+            solve_stage(ctx, at(ctx, scene.start), BUDGET, np.random.default_rng(0))
 
     def test_context_rejects_another_scenes_table(self):
         # A table of the same shelf serves the scene; one of another shelf does not.
@@ -540,12 +605,12 @@ class TestMoveMemo:
             order = stage_order(build_dependency_graph(scene), scene)
             table = OcclusionTable(scene)
             rng = np.random.default_rng(seed + k)
-            positions = list(scene.start)
+            positions = table.indices(scene.start)
             for index in range(len(order)):
                 ctx = StageContext(scene, tuple(order), index, table)
                 assert ctx.move_memo == {}
-                for act in solve_stage(ctx, tuple(positions), BUDGET, rng):
-                    positions[act.obj] = act.dst
+                for obj, dst in solve_stage(ctx, positions, BUDGET, rng):
+                    positions[obj] = dst
                 assert all(type(moves) is tuple for moves in ctx.move_memo.values())
                 fresh_table = OcclusionTable(scene)
                 arrangements = {arrangement for arrangement, _ in ctx.move_memo}

@@ -43,6 +43,7 @@ from shelfplan.geometry import (
 from shelfplan.motion import home_tunnel, placement_sweep_mask
 from shelfplan import occlusion
 from shelfplan.occlusion import OcclusionTable, occupancy, other_points, to_bits
+from shelfplan.planner import retarget_buffers
 
 SCENES = {
     "default-grid": lambda: make_scene([Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)]),
@@ -125,6 +126,11 @@ class TestPoints:
             table.index_of(bad)
         assert str(tuple(bad)) in str(err.value)
 
+    def test_indices_name_the_point_that_is_not_a_candidate(self):
+        table = OcclusionTable(SCENES["default-grid"]())
+        with pytest.raises(ValueError, match=r"\(16\.5, 16\.0\) is not a candidate"):
+            table.indices((Point(10, 5), Point(16.5, 16.0)))
+
 
 class TestKernelEquivalence:
     def test_row_equals_tunnel_disc_mask(self, table):
@@ -151,11 +157,10 @@ class TestKernelEquivalence:
     def test_nearest_is_stable_distance_order(self, table):
         grid = np.asarray(table.scene.candidates, dtype=float)
         for j in range(0, len(table.points), 11):
-            order, own_spot = table.nearest(j)
+            order = table.nearest(j)
             d2 = ((grid - table.coords[j]) ** 2).sum(axis=1)
             assert np.array_equal(order, np.argsort(d2, kind="stable"))
             assert order.dtype == np.uint16 and not order.flags.writeable
-            assert own_spot == to_bits(d2 <= 1e-12)
 
     def test_reach_is_distance_bit_for_bit(self, table):
         # Re-targeting orders candidates by sums of these entries, so each must
@@ -166,13 +171,6 @@ class TestKernelEquivalence:
             assert reach.tolist() == [distance(p, q) for q in table.scene.candidates]
             assert reach.tolist() == [distance(q, p) for q in table.scene.candidates]
             assert not reach.flags.writeable
-
-    def test_own_spot_covers_a_candidate_closer_than_1e_6(self):
-        scene = make_scene([Point(4.0000001, 4.0)], [Point(16, 16)])
-        table = OcclusionTable(scene)
-        j = table.index_of(scene.start[0])
-        assert j >= table.n_candidates
-        assert table.nearest(j)[1] == 1 << table.index_of(Point(4.0, 4.0))
 
     @pytest.mark.parametrize("name", ["default-grid", "off-grid"])
     def test_row_equals_scalar_test(self, name):
@@ -505,7 +503,7 @@ def entries(table):
         "row": [table.row(t) for t in size],
         "clear": [table.clear(j) for j in size],
         "far": [table.far(j) for j in size],
-        "nearest": [(table.nearest(j)[0].tolist(), table.nearest(j)[1]) for j in size],
+        "nearest": [table.nearest(j).tolist() for j in size],
     }
 
 
@@ -549,7 +547,7 @@ class TestSharedStore:
         ],
         ids=["off-grid", "start", "goal"],
     )
-    def test_off_grid_points_get_a_cold_table_and_leave_the_shelf_table(self, start, goal):
+    def test_off_grid_points_get_a_table_that_then_serves_the_shelf(self, start, goal):
         grid_scene = SCENES["default-grid"]()
         shelf = OcclusionTable.shared(grid_scene)
         scene = SCENES["off-grid"]() if start is None else make_scene(start, goal)
@@ -557,7 +555,8 @@ class TestSharedStore:
         assert table is not shelf
         assert table.covers(scene.start + scene.goal)
         assert entries(table) == entries(OcclusionTable(scene))
-        assert OcclusionTable.shared(grid_scene) is shelf
+        assert OcclusionTable.shared(grid_scene) is table
+        assert OcclusionTable.shared(scene) is table
 
     def test_optimizing_an_off_grid_plan_keeps_the_shelf_table(self):
         scene = SCENES["default-grid"]()
@@ -566,27 +565,43 @@ class TestSharedStore:
         assert optimize_plan(Plan((off_grid_move,)), scene).actions == (off_grid_move,)
         assert OcclusionTable.shared(scene) is shelf
 
-    def test_off_grid_plan_builds_one_cold_table(self, monkeypatch):
+    def test_a_plan_off_the_scene_takes_one_path_whatever_the_store_held(self, monkeypatch):
+        # An off-grid scene leaves (10.25, 10) in the store. A grid scene's plan
+        # through that point still takes the float path, which keeps the input's
+        # int coordinates, and re-targeting still refuses it.
+        grid = make_scene([Point(4, 5)], [Point(4, 8)])
+        via = Point(10.25, 10)
+        walk = Plan((Action(0, Point(4, 5), via), Action(0, via, Point(4, 8))))
+        monkeypatch.setattr(occlusion, "_store", None)
+        fresh = plan_to_json(optimize_plan(walk, grid))
+        assert '"from": [4, 5]' in fresh
+        OcclusionTable.shared(make_scene([via], [Point(16, 16)]))
+        assert OcclusionTable.shared(grid).covers([via])
+        assert plan_to_json(optimize_plan(walk, grid)) == fresh
+        with pytest.raises(ValueError, match="table points"):
+            retarget_buffers(walk, grid)
+
+    def test_off_grid_plan_builds_one_table_that_a_grid_plan_reuses(self, monkeypatch):
         # Hard scene 81 with its starts moved off the grid: the search and the
-        # optimiser share one cold table, beside the shelf's.
-        scene = generate_scene(SceneConfig(n_objects=8, rng_seed=81))
-        start = tuple(Point(p.x + 0.25, p.y + 0.125) for p in scene.start)
-        scene = dataclasses.replace(scene, start=start)
+        # optimiser share one table, and the grid scene 81 planned next gets it too.
+        grid_scene = generate_scene(SceneConfig(n_objects=8, rng_seed=81))
+        start = tuple(Point(p.x + 0.25, p.y + 0.125) for p in grid_scene.start)
+        scene = dataclasses.replace(grid_scene, start=start)
         budget = SearchBudget(wall_clock_limit=None)
         monkeypatch.setattr(occlusion, "_store", None)
-        monkeypatch.setattr(occlusion, "_cold", None)
         built = []
         init = OcclusionTable.__init__
 
         def counted(self, *args):
-            built.append(args)
+            built.append(self)
             init(self, *args)
 
         monkeypatch.setattr(OcclusionTable, "__init__", counted)
-        shared = plan_to_json(plan(scene, budget, seed=81).plan)
-        assert len(built) == 2
+        shared = [plan_to_json(plan(s, budget, seed=81).plan) for s in (scene, grid_scene)]
+        assert len(built) == 1
+        assert OcclusionTable.shared(grid_scene) is built[0]
         monkeypatch.setattr(OcclusionTable, "shared", classmethod(lambda cls, *args: cls(*args)))
-        assert shared == plan_to_json(plan(scene, budget, seed=81).plan)
+        assert shared == [plan_to_json(plan(s, budget, seed=81).plan) for s in (scene, grid_scene)]
 
 
 HARD_SEEDS = range(80, 88)
@@ -602,7 +617,16 @@ def hard_plans(seeds):
 
 
 def test_hard_plans_do_not_depend_on_what_the_store_held(monkeypatch):
+    # An off-grid scene of the hard band's shelf is planned first, so the
+    # forward plans come from a table with its off-grid points besides the candidates.
+    monkeypatch.setattr(occlusion, "_store", None)
+    grid_scene = generate_scene(SceneConfig(n_objects=7, rng_seed=80))
+    off_grid = dataclasses.replace(grid_scene, goal=(Point(6.25, 12.5), *grid_scene.goal[1:]))
+    assert plan(off_grid, SearchBudget(wall_clock_limit=None), seed=80).success
+    table = OcclusionTable.shared(off_grid)
+    assert len(table.points) == table.n_candidates + 1
     forward = hard_plans(HARD_SEEDS)
+    assert OcclusionTable.shared(grid_scene) is table
     backward = hard_plans(reversed(HARD_SEEDS))
     monkeypatch.setattr(OcclusionTable, "shared", classmethod(lambda cls, *args: cls(*args)))
     cold = hard_plans(HARD_SEEDS)

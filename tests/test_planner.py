@@ -447,7 +447,7 @@ class TestRetargetBuffers:
         near, away = Point(4 + 1e-10, 5), Point(10, 10)
         scene = make_scene([Point(4, 5)], [near])
         shifted = Plan((Action(0, near, away), Action(0, away, near)))
-        assert OcclusionTable.shared(scene).covers([near, away])
+        assert OcclusionTable.shared(scene).indexes_for(scene, [near, away])
         with pytest.raises(InvalidPlanError) as err:
             retarget_buffers(shifted, scene)
         assert str(err.value) == f"input plan invalid at step 0: {PICK_MISMATCH}"
@@ -466,7 +466,7 @@ class TestRetargetBuffers:
 def step_check(request, monkeypatch):
     """Optimise on the occlusion table, or with every step on the float geometry."""
     if request.param == "float":
-        monkeypatch.setattr(OcclusionTable, "covers", lambda self, points: False)
+        monkeypatch.setattr(OcclusionTable, "indexes_for", lambda self, scene, points: False)
     return request.param
 
 
@@ -481,7 +481,8 @@ class TestMergeShortcut:
     def optimized(self, scene, actions, step_check):
         assert validate_plan(scene, Plan(tuple(actions))).valid  # construction sanity
         points = [p for a in actions for p in (a.src, a.dst)]
-        assert OcclusionTable.shared(scene).covers(points) == (step_check == "table")
+        table = OcclusionTable.shared(scene)
+        assert table.indexes_for(scene, points) == (step_check == "table")
         out = optimize_plan(Plan(tuple(actions)), scene)
         assert validate_plan(scene, out).valid
         assert list(out.actions) == optimize_by_full_replay(scene, actions)
@@ -534,7 +535,8 @@ class TestMergeShortcut:
             Action(0, C, shifted),
         ]
         points = [p for a in actions for p in (a.src, a.dst)]
-        assert OcclusionTable.shared(scene).covers(points) == (step_check == "table")
+        table = OcclusionTable.shared(scene)
+        assert table.indexes_for(scene, points) == (step_check == "table")
         assert_pick_up_rejected(scene, actions, 3)
 
     def test_own_middle_move_picking_up_away_from_the_merged_point(self, step_check, monkeypatch):
@@ -591,7 +593,7 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
 
     with pytest.MonkeyPatch.context() as mp:
         if kind == "float":
-            mp.setattr(OcclusionTable, "covers", lambda self, points: False)
+            mp.setattr(OcclusionTable, "indexes_for", lambda self, scene, points: False)
         mp.setattr(planner, "_collapse_runs", collapse_spy)
         mp.setattr(planner, "_sweep_merge", sweep_spy)
         out = optimize_plan(Plan(tuple(actions)), scene)
@@ -656,7 +658,8 @@ class TestValidatePlan:
         def refuse(*args, **kwargs):
             raise AssertionError("validate_plan read the occlusion table")
 
-        methods = ("__init__", "shared", "covers", "index_of", "move_valid", "row", "far", "clear")
+        methods = ("__init__", "shared", "covers", "indexes_for", "index_of", "move_valid")
+        methods += ("row", "far", "clear")
         for name in methods:
             monkeypatch.setattr(OcclusionTable, name, refuse)
         assert [validate_plan(scene, p) for p in (full, cut)] == expected

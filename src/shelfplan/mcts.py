@@ -100,26 +100,50 @@ class StageContext:
     )
 
     def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(self.scene.n_objects)) or not (
-            0 <= self.index < len(self.order)
-        ):
-            raise ValueError("stage order must permute the scene's objects and index one of them")
-        if not self.table.serves(self.scene):
-            raise ValueError("occlusion table belongs to another shelf")
         order, index = self.order, self.index
+        if not 0 <= index < len(order):
+            raise ValueError("stage order must permute the scene's objects and index one of them")
+        goal_indices, topo_index = _plan_facts(self.scene, order, self.table)
         focus = order[index]
         movable = tuple(sorted(order[index:]))
-        goal_indices = self.table.indices(self.scene.goal)
         vars(self).update(  # past the frozen dataclass's __setattr__
             focus=focus,
             static_ids=order[:index],
             movable_ids=movable,
             goal_indices=goal_indices,
             focus_goal=goal_indices[focus],
-            topo_index={obj: i for i, obj in enumerate(order)},
+            topo_index=topo_index,
             movers_except_focus=tuple(o for o in movable if o != focus),
             move_memo={},
         )
+
+
+# The facts ``_plan_facts`` last worked out: its three arguments, then the facts.
+_last_facts: tuple | None = None
+
+
+def _plan_facts(
+    scene: Scene, order: tuple[ObjectId, ...], table: OcclusionTable
+) -> tuple[list[int], dict[ObjectId, int]]:
+    """The goal indices and topology index that every stage of one plan shares.
+
+    Checks that ``order`` permutes the scene's objects and that ``table``
+    serves the scene. ``plan()`` builds its stages' contexts from one scene,
+    order tuple and table, so the checks and the facts are worked out for its
+    first stage and handed to the others, found by the identity of the three
+    arguments; the facts are never mutated, so the stages share them.
+    """
+    global _last_facts
+    last = _last_facts
+    if last is not None and last[0] is scene and last[1] is order and last[2] is table:
+        return last[3]
+    if sorted(order) != list(range(scene.n_objects)):
+        raise ValueError("stage order must permute the scene's objects and index one of them")
+    if not table.serves(scene):
+        raise ValueError("occlusion table belongs to another shelf")
+    facts = table.indices(scene.goal), {obj: i for i, obj in enumerate(order)}
+    _last_facts = (scene, order, table, facts)
+    return facts
 
 
 @dataclass(frozen=True)
@@ -226,24 +250,23 @@ def new_region(
     candidate's own future pickup tunnel must additionally clear the focus
     disc parked at its goal, so the object does not land in a spot it could
     never leave once the stage finishes.
-    Ties in distance fall to the lower grid index.
+    Ties in distance fall to the lower grid index. The disc and sweep tests
+    are one ``free`` entry per other object, and a bit set that ends empty
+    returns ``[]`` before any array work.
     """
     table = ctx.table
-    order = table.nearest(positions[obj])
-    ok = ((1 << table.n_candidates) - 1) & ~(1 << positions[obj])  # staying put is not a move
-    others = other_points(positions, obj)
-    for j in others:
-        ok &= table.far(j)
     blocked = table.row(positions[ctx.focus]) | table.row(ctx.focus_goal)
     for d in deps - {obj}:
         blocked |= table.row(positions[d])
-    ok &= ~blocked
-    if not ok:
-        return []
-    for j in others:
-        ok &= table.clear(j)
+    own = 1 << positions[obj]  # staying put is not a move
+    ok = ((1 << table.n_candidates) - 1) & ~(blocked | own)
+    for j in other_points(positions, obj):
+        ok &= table.free(j)
     if keep_goal_access and obj != ctx.focus:
         ok &= table.clear(ctx.focus_goal)
+    if not ok:
+        return []
+    order = table.nearest(positions[obj])
     accepted = table.candidate_mask(ok)[order]
     return order[np.flatnonzero(accepted)[:EXPANSION_WIDTH]].tolist()
 

@@ -13,6 +13,9 @@ bit for bit:
 - ``clear(j)``: the candidates whose placing sweep misses the disc at point
   ``j`` (``placement_sweep_mask``);
 - ``far(j)``: the point discs that do not overlap the disc at point ``j``;
+- ``free(j)``: ``far(j) & clear(j)``, the candidates whose disc and placing
+  sweep both miss the disc at point ``j``, which buffer choice asks of every
+  other object;
 - ``nearest(j)``: the candidates in stable order of distance from point
   ``j``;
 - ``reach(j)``: the distance from point ``j`` to each candidate, as
@@ -112,6 +115,7 @@ class OcclusionTable:
         self._rows: list[int | None] = [None] * size
         self._clear: list[int | None] = [None] * size
         self._far: list[int | None] = [None] * size
+        self._free: list[int | None] = [None] * size
         self._nearest: list[np.ndarray | None] = [None] * size
         self._reach: list[np.ndarray | None] = [None] * size
 
@@ -191,6 +195,13 @@ class OcclusionTable:
         ok = self._far[j]
         if ok is None:
             ok = self._far[j] = to_bits(self._distances(j) >= self._min_gap2)
+        return ok
+
+    def free(self, j: int) -> int:
+        """Candidates whose disc and placing sweep both miss the disc at point ``j``."""
+        ok = self._free[j]
+        if ok is None:
+            ok = self._free[j] = self.far(j) & self.clear(j)
         return ok
 
     def nearest(self, j: int) -> np.ndarray:

@@ -102,13 +102,17 @@ class _Replay:
         point = self.point
         return Plan(tuple(Action(step.obj, point(step.src), point(step.dst)) for step in steps))
 
-    def trail(self, actions: Sequence[Action]) -> tuple[list[_Step], list[Keys]]:
-        """The steps of a plan and its trail; ``InvalidPlanError`` if it does not replay."""
-        steps, arr, trail = self.steps(actions), list(self.start), []
+    def trail(self, steps: Sequence[_Step]) -> list[Keys]:
+        """The trail of ``steps``: the arrangement before each step, then the final one.
+
+        Raises ``InvalidPlanError`` when the steps do not replay.
+        """
+        arr, trail = list(self.start), []
         failed, reason = self.run(steps, arr, trail)
         if failed is not None:
             raise InvalidPlanError(f"input plan invalid at step {failed}: {reason}")
-        return steps, trail + [tuple(arr)]
+        trail.append(tuple(arr))
+        return trail
 
     def run(
         self, steps: Sequence[_Step | Action], arr: list[Key], trail: list[Keys] | None = None
@@ -263,6 +267,18 @@ def _sweep_merge(
     return steps, trail, changed
 
 
+def _shorten(
+    replay: _Replay, steps: list[_Step], trail: list[Keys]
+) -> tuple[list[_Step], list[Keys]]:
+    """``optimize_plan``'s merges on steps that replay and their trail, to a fixpoint."""
+    while True:
+        n = len(steps)
+        steps, trail = _collapse_runs(replay, steps, trail)
+        steps, trail, swept = _sweep_merge(replay, steps, trail)
+        if not (swept or len(steps) < n):
+            return steps, trail
+
+
 def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     """Shorten a plan without breaking it.
 
@@ -270,8 +286,8 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     the other objects' steps between them replay to the arrangement the
     plan had after the second move (see ``_merge_pair``): first every pair in
     adjacent steps, then pairs with other steps between them, iterating both
-    passes to a fixpoint. Never increases the step count or the total
-    displacement. Raises ``InvalidPlanError``, with the step and reason
+    passes to a fixpoint (``_shorten``). Never increases the step count or the
+    total displacement. Raises ``InvalidPlanError``, with the step and reason
     ``validate_plan`` reports, when the input plan does not replay.
 
     The plan is replayed once, in point keys, and its trail of arrangements
@@ -291,13 +307,8 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
         replay: _Replay = _TableReplay(scene, table)
     else:
         replay = _FloatReplay(scene)
-    steps, trail = replay.trail(plan.actions)
-    while True:
-        n = len(steps)
-        steps, trail = _collapse_runs(replay, steps, trail)
-        steps, trail, swept = _sweep_merge(replay, steps, trail)
-        if not (swept or len(steps) < n):
-            return replay.plan(steps)
+    steps = replay.steps(plan.actions)
+    return replay.plan(_shorten(replay, steps, replay.trail(steps))[0])
 
 
 def _retarget_step(
@@ -308,21 +319,26 @@ def _retarget_step(
     Step ``k`` puts its object on a buffer point and step ``n`` is the
     object's next move. A candidate ``b`` may take the buffer point's place
     when the plan with ``src_k→b`` and ``b→dst_n`` still replays: ``b``'s disc
-    and placing sweep clear every other object at step ``k``; at ``b`` the
-    object blocks no tunnel and no destination of the steps in between; and
-    its pick-up tunnel from ``b`` is clear at step ``n``. The others stand
-    still in between, so these bit-set tests are the whole replay. Of the
-    valid candidates, the one with the least detour ``d(src_k, b) + d(b,
-    dst_n)`` is taken, ties to the lower index, if that detour is shorter
-    than the buffer point's.
+    and placing sweep clear every other object at step ``k`` (``free``); at
+    ``b`` the object blocks no tunnel and no destination of the steps in
+    between; and its pick-up tunnel from ``b`` is clear at step ``n``. The
+    others stand still in between, so these bit-set tests are the whole
+    replay, and the first one that leaves no candidate ends it. Of the valid
+    candidates, the one with the least detour ``d(src_k, b) + d(b, dst_n)``
+    is taken, ties to the lower index, if that detour is shorter than the
+    buffer point's.
     """
     first, then = steps[k], steps[n]
     obj, src, dst = first.obj, first.src, then.dst
     ok = (1 << table.n_candidates) - 1 & ~(1 << src | 1 << dst)
     for p in other_points(trail[k], obj):
-        ok &= table.far(p) & table.clear(p)
+        ok &= table.free(p)
+    if not ok:
+        return None
     for step in steps[k + 1 : n]:
         ok &= ~(table.row(step.src) | table.row(step.dst)) & table.far(step.dst)
+    if not ok:
+        return None
     for p in other_points(trail[n], obj):
         ok &= table.clear(p)
     if not ok:
@@ -334,43 +350,8 @@ def _retarget_step(
     return b if detour[b] < current else None
 
 
-def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
-    """Move each buffer step's object to the valid candidate with the least detour.
-
-    A buffer step puts an object down where it does not stay: the object
-    moves again later. ``new_region`` picks buffer points near where the
-    object stands, not on the way to where it goes next, so the detour
-    through a buffer point can often be shortened. Buffer steps are scanned
-    in order and each is re-targeted as ``_retarget_step`` decides, and the
-    scan repeats until nothing changes. The plan keeps its steps and its
-    final arrangement, and its displacement only shrinks.
-
-    A buffer step ``k`` and the object's next step ``n`` form a pair whose
-    answer depends only on steps ``k`` to ``n``, so each pair carries a stale
-    flag. A scan tests only stale pairs and clears their flags; a re-target
-    of ``(k', n')`` sets the flags of the other pairs whose window ``[k, n]``
-    overlaps ``[k', n']``. The scans end once no pair is stale. A pair that
-    is not stale would keep its point: its window is as it was when it last
-    kept it, or when it was re-targeted to the least detour. So the scans
-    skip only tests that a full rescan would answer with None, and they
-    re-target as it would.
-
-    The plan is replayed once, in the indices of ``OcclusionTable.shared(
-    scene)``, into a trail of arrangements as in ``optimize_plan``. A
-    re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
-    from ``n + 1`` on; in between, replaying the steps would give the old
-    arrangements with the object at its new point, so that is what the trail
-    gets. The output equals ``tests/oracles.retarget_by_full_replay``, which
-    replays the whole plan for every trial. Raises ``ValueError`` when a
-    point of the plan is neither a candidate nor a start or goal point of
-    the scene, which no plan the search returns has, and
-    ``InvalidPlanError`` when the plan does not replay.
-    """
-    table = OcclusionTable.shared(scene)
-    if not table.indexes_for(scene, (p for a in plan.actions for p in (a.src, a.dst))):
-        raise ValueError("re-targeting needs a plan on the scene's table points")
-    replay = _TableReplay(scene, table)
-    steps, trail = replay.trail(plan.actions)
+def _retarget(table: OcclusionTable, steps: list[_Step], trail: list[Keys]) -> None:
+    """``retarget_buffers``' scans on table steps that replay and their trail, in place."""
     following: dict[int, int] = {}  # buffer step -> the same object's next step
     last: dict[ObjectId, int] = {}
     for n, step in enumerate(steps):
@@ -397,6 +378,46 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
             for j, (k2, n2) in enumerate(pairs):
                 if j != i and k2 <= n and k <= n2:
                     stale[j] = True
+
+
+def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
+    """Move each buffer step's object to the valid candidate with the least detour.
+
+    A buffer step puts an object down where it does not stay: the object
+    moves again later. ``new_region`` picks buffer points near where the
+    object stands, not on the way to where it goes next, so the detour
+    through a buffer point can often be shortened. Buffer steps are scanned
+    in order and each is re-targeted as ``_retarget_step`` decides, and the
+    scan repeats until nothing changes (``_retarget``). The plan keeps its
+    steps and its final arrangement, and its displacement only shrinks.
+
+    A buffer step ``k`` and the object's next step ``n`` form a pair whose
+    answer depends only on steps ``k`` to ``n``, so each pair carries a stale
+    flag. A scan tests only stale pairs and clears their flags; a re-target
+    of ``(k', n')`` sets the flags of the other pairs whose window ``[k, n]``
+    overlaps ``[k', n']``. The scans end once no pair is stale. A pair that
+    is not stale would keep its point: its window is as it was when it last
+    kept it, or when it was re-targeted to the least detour. So the scans
+    skip only tests that a full rescan would answer with None, and they
+    re-target as it would.
+
+    The plan is replayed once, in the indices of ``OcclusionTable.shared(
+    scene)``, into a trail of arrangements as in ``optimize_plan``. A
+    re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
+    from ``n + 1`` on; in between, replaying the steps would give the old
+    arrangements with the object at its new point, so that is what the trail
+    gets. The output equals ``tests/oracles.retarget_by_full_replay``, which
+    replays the whole plan for every trial. Raises ``ValueError`` when a
+    point of the plan is neither a candidate nor a start or goal point of
+    the scene, which no plan the search returns has, and
+    ``InvalidPlanError`` when the plan does not replay.
+    """
+    table = OcclusionTable.shared(scene)
+    if not table.indexes_for(scene, (p for a in plan.actions for p in (a.src, a.dst))):
+        raise ValueError("re-targeting needs a plan on the scene's table points")
+    replay = _TableReplay(scene, table)
+    steps = replay.steps(plan.actions)
+    _retarget(table, steps, replay.trail(steps))
     return replay.plan(steps)
 
 
@@ -405,10 +426,16 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
 
     Solves one stage per object in topology order, feeding each stage's end
     arrangement into the next, then optimizes the concatenated sub-plans,
-    re-targets their buffer moves and optimizes again. The stages run in the
-    indices of ``OcclusionTable.shared(scene)``, which indexes the start
-    once; their moves are collected as steps, and ``_TableReplay.plan``
-    turns those into the raw plan's ``Action``s.
+    re-targets their buffer moves and optimizes again: the result is
+    ``optimize_plan(retarget_buffers(optimize_plan(raw)))`` for the search's
+    raw plan ``raw``. The stages run in the indices of
+    ``OcclusionTable.shared(scene)``, which indexes the start once, and
+    their moves are collected as replay steps. Those steps are replayed once
+    into their trail (``InvalidPlanError`` if the search made an invalid
+    move), and the first two passes run on that one trail, as
+    ``optimize_plan`` and ``retarget_buffers`` run on the trail of the plan
+    they are given (``_shorten``, ``_retarget``). ``_TableReplay.plan``
+    then builds the plan's ``Action``s once, for the final ``optimize_plan``.
     The wall-clock budget is split evenly across the remaining stages, so
     time unused by early stages rolls forward. A seed that is not a
     non-negative int (bools included), or a budget that is neither a
@@ -426,7 +453,7 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     if scene.start == scene.goal:
         return report(True, Plan(()), None)
     try:
-        order = stage_order(build_dependency_graph(scene), scene)
+        order = tuple(stage_order(build_dependency_graph(scene), scene))
     except CycleError:
         return report(False, None, "topology-cycle")
     rng = np.random.default_rng(seed)
@@ -436,7 +463,7 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     positions = list(replay.start)
     steps: list[_Step] = []
     for index in range(len(order)):
-        ctx = StageContext(scene, tuple(order), index, table)
+        ctx = StageContext(scene, order, index, table)
         stage_budget = budget
         if deadline is not None:
             remaining = deadline - time.monotonic()
@@ -454,8 +481,9 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
         for obj, dst in chunk:
             steps.append(_Step(obj, positions[obj], dst))
             positions[obj] = dst
-    optimized = optimize_plan(replay.plan(steps), scene)
-    return report(True, optimize_plan(retarget_buffers(optimized, scene), scene), None)
+    steps, trail = _shorten(replay, steps, replay.trail(steps))
+    _retarget(table, steps, trail)
+    return report(True, optimize_plan(replay.plan(steps), scene), None)
 
 
 def plan_to_dict(plan: Plan, wall_time: float | None = None) -> dict:

@@ -4,10 +4,10 @@ Entries are bit sets (bit ``k`` for point ``k``). Each kind is compared with
 the function the search called before the table existed, over every point
 pair of a scene: ``row`` with ``tunnel_disc_mask`` (and the scalar
 ``tunnel_intersects_disc``), ``clear`` with ``placement_sweep_mask``, ``far``
-with ``discs_overlap``, ``nearest`` with a stable sort of the squared
-distances, and ``reach`` with ``distance``. All tunnel paths share one
-kernel, so ``row`` and ``clear`` agree with each other too, exact tangencies
-included.
+with ``discs_overlap``, ``free`` with ``far & clear``, ``nearest`` with a
+stable sort of the squared distances, and ``reach`` with ``distance``. All
+tunnel paths share one kernel, so ``row`` and ``clear`` agree with each other
+too, exact tangencies included.
 """
 
 import dataclasses
@@ -41,7 +41,7 @@ from shelfplan.geometry import (
     tunnel_intersects_disc,
 )
 from shelfplan.motion import home_tunnel, placement_sweep_mask
-from shelfplan import occlusion
+from shelfplan import mcts, occlusion, planner
 from shelfplan.occlusion import OcclusionTable, occupancy, other_points, to_bits
 from shelfplan.planner import retarget_buffers
 
@@ -153,6 +153,14 @@ class TestKernelEquivalence:
             disc = Disc(table.points[j], b)
             expected = [not discs_overlap(disc, Disc(q, b)) for q in table.points]
             assert table.far(j) == to_bits(np.array(expected))
+
+    @pytest.mark.parametrize("name", ["default-grid", "half-grid", "off-grid"])
+    def test_free_is_far_and_clear(self, name):
+        # Asked first, on every point, of a table whose far and clear entries are cold.
+        scene = SCENES[name]()
+        table, cold = OcclusionTable(scene), OcclusionTable(scene)
+        for j in range(len(table.points)):
+            assert table.free(j) == cold.far(j) & cold.clear(j), table.points[j]
 
     def test_nearest_is_stable_distance_order(self, table):
         grid = np.asarray(table.scene.candidates, dtype=float)
@@ -503,6 +511,7 @@ def entries(table):
         "row": [table.row(t) for t in size],
         "clear": [table.clear(j) for j in size],
         "far": [table.far(j) for j in size],
+        "free": [table.free(j) for j in size],
         "nearest": [table.nearest(j).tolist() for j in size],
     }
 
@@ -605,6 +614,35 @@ class TestSharedStore:
 
 
 HARD_SEEDS = range(80, 88)
+
+
+def recording(real, calls):
+    """``real``, appending each call's result to ``calls``."""
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    return spy
+
+
+def test_no_candidate_selection_on_an_empty_bit_set(monkeypatch):
+    # Buffer choice and re-targeting return before any array work once no
+    # candidate is left. ``new_region`` returns [] exactly then, which these
+    # scenes make it do.
+    asked, found, retargets = [], [], []
+    candidate_mask = OcclusionTable.candidate_mask
+
+    def mask_spy(self, bits):
+        asked.append(bits)
+        return candidate_mask(self, bits)
+
+    monkeypatch.setattr(OcclusionTable, "candidate_mask", mask_spy)
+    monkeypatch.setattr(mcts, "new_region", recording(mcts.new_region, found))
+    monkeypatch.setattr(planner, "_retarget_step", recording(planner._retarget_step, retargets))
+    hard_plans(HARD_SEEDS)
+    assert asked and all(asked)
+    assert [] in found and retargets
 
 
 def hard_plans(seeds):

@@ -30,7 +30,7 @@ from shelfplan.occlusion import OcclusionTable
 from shelfplan.planner import retarget_buffers
 from shelfplan.topology import build_dependency_graph
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from json_fuzz import hostile_edits
@@ -333,18 +333,94 @@ class TestOptimizePlan:
 
 
 def search_output(scene, seed):
-    """The plan ``plan()`` hands to ``retarget_buffers``: the optimised search output."""
-    seen = []
+    """The plan ``plan()`` re-targets: the optimised search output.
 
-    def spy(plan_in, scene_in):
-        seen.append(plan_in)
-        return retarget_buffers(plan_in, scene_in)
+    ``plan()`` re-targets its steps in place (``planner._retarget``), so the
+    spy turns them into a plan before they change.
+    """
+    seen = []
+    real = planner._retarget
+
+    def spy(table, steps, trail):
+        seen.append(planner._TableReplay(scene, table).plan(steps))
+        return real(table, steps, trail)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planner, "retarget_buffers", spy)
+        mp.setattr(planner, "_retarget", spy)
         report = plan(scene, NO_TIMEOUT, seed=seed)
     assert report.success and len(seen) == 1
     return seen[0]
+
+
+def raw_search_plan(scene, seed):
+    """``plan()``'s report and its search's raw plan: the stages' chains in order."""
+    chains = []
+    real = planner.solve_stage
+
+    def spy(ctx, positions, budget, rng):
+        chains.append(real(ctx, positions, budget, rng))
+        return chains[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "solve_stage", spy)
+        report = plan(scene, NO_TIMEOUT, seed=seed)
+    table = OcclusionTable.shared(scene)
+    points, positions, actions = table.points, table.indices(scene.start), []
+    for obj, dst in (move for chain in chains for move in chain):
+        actions.append(Action(obj, points[positions[obj]], points[dst]))
+        positions[obj] = dst
+    return report, Plan(tuple(actions))
+
+
+def check_pipeline(scene, seed):
+    """``plan()`` returns the public passes over its raw plan, to the byte."""
+    report, raw = raw_search_plan(scene, seed)
+    if not report.success:
+        return False
+    assert validate_plan(scene, raw).valid
+    expected = optimize_plan(retarget_buffers(optimize_plan(raw, scene), scene), scene)
+    assert report.plan == expected
+    assert plan_to_json(report.plan) == plan_to_json(expected)
+    return True
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("case", golden_cases(), ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_plan_is_the_public_passes_on_golden_scenes(self, case):
+        _, seed, n_objects, grid = case
+        scene = generate_scene(
+            SceneConfig(n_objects=n_objects, rng_seed=seed, grid_resolution=grid)
+        )
+        assert check_pipeline(scene, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_objects=st.integers(1, 6),
+        grid=st.sampled_from([0.5, 1.0]),
+    )
+    def test_plan_is_the_public_passes_on_grid_scenes(self, seed, n_objects, grid):
+        scene = generate_scene(
+            SceneConfig(n_objects=n_objects, rng_seed=seed, grid_resolution=grid)
+        )
+        assume(check_pipeline(scene, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_objects=st.integers(1, 5),
+        shift=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    )
+    def test_plan_is_the_public_passes_on_off_grid_scenes(self, seed, n_objects, shift):
+        # A grid scene's start moved off the grid: its points join the table.
+        base = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+        dx, dy = shift
+        start = [Point(p.x + dx, p.y + dy) for p in base.start]
+        try:
+            scene = make_scene(start, base.goal)
+        except ValueError:
+            assume(False)
+        assume(check_pipeline(scene, seed))
 
 
 def check_retarget(scene, raw):

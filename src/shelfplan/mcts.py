@@ -25,6 +25,7 @@ for a tree node to complete the stage.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,8 +37,6 @@ import numpy as np
 from .geometry import distance
 from .occlusion import OcclusionTable, occupancy, other_points
 from .scene import ObjectId, Scene, require_int
-
-_EPS = 1e-12
 
 # Search settings of the paper's MS-MCTS; every workload runs these values.
 EXPANSION_WIDTH = 5  # buffer regions proposed per blocker
@@ -77,10 +76,14 @@ class StageContext:
     put, and it and the ones after it may move. ``table`` is any occlusion
     table of the scene's shelf. ``move_memo`` is the stage's transposition
     table: it fills as the search reaches arrangements, and it is dropped with
-    the context, since ``plan()`` builds one per stage.
+    the context.
 
-    The derived fields are worked out once, when the context is built: the
-    search reads them in every round.
+    Building a context checks that ``order`` permutes the scene's objects,
+    that ``table`` serves the scene and that ``index`` is a stage of
+    ``order``, each a ``ValueError``, and works out the derived fields once:
+    the search reads them in every round. ``at`` gives another stage of the
+    same plan without repeating the plan-level work, so ``plan()`` builds its
+    first stage and steps to the others with it.
     """
 
     scene: Scene
@@ -88,11 +91,9 @@ class StageContext:
     index: int
     table: OcclusionTable
     focus: ObjectId = field(init=False, repr=False, compare=False)
-    static_ids: tuple[ObjectId, ...] = field(init=False, repr=False, compare=False)
     movable_ids: tuple[ObjectId, ...] = field(init=False, repr=False, compare=False)
     goal_indices: list[int] = field(init=False, repr=False, compare=False)
     focus_goal: int = field(init=False, repr=False, compare=False)
-    topo_index: dict[ObjectId, int] = field(init=False, repr=False, compare=False)
     movers_except_focus: tuple[ObjectId, ...] = field(init=False, repr=False, compare=False)
     # ``_candidate_moves`` results, keyed by ``(arrangement, stuck)``.
     move_memo: dict[tuple[tuple[int, ...], bool], tuple[Move, ...]] = field(
@@ -100,50 +101,38 @@ class StageContext:
     )
 
     def __post_init__(self) -> None:
-        order, index = self.order, self.index
+        if sorted(self.order) != list(range(self.scene.n_objects)):
+            raise ValueError("stage order must permute the scene's objects and index one of them")
+        if not self.table.serves(self.scene):
+            raise ValueError("occlusion table belongs to another shelf")
+        vars(self)["goal_indices"] = self.table.indices(self.scene.goal)
+        self._enter(self.index)
+
+    def at(self, index: int) -> StageContext:
+        """Stage ``index`` of the same plan, sharing this context's plan-level facts.
+
+        Equal to ``StageContext(scene, order, index, table)``, with a memo of
+        its own; an index outside ``order`` is a ``ValueError``.
+        """
+        other = copy.copy(self)
+        other._enter(index)
+        return other
+
+    def _enter(self, index: int) -> None:
+        """Make this the context of stage ``index``: its per-stage fields and an empty memo."""
+        order = self.order
         if not 0 <= index < len(order):
             raise ValueError("stage order must permute the scene's objects and index one of them")
-        goal_indices, topo_index = _plan_facts(self.scene, order, self.table)
         focus = order[index]
         movable = tuple(sorted(order[index:]))
         vars(self).update(  # past the frozen dataclass's __setattr__
+            index=index,
             focus=focus,
-            static_ids=order[:index],
             movable_ids=movable,
-            goal_indices=goal_indices,
-            focus_goal=goal_indices[focus],
-            topo_index=topo_index,
+            focus_goal=self.goal_indices[focus],
             movers_except_focus=tuple(o for o in movable if o != focus),
             move_memo={},
         )
-
-
-# The facts ``_plan_facts`` last worked out: its three arguments, then the facts.
-_last_facts: tuple | None = None
-
-
-def _plan_facts(
-    scene: Scene, order: tuple[ObjectId, ...], table: OcclusionTable
-) -> tuple[list[int], dict[ObjectId, int]]:
-    """The goal indices and topology index that every stage of one plan shares.
-
-    Checks that ``order`` permutes the scene's objects and that ``table``
-    serves the scene. ``plan()`` builds its stages' contexts from one scene,
-    order tuple and table, so the checks and the facts are worked out for its
-    first stage and handed to the others, found by the identity of the three
-    arguments; the facts are never mutated, so the stages share them.
-    """
-    global _last_facts
-    last = _last_facts
-    if last is not None and last[0] is scene and last[1] is order and last[2] is table:
-        return last[3]
-    if sorted(order) != list(range(scene.n_objects)):
-        raise ValueError("stage order must permute the scene's objects and index one of them")
-    if not table.serves(scene):
-        raise ValueError("occlusion table belongs to another shelf")
-    facts = table.indices(scene.goal), {obj: i for i, obj in enumerate(order)}
-    _last_facts = (scene, order, table, facts)
-    return facts
 
 
 @dataclass(frozen=True)
@@ -305,14 +294,7 @@ def _relocation_moves(
     goal_idx = ctx.goal_indices
     movable = ctx.movable_ids
     occupied = occupancy(positions)
-    moves: list[Move] = []
-    seen: set[Move] = set()
-
-    def push(obj: ObjectId, dst: int) -> None:
-        move = (obj, dst)
-        if move not in seen:
-            seen.add(move)
-            moves.append(move)
+    moves: dict[Move, None] = {}  # insertion-ordered; a repeat keeps its first place
 
     def tunnel_blockers(obj: ObjectId, t: int) -> list[ObjectId]:
         # Movable objects other than obj whose disc the home tunnel to point t touches.
@@ -324,14 +306,14 @@ def _relocation_moves(
         # the protected set until some buffer region survives. Spots the
         # finished focus would trap are a last resort only.
         for keep_access in (True, False):
-            for cut in range(ctx.topo_index[obj], -1, -1):
+            for cut in range(ctx.order.index(obj), -1, -1):
                 deps = set(ctx.order[:cut])
                 if extra_dep is not None:
                     deps.add(extra_dep)
                 found = new_region(ctx, obj, deps, positions, keep_goal_access=keep_access)
                 if found:
                     for i in found:
-                        push(obj, i)
+                        moves[obj, i] = None
                     return
 
     current = set(blockers)
@@ -355,7 +337,7 @@ def _relocation_moves(
                         occupied & ~(1 << src), src, goal
                     )
                 if goal_move_ok:
-                    push(o_i, goal)
+                    moves[o_i, goal] = None
                 else:
                     buffer_moves(o_i)
             else:
@@ -407,8 +389,10 @@ def select(root: SearchNode, c: float) -> SearchNode:
     """Descend from the root to a leaf by maximum upper confidence bound.
 
     Each child's mean reward is min-max normalized across its live siblings,
-    making the exploration constant scale-free; unvisited children score
-    infinity and are taken in creation order. Dead subtrees are skipped.
+    making the exploration constant scale-free; when every live mean is the
+    same (a spread of exactly 0) each scores 0.5, so exploration alone
+    decides. Unvisited children score infinity and are taken in creation
+    order. Dead subtrees are skipped.
     """
     node = root
     while node.children:
@@ -425,7 +409,7 @@ def select(root: SearchNode, c: float) -> SearchNode:
             log_visits = math.log(max(node.visits, 1))
             best = -math.inf
             for ch, mean in zip(live, means):
-                normalized = 0.5 if spread <= _EPS else (mean - lo) / spread
+                normalized = 0.5 if spread == 0.0 else (mean - lo) / spread
                 score = normalized + c * math.sqrt(log_visits / ch.visits)
                 if score > best:
                     best = score
@@ -530,10 +514,11 @@ def solve_stage(
     ``StageTimeout`` when the wall-clock budget runs out first, its subclass
     ``StageIterationLimit`` when the iteration budget does,
     and ``StageExhausted`` when the whole tree is dead, and ``ValueError`` when
-    ``positions`` puts a static object anywhere but exactly on its goal.
+    ``positions`` puts a static object, one of ``ctx.order[: ctx.index]``,
+    anywhere but exactly on its goal.
     """
     goal_idx = ctx.goal_indices
-    for obj in ctx.static_ids:
+    for obj in ctx.order[: ctx.index]:
         if positions[obj] != goal_idx[obj]:
             raise ValueError(f"static object {obj} is not at its goal at stage entry")
     limit = budget.wall_clock_limit

@@ -462,8 +462,10 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     replay = _TableReplay(scene, table)
     positions = list(replay.start)
     steps: list[_Step] = []
+    ctx = StageContext(scene, order, 0, table)
     for index in range(len(order)):
-        ctx = StageContext(scene, order, index, table)
+        if index:
+            ctx = ctx.at(index)  # shares the plan's goal indices and checks
         stage_budget = budget
         if deadline is not None:
             remaining = deadline - time.monotonic()

@@ -3,9 +3,11 @@
 The corpus is planned with the wall clock off, so the recorded output does
 not depend on machine speed. Beside the plans of a small corpus, kept in
 full so that a diff shows what moved, one SHA-256 digest covers the plans of
-every hard and fine-grid scene that ``shelfbench/run.py`` plans, and a
-second one covers the optimiser's output on every random walk of its replay
-workload. A change that alters plans on purpose regenerates the files and
+every hard and fine-grid scene that ``shelfbench/run.py`` plans, a second
+one covers the optimiser's output on every random walk of its replay
+workload, and a third covers the plans of a dense corpus (10 to 16 objects),
+the only band where the search's UCB selection, dead-subtree marking and
+stuck mode make real choices, and where some scenes fail. A change that alters plans on purpose regenerates the files and
 says why:
 
     PYTHONPATH=src python tests/test_golden_plans.py --write
@@ -27,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_plans.json"
 DIGEST = ROOT / "tests" / "data" / "benchmark_plans.sha256"
 REPLAY_DIGEST = ROOT / "tests" / "data" / "replay_plans.sha256"
+DENSE_DIGEST = ROOT / "tests" / "data" / "dense_plans.sha256"
 
 # (band, scene seeds, object counts alternating by seed, grid resolution);
 # each scene is searched with its own seed, as ``shelfplan bench`` does.
@@ -39,6 +42,8 @@ BENCHMARK_CORPUS = (
     ("hard", range(80, 132), (7, 8), 1.0),
     ("fine-grid", range(0, 44), (5, 6), 0.5),
 )
+# Dense scenes on the default shelf; 20 of these 80 fail today.
+DENSE_CORPUS = tuple((f"dense-{n}", range(0, 20), (n,), 1.0) for n in (10, 12, 14, 16))
 
 
 def corpus_cases(corpus=CORPUS) -> list[tuple[str, int, int, float]]:
@@ -66,13 +71,23 @@ def record_all() -> list[dict]:
     ]
 
 
-def benchmark_digest() -> str:
-    """SHA-256 over the plan JSON of every benchmark scene, one line each, in corpus order."""
+def plans_digest(corpus) -> str:
+    """SHA-256 over the plan JSON (or failure kind) of every scene, one line each, in corpus order."""
     h = hashlib.sha256()
-    for _, seed, n, grid in corpus_cases(BENCHMARK_CORPUS):
+    for _, seed, n, grid in corpus_cases(corpus):
         case = plan_case(seed, n, grid)
         h.update((case["plan_json"] or f"failed: {case['failure_kind']}").encode() + b"\n")
     return h.hexdigest()
+
+
+def benchmark_digest() -> str:
+    """The plans of every hard and fine-grid benchmark scene."""
+    return plans_digest(BENCHMARK_CORPUS)
+
+
+def dense_digest() -> str:
+    """The plans of every dense scene."""
+    return plans_digest(DENSE_CORPUS)
 
 
 def benchmark_module():
@@ -125,6 +140,10 @@ def test_replay_plans_match_digest():
     assert replay_digest() == REPLAY_DIGEST.read_text().strip()
 
 
+def test_dense_plans_match_digest():
+    assert dense_digest() == DENSE_DIGEST.read_text().strip()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden_plans.py --write")
@@ -134,4 +153,5 @@ if __name__ == "__main__":
         fh.write("\n")
     DIGEST.write_text(benchmark_digest() + "\n")
     REPLAY_DIGEST.write_text(replay_digest() + "\n")
-    print(f"wrote {GOLDEN}, {DIGEST} and {REPLAY_DIGEST}")
+    DENSE_DIGEST.write_text(dense_digest() + "\n")
+    print(f"wrote {GOLDEN}, {DIGEST}, {REPLAY_DIGEST} and {DENSE_DIGEST}")

@@ -556,7 +556,7 @@ class TestStageEntry:
         )
         ctx = StageContext(scene, (2, 0, 1), 1, OcclusionTable(scene))
         assert ctx.focus == 0
-        assert ctx.static_ids == (2,)
+        assert ctx.focus_goal == ctx.table.index_of(Point(4, 15))
         assert ctx.movable_ids == (0, 1)
         assert ctx.movers_except_focus == (1,)
 
@@ -571,11 +571,9 @@ class TestStageEntry:
             focus = order[index]
             goal_indices = [table.index_of(p) for p in scene.goal]
             assert ctx.focus == focus
-            assert ctx.static_ids == order[:index]
             assert ctx.movable_ids == tuple(sorted(order[index:]))
             assert ctx.goal_indices == goal_indices
             assert ctx.focus_goal == goal_indices[focus]
-            assert ctx.topo_index == {obj: i for i, obj in enumerate(order)}
             assert ctx.movers_except_focus == tuple(o for o in sorted(order[index:]) if o != focus)
             assert ctx.move_memo == {} and all(ctx.move_memo is not m for m in memos)
             memos.append(ctx.move_memo)
@@ -586,6 +584,45 @@ class TestStageEntry:
             _candidate_moves(ctx, list(table.indices(scene.start)))
             again = StageContext(scene, order, index, table)
             assert ctx == again and hash(ctx) == hash(again) and repr(ctx) == repr(again)
+
+    @pytest.mark.parametrize("seed, n_objects", [(82, 7), (99, 8)])
+    def test_at_equals_the_context_built_for_that_stage(self, seed, n_objects):
+        scene = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+        order = tuple(stage_order(build_dependency_graph(scene), scene))
+        table = OcclusionTable(scene)
+        first = StageContext(scene, order, 0, table)
+        _candidate_moves(first, list(table.indices(scene.start)))  # a memo not to hand on
+        memo = dict(first.move_memo)
+        stepped = first
+        for index in range(len(order)):
+            built = StageContext(scene, order, index, table)
+            # From the first stage, and stage after stage as plan() steps.
+            for ctx in (first.at(index), stepped.at(index)):
+                for name in (f.name for f in dataclasses.fields(built) if f.name != "move_memo"):
+                    assert getattr(ctx, name) == getattr(built, name), name
+                assert ctx.move_memo == {} and ctx.move_memo is not first.move_memo
+                assert ctx == built and hash(ctx) == hash(built) and repr(ctx) == repr(built)
+            stepped = ctx
+        # Stepping leaves the context it started from as it was.
+        assert first.index == 0 and first.focus == order[0] and first.move_memo == memo
+        for index in (-1, len(order)):
+            with pytest.raises(ValueError, match="stage"):
+                first.at(index)
+
+    def test_plan_indexes_the_goal_once_per_plan(self, monkeypatch):
+        calls = []
+        indices = OcclusionTable.indices
+
+        def spy(table, arrangement):
+            calls.append(arrangement)
+            return indices(table, arrangement)
+
+        monkeypatch.setattr(OcclusionTable, "indices", spy)
+        for seed, n_objects in [(82, 7), (99, 8)]:
+            scene = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+            calls.clear()
+            assert plan(scene, BUDGET, seed=seed).success
+            assert calls == [scene.goal]
 
 
 class TestMoveMemo:

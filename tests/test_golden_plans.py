@@ -7,8 +7,10 @@ every hard and fine-grid scene that ``shelfbench/run.py`` plans, a second
 one covers the optimiser's output on every random walk of its replay
 workload, and a third covers the plans of a dense corpus (10 to 16 objects),
 the only band where the search's UCB selection, dead-subtree marking and
-stuck mode make real choices, and where some scenes fail. A change that alters plans on purpose regenerates the files and
-says why:
+stuck mode make real choices, and where some scenes fail. A fourth digest
+covers the validator's verdicts on every replay walk and on mutants of each,
+so that its rejections are gated as well as its acceptances. A change that
+alters plans on purpose regenerates the files and says why:
 
     PYTHONPATH=src python tests/test_golden_plans.py --write
 """
@@ -18,18 +20,32 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from shelfplan import SceneConfig, SearchBudget, generate_scene, optimize_plan, plan, plan_to_json
+from shelfplan import (
+    Action,
+    Plan,
+    SceneConfig,
+    SearchBudget,
+    generate_scene,
+    optimize_plan,
+    plan,
+    plan_to_json,
+    validate_plan,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_plans.json"
 DIGEST = ROOT / "tests" / "data" / "benchmark_plans.sha256"
 REPLAY_DIGEST = ROOT / "tests" / "data" / "replay_plans.sha256"
 DENSE_DIGEST = ROOT / "tests" / "data" / "dense_plans.sha256"
+VERDICT_DIGEST = ROOT / "tests" / "data" / "validator_verdicts.sha256"
+# Mutants of each replay walk whose verdicts the validator digest covers.
+MUTANTS_PER_WALK = 5
 
 # (band, scene seeds, object counts alternating by seed, grid resolution);
 # each scene is searched with its own seed, as ``shelfplan bench`` does.
@@ -113,6 +129,41 @@ def replay_digest() -> str:
     return h.hexdigest()
 
 
+def mutant(walk: Plan, candidates, rng: random.Random) -> Plan:
+    """``walk`` with one destination moved to another candidate, one step dropped or two adjacent steps swapped."""
+    actions = list(walk.actions)
+    k = rng.randrange(len(actions))
+    kind = rng.choice(("move", "drop", "swap"))
+    if kind == "move":
+        act = actions[k]
+        dst = rng.choice([p for p in candidates if p not in (act.src, act.dst)])
+        actions[k] = Action(act.obj, act.src, dst)
+    elif kind == "drop":
+        del actions[k]
+    else:
+        k = min(k, len(actions) - 2)
+        actions[k], actions[k + 1] = actions[k + 1], actions[k]
+    return Plan(tuple(actions))
+
+
+def verdict_digest() -> str:
+    """SHA-256 over ``validate_plan``'s verdict on every replay walk and its mutants, one line each.
+
+    Each walk is followed by ``MUTANTS_PER_WALK`` mutants drawn with
+    ``random.Random(walk seed)``; a line is ``valid failed_step reason``.
+    """
+    run = benchmark_module()
+    h = hashlib.sha256()
+    for seed in range(run.WALK_SEED0, run.WALK_SEED0 + run.REPLAY_WALKS):
+        scene, walk = run.random_walk(seed)
+        rng = random.Random(seed)
+        plans = [walk] + [mutant(walk, scene.candidates, rng) for _ in range(MUTANTS_PER_WALK)]
+        for p in plans:
+            check = validate_plan(scene, p)
+            h.update(f"{check.valid} {check.failed_step} {check.reason}\n".encode())
+    return h.hexdigest()
+
+
 def load_golden() -> list[dict]:
     with open(GOLDEN) as fh:
         return json.load(fh)
@@ -144,6 +195,23 @@ def test_dense_plans_match_digest():
     assert dense_digest() == DENSE_DIGEST.read_text().strip()
 
 
+def test_validator_verdicts_match_digest():
+    assert verdict_digest() == VERDICT_DIGEST.read_text().strip()
+
+
+def test_verdict_corpus_rejects_as_well_as_accepts():
+    # The digest gates rejections only if the mutants draw them: collisions among them.
+    run = benchmark_module()
+    verdicts = []
+    for seed in range(run.WALK_SEED0, run.WALK_SEED0 + 10):
+        scene, walk = run.random_walk(seed)
+        rng = random.Random(seed)
+        for _ in range(MUTANTS_PER_WALK):
+            verdicts.append(validate_plan(scene, mutant(walk, scene.candidates, rng)))
+    reasons = {v.reason for v in verdicts}
+    assert {None, "relocation is not collision-free"} <= reasons
+    assert "pick location does not match the object's current region" in reasons
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden_plans.py --write")
@@ -154,4 +222,5 @@ if __name__ == "__main__":
     DIGEST.write_text(benchmark_digest() + "\n")
     REPLAY_DIGEST.write_text(replay_digest() + "\n")
     DENSE_DIGEST.write_text(dense_digest() + "\n")
-    print(f"wrote {GOLDEN}, {DIGEST}, {REPLAY_DIGEST} and {DENSE_DIGEST}")
+    VERDICT_DIGEST.write_text(verdict_digest() + "\n")
+    print(f"wrote {GOLDEN}, {DIGEST}, {REPLAY_DIGEST}, {DENSE_DIGEST} and {VERDICT_DIGEST}")

@@ -98,9 +98,9 @@ def tunnel_hits(
     is (m, 2). One tunnel: ``direction`` is a unit ``(c, s)`` pair and ``length``
     a float; returns (m,) bools. k tunnels from one anchor: ``c``, ``s`` and
     ``length`` are (k, 1) columns; returns (k, m). Its scalar twin
-    ``tunnel_hits_disc`` does the same arithmetic on Python floats, one pair at
-    a time, with comparisons where this kernel calls ``np.maximum`` and
-    ``np.minimum``; the two answer alike bit for bit.
+    ``tunnel_hits_disc`` does the same arithmetic on Python floats, one disc
+    against k legs at a time, with comparisons where this kernel calls
+    ``np.maximum`` and ``np.minimum``; the two answer alike bit for bit.
     """
     c, s = direction
     dx = centers[:, 0] - anchor[0]
@@ -114,33 +114,57 @@ def tunnel_hits(
     return (u - uc) ** 2 + (v - vc) ** 2 <= radius * radius
 
 
-def tunnel_hits_disc(
-    dx: float, dy: float, c: float, s: float, length: float, half_width: float, r: float
-) -> bool:
+def leg_length(dx: float, dy: float) -> float:
+    """``float(np.hypot(dx, dy))`` without a numpy scalar call, at about a fifth of the cost.
+
+    CPython's complex ``abs`` calls the C library's ``hypot`` on finite
+    parts, as numpy does, so the two agree bit for bit; ``math.hypot`` has
+    its own algorithm and does not. An infinite part gives ``inf`` and a NaN
+    one ``nan``, as in numpy. Where the length overflows, ``abs`` raises
+    ``OverflowError`` and numpy returns ``inf``, so this does too
+    (``tests/test_geometry.py::TestLegLength``).
+    """
+    try:
+        return abs(complex(dx, dy))
+    except OverflowError:
+        return math.inf
+
+
+def tunnel_hits_disc(dx: float, dy: float, legs, half_width: float, r: float) -> bool:
     """``tunnel_hits`` on floats for the disc at ``(dx, dy)`` from the anchor.
 
-    The same operations in the same order (numpy squares by multiplying), so
-    both answer alike bit for bit, exact tangencies and NaN legs included.
-    The clamps are comparisons, not ``min``/``max`` builtin calls, which on
-    CPython 3.11 make a call about three times as costly. ``max(a, b)``
-    returns ``a`` unless ``b > a``, and ``min(a, b)`` returns ``a`` unless
-    ``b < a``, so each conditional expression below returns the builtin's
-    very value, NaN, signed zeros and infinities included
-    (``tests/oracles.tunnel_hits_disc_by_min_max``).
+    ``legs`` is a sequence of ``(c, s, length)`` tunnels from one anchor, and
+    the answer is whether any of them touches the disc: the k-tunnel form of
+    ``tunnel_hits`` reduced with ``.any(axis=0)``; no legs answers False.
+    Each leg takes the same operations in the same order (numpy squares by
+    multiplying), so both answer alike bit for bit, exact tangencies and NaN
+    legs included. The clamps are comparisons, not ``min``/``max`` builtin
+    calls, which on CPython 3.11 make a call about three times as costly.
+    ``max(a, b)`` returns ``a`` unless ``b > a``, and ``min(a, b)`` returns
+    ``a`` unless ``b < a``, so each conditional expression below returns the
+    builtin's very value, NaN, signed zeros and infinities included
+    (``tests/oracles.tunnel_hits_disc_by_min_max``). Where the builtins and
+    numpy's clamps part is a NaN bound: ``np.minimum`` passes a NaN length
+    on, a comparison drops it. No leg has one without a NaN direction, which
+    makes ``u`` and ``v`` NaN on both paths.
     """
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
-    lo = 0.0 if 0.0 > u else u
-    du = u - (length if length < lo else lo)
-    lo = -half_width if -half_width > v else v
-    dv = v - (half_width if half_width < lo else lo)
-    return du * du + dv * dv <= r * r
+    rr = r * r
+    for c, s, length in legs:
+        u = dx * c + dy * s
+        v = -dx * s + dy * c
+        lo = 0.0 if 0.0 > u else u
+        du = u - (length if length < lo else lo)
+        lo = -half_width if -half_width > v else v
+        dv = v - (half_width if half_width < lo else lo)
+        if du * du + dv * dv <= rr:
+            return True
+    return False
 
 
 def tunnel_intersects_disc(t: Tunnel, d: Disc) -> bool:
     """True iff the closed rectangle and the closed disc share a point (``tunnel_hits_disc``)."""
     (ax, ay), (cx, cy), (c, s) = t.anchor, d.center, t.direction
-    return tunnel_hits_disc(cx - ax, cy - ay, c, s, t.length, 0.5 * t.width, d.radius)
+    return tunnel_hits_disc(cx - ax, cy - ay, ((c, s, t.length),), 0.5 * t.width, d.radius)
 
 
 def tunnel_disc_mask(t: Tunnel, centers: np.ndarray, radius: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from .geometry import (
     Tunnel,
     disc_in_workspace,
     distance,
+    leg_length,
     tunnel_hits,
     tunnel_hits_disc,
     tunnel_to,
@@ -59,9 +60,11 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     ``Action`` for each check. Such a record must have ``src != dst``, as an
     ``Action`` checks on construction.
 
-    The overlap test runs on Python floats, with ``ex * ex + ey * ey``: the
-    arithmetic numpy does for a squared difference summed over two columns.
-    One ``collision_objs`` call then answers both legs, on floats too. Raises
+    The workspace test reads the destination as given, and the overlap test
+    runs on Python floats, with ``ex * ex + ey * ey``: the arithmetic numpy
+    does for a squared difference summed over two columns. One
+    ``collision_objs`` call then answers both legs, on floats too, with one
+    scalar kernel call per other object. Raises
     ``ValueError`` when ``action.obj`` is not an index of ``arrangement``, and
     when a leg is aimed at the robot home.
     """
@@ -69,7 +72,7 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
     if not 0 <= obj < n:
         raise ValueError(f"object {obj} is not in an arrangement of {n}")
     b = scene.object_radius
-    if not disc_in_workspace(Disc(Point(*dst), b), scene.workspace):
+    if not disc_in_workspace(Disc(dst, b), scene.workspace):
         return False
     x, y = dst
     reach = (2.0 * b) ** 2
@@ -89,13 +92,13 @@ def collision_objs(
     """Subset of ``candidates`` whose current disc a home tunnel to one of ``targets`` touches.
 
     Each tunnel's ``(c, s, length)`` is built on floats with the expressions of
-    ``tunnel_to``, ``np.hypot`` included, and each candidate is tested on
-    ``tunnel_hits_disc``, so each one answers as ``tunnel_disc_mask(
-    home_tunnel(scene, target), ...)`` bit for bit. A call makes up to
-    candidates × legs scalar tests, which timed cheaper than one packed
-    ``tunnel_hits`` call up to about 32 candidates (README, "A scalar tunnel
-    test"); a default shelf holds at most 21 objects. Raises
-    ``ValueError`` when a target coincides with the robot home, as
+    ``tunnel_to``, its length from ``leg_length``, which gives ``np.hypot``'s
+    bits. Each candidate takes one ``tunnel_hits_disc`` call over all the
+    legs, so it answers as ``tunnel_disc_mask(home_tunnel(scene, target),
+    ...)`` on each target bit for bit. The per-candidate loop timed cheaper
+    than one packed ``tunnel_hits`` call up to about 300 candidates (README,
+    "A scalar tunnel test"); a default shelf holds at most 21 objects.
+    Raises ``ValueError`` when a target coincides with the robot home, as
     ``home_tunnel`` does, even with no candidates.
     """
     b = scene.object_radius
@@ -103,7 +106,7 @@ def collision_objs(
     legs = []
     for t in targets:
         dx, dy = t[0] - hx, t[1] - hy
-        dist = float(np.hypot(dx, dy))
+        dist = leg_length(dx, dy)
         if dist == 0.0:
             raise ValueError("tunnel target coincides with its anchor")
         # inf / inf is nan in Python as in numpy: an infinite leg aims nowhere.
@@ -112,11 +115,8 @@ def collision_objs(
     hits = set()
     for o in candidates:
         x, y = arrangement[o]
-        dx, dy = x - hx, y - hy
-        for c, s, length in legs:
-            if tunnel_hits_disc(dx, dy, c, s, length, h, b):
-                hits.add(o)
-                break
+        if tunnel_hits_disc(x - hx, y - hy, legs, h, b):
+            hits.add(o)
     return hits
 
 

@@ -155,7 +155,7 @@ class _FloatReplay(_Replay):
         scene = self.scene
         if action_valid(scene, arr, step):  # a step never has src == dst
             return None
-        inside = disc_in_workspace(Disc(Point(*step.dst), scene.object_radius), scene.workspace)
+        inside = disc_in_workspace(Disc(step.dst, scene.object_radius), scene.workspace)
         return _COLLIDES if inside else _LEAVES
 
 

@@ -75,19 +75,21 @@ def rect_disc_clearance(t: Tunnel, d: Disc) -> float:
     return math.hypot(u - uc, v - vc) - d.radius
 
 
-def tunnel_hits_disc_by_min_max(
-    dx: float, dy: float, c: float, s: float, length: float, half_width: float, r: float
-) -> bool:
+def tunnel_hits_disc_by_min_max(dx: float, dy: float, legs, half_width: float, r: float) -> bool:
     """``geometry.tunnel_hits_disc`` with its clamps as ``min``/``max`` builtin calls.
 
     The reference for the kernel's comparison clamps, which must give the
-    same answer on every input.
+    same answer on every input: whether any ``(c, s, length)`` leg touches
+    the disc.
     """
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
-    du = u - min(max(u, 0.0), length)
-    dv = v - min(max(v, -half_width), half_width)
-    return du * du + dv * dv <= r * r
+    for c, s, length in legs:
+        u = dx * c + dy * s
+        v = -dx * s + dy * c
+        du = u - min(max(u, 0.0), length)
+        dv = v - min(max(v, -half_width), half_width)
+        if du * du + dv * dv <= r * r:
+            return True
+    return False
 
 
 def action_valid_by_legs(scene: Scene, arrangement, action: Action) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shelfplan.geometry import (
     disc_in_workspace,
     discs_overlap,
     distance,
+    leg_length,
     tunnel_disc_mask,
     tunnel_hits_disc,
     tunnel_intersects_disc,
@@ -165,14 +167,66 @@ class TestClampsByComparison:
         radii = [0.0, -0.0, 1.0, INF, NAN]
         grid = itertools.product(offsets, offsets, directions, lengths, halves, radii)
         for dx, dy, (c, s), length, half, r in grid:
-            args = (dx, dy, c, s, length, half, r)
+            args = (dx, dy, ((c, s, length),), half, r)
             assert tunnel_hits_disc(*args) == tunnel_hits_disc_by_min_max(*args), args
 
     @settings(max_examples=2000, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=7, max_size=7))
     def test_raw_floats(self, args):
         # Not only reachable legs: any seven floats, unit directions or not.
+        dx, dy, c, s, length, half, r = args
+        args = (dx, dy, ((c, s, length),), half, r)
         assert tunnel_hits_disc(*args) == tunnel_hits_disc_by_min_max(*args)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bit for bit, or both NaN (whose sign and payload no hypot promises)."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# Every finite float, subnormals and signed zeros among them; multiples of a
+# quarter, where the grid's legs live; and the non-finite values.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-400, 400).map(lambda k: 0.25 * k),
+)
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([INF, -INF, NAN]))
+
+
+class TestLegLength:
+    """``leg_length`` is ``np.hypot`` bit for bit: the C library's ``hypot`` on both paths."""
+
+    @staticmethod
+    def numpy_hypot(dx, dy):
+        with np.errstate(over="ignore"):  # numpy warns on overflow and returns inf
+            return float(np.hypot(dx, dy))
+
+    @settings(max_examples=3000, deadline=None)
+    @given(dx=ANY_FLOAT, dy=ANY_FLOAT)
+    def test_matches_numpy(self, dx, dy):
+        assert same_float(leg_length(dx, dy), self.numpy_hypot(dx, dy)), (dx, dy)
+
+    @pytest.mark.parametrize("grid", [0.25, 0.5, 1.0])
+    def test_every_grid_leg(self, grid):
+        # Legs from a home at (10, -3) to every point of a 20 x 20 floor on the grid.
+        steps = np.arange(0.0, 20.0 + grid, grid)
+        for x in steps.tolist():
+            for y in steps.tolist():
+                dx, dy = x - 10.0, y + 3.0
+                assert same_float(leg_length(dx, dy), float(np.hypot(dx, dy))), (dx, dy)
+
+    @pytest.mark.parametrize("dx, dy", [(INF, NAN), (NAN, -INF), (NAN, 1.0), (0.0, NAN), (-INF, 0.0)])
+    def test_non_finite(self, dx, dy):
+        assert same_float(leg_length(dx, dy), float(np.hypot(dx, dy)))
+
+    @pytest.mark.parametrize(
+        "dx, dy", [(1.5e308, 1.5e308), (-1.7976931348623157e308, 1e308), (1e308, -1.5e308)]
+    )
+    def test_overflow_is_infinite(self, dx, dy):
+        assert leg_length(dx, dy) == INF == self.numpy_hypot(dx, dy)
 
 
 class TestDiscs:

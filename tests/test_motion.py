@@ -3,7 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shelfplan import Action, Point, SceneConfig, action_valid, generate_scene, make_scene
+from shelfplan import (
+    Action,
+    Plan,
+    Point,
+    SceneConfig,
+    action_valid,
+    generate_scene,
+    make_scene,
+    plan_to_json,
+    scene_to_json,
+)
+from shelfplan.cli import main
 from shelfplan.geometry import (
     Disc,
     tunnel_disc_mask,
@@ -257,7 +268,7 @@ def scalar_and_array(target, anchor, center, width, radius):
     t = tunnel_to(target, anchor, radius, width)
     (ax, ay), (c, s) = t.anchor, t.direction
     dx, dy = center[0] - ax, center[1] - ay
-    scalar = tunnel_hits_disc(dx, dy, c, s, t.length, 0.5 * t.width, radius)
+    scalar = tunnel_hits_disc(dx, dy, ((c, s, t.length),), 0.5 * t.width, radius)
     array = tunnel_hits(t.anchor, t.direction, t.length, t.width, np.array([center]), radius)
     return scalar, bool(array[0])
 
@@ -284,6 +295,105 @@ class TestScalarTunnelTest:
         for target, disc in LATTICE_TANGENCIES + FAR_CORNER_TANGENCIES:
             hits = scalar_and_array(target, scene.robot_home, disc, scene.tunnel_width, 1.0)
             assert hits == ((True, True) if (target, disc) in LATTICE_TANGENCIES else (False, False))
+
+
+def legs_and_array(anchor, targets, center, width, radius):
+    """``tunnel_hits_disc`` on the legs to ``targets`` and ``tunnel_hits`` on them as k tunnels."""
+    legs = []
+    for target in targets:
+        t = tunnel_to(target, anchor, radius, width)
+        legs.append((*t.direction, t.length))
+    dx, dy = center[0] - anchor[0], center[1] - anchor[1]
+    scalar = tunnel_hits_disc(dx, dy, legs, 0.5 * width, radius)
+    c, s, length = (np.array([[leg[i]] for leg in legs]).reshape(-1, 1) for i in range(3))
+    array = tunnel_hits(anchor, (c, s), length, width, np.array([center]), radius)
+    return scalar, bool(array.any(axis=0)[0])
+
+
+class TestLegsForm:
+    """``tunnel_hits_disc`` on k legs answers as ``tunnel_hits`` on k tunnels, reduced with any."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        targets=st.lists(destinations.filter(lambda p: p != Point(10.0, -3.0)), max_size=3),
+        center=points,
+        width=st.one_of(st.just(4.0), st.floats(0.1, 8.0)),
+        radius=st.one_of(st.just(1.0), st.floats(0.1, 3.0)),
+    )
+    def test_zero_to_three_legs(self, targets, center, width, radius):
+        scalar, array = legs_and_array(Point(10.0, -3.0), targets, center, width, radius)
+        assert scalar == array
+        if not targets:
+            assert not scalar
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        legs=st.lists(
+            st.tuples(st.floats(), st.floats(), st.floats(allow_nan=False)), max_size=3
+        ),
+        center=points,
+    )
+    def test_raw_legs(self, legs, center):
+        # Any (c, s, length) triples, not only reachable legs: NaN and infinite
+        # directions, infinite lengths. Not a NaN length: numpy's clamp passes
+        # a NaN bound on and a comparison drops it, and no leg has one, since
+        # a NaN length comes with a NaN direction.
+        dx, dy = center[0] - 10.0, center[1] + 3.0
+        c, s, length = (np.array([[leg[i]] for leg in legs]).reshape(-1, 1) for i in range(3))
+        with np.errstate(all="ignore"):  # huge triples overflow in numpy's products
+            array = tunnel_hits((10.0, -3.0), (c, s), length, 4.0, np.array([center]), 1.0)
+        assert tunnel_hits_disc(dx, dy, legs, 2.0, 1.0) == bool(array.any(axis=0)[0])
+
+    def test_tangent_pairs_among_other_legs(self):
+        scene = single_object_scene()
+        home, width = scene.robot_home, scene.tunnel_width
+        nowhere = [Point(np.nan, 5.0), Point(np.inf, 5.0)]  # legs that touch no disc
+        for target, disc in LATTICE_TANGENCIES + FAR_CORNER_TANGENCIES:
+            touches = (target, disc) in LATTICE_TANGENCIES
+            for targets in ([target], [target, *nowhere], [*nowhere, target], nowhere):
+                expected = touches and target in targets
+                got = legs_and_array(home, targets, disc, width, 1.0)
+                assert got == (expected, expected), (target, disc, targets)
+            # Beside a finite leg the answer is the two legs' union, on both paths.
+            scalar, array = legs_and_array(home, [Point(19.0, 19.0), target], disc, width, 1.0)
+            assert scalar == array
+
+
+class TestOverflowingLegs:
+    """With the home at (-1.5e308, -1.5e308) a leg's length overflows to inf, as ``np.hypot``'s."""
+
+    HOME = Point(-1.5e308, -1.5e308)
+
+    def scene(self):
+        return make_scene(
+            [Point(4, 5), Point(10, 10), Point(16, 15)],
+            [Point(4, 5), Point(12, 12), Point(16, 15)],
+            robot_home=self.HOME,
+        )
+
+    def test_action_valid_matches_the_legs(self):
+        scene = self.scene()
+        for obj, src in enumerate(scene.start):
+            for dst in scene.candidates[::5]:
+                if dst == src:
+                    continue
+                act = Action(obj, src, dst)
+                with np.errstate(over="ignore"):
+                    expected = action_valid_by_legs(scene, scene.start, act)
+                assert action_valid(scene, scene.start, act) == expected, act
+        solo = make_scene([Point(10, 10)], [Point(12, 12)], robot_home=self.HOME)
+        act = Action(0, Point(10, 10), Point(12, 12))
+        with np.errstate(over="ignore"):
+            assert action_valid(solo, solo.start, act) == action_valid_by_legs(solo, solo.start, act)
+
+    def test_validate_command_answers(self, tmp_path, capsys):
+        # Both legs are infinitely long and touch every other disc, so the step collides.
+        scene = self.scene()
+        scene_path, plan_path = tmp_path / "scene.json", tmp_path / "plan.json"
+        scene_path.write_text(scene_to_json(scene))
+        plan_path.write_text(plan_to_json(Plan((Action(1, Point(10, 10), Point(12, 12)),))))
+        assert main(["validate", str(scene_path), str(plan_path)]) == 1
+        assert capsys.readouterr().out == "invalid at step 0: relocation is not collision-free\n"
 
 
 class TestPlacementSweepMask:

@@ -218,7 +218,9 @@ class TestLegLength:
                 dx, dy = x - 10.0, y + 3.0
                 assert same_float(leg_length(dx, dy), float(np.hypot(dx, dy))), (dx, dy)
 
-    @pytest.mark.parametrize("dx, dy", [(INF, NAN), (NAN, -INF), (NAN, 1.0), (0.0, NAN), (-INF, 0.0)])
+    @pytest.mark.parametrize(
+        "dx, dy", [(INF, NAN), (NAN, -INF), (NAN, 1.0), (0.0, NAN), (-INF, 0.0)]
+    )
     def test_non_finite(self, dx, dy):
         assert same_float(leg_length(dx, dy), float(np.hypot(dx, dy)))
 

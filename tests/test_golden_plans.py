@@ -130,7 +130,11 @@ def replay_digest() -> str:
 
 
 def mutant(walk: Plan, candidates, rng: random.Random) -> Plan:
-    """``walk`` with one destination moved to another candidate, one step dropped or two adjacent steps swapped."""
+    """``walk`` with one destination moved, one step dropped or two adjacent steps swapped.
+
+    A moved destination goes to another candidate, neither the step's source
+    nor its old destination.
+    """
     actions = list(walk.actions)
     k = rng.randrange(len(actions))
     kind = rng.choice(("move", "drop", "swap"))
@@ -146,20 +150,26 @@ def mutant(walk: Plan, candidates, rng: random.Random) -> Plan:
     return Plan(tuple(actions))
 
 
-def verdict_digest() -> str:
-    """SHA-256 over ``validate_plan``'s verdict on every replay walk and its mutants, one line each.
+def walk_verdicts(run, seed: int) -> list:
+    """``validate_plan``'s verdicts on replay walk ``seed`` and then on its mutants.
 
-    Each walk is followed by ``MUTANTS_PER_WALK`` mutants drawn with
-    ``random.Random(walk seed)``; a line is ``valid failed_step reason``.
+    The ``MUTANTS_PER_WALK`` mutants are drawn with ``random.Random(seed)``.
+    """
+    scene, walk = run.random_walk(seed)
+    rng = random.Random(seed)
+    plans = [walk] + [mutant(walk, scene.candidates, rng) for _ in range(MUTANTS_PER_WALK)]
+    return [validate_plan(scene, p) for p in plans]
+
+
+def verdict_digest() -> str:
+    """SHA-256 over the verdicts on every replay walk and its mutants, one line each, in order.
+
+    A line is ``valid failed_step reason``.
     """
     run = benchmark_module()
     h = hashlib.sha256()
     for seed in range(run.WALK_SEED0, run.WALK_SEED0 + run.REPLAY_WALKS):
-        scene, walk = run.random_walk(seed)
-        rng = random.Random(seed)
-        plans = [walk] + [mutant(walk, scene.candidates, rng) for _ in range(MUTANTS_PER_WALK)]
-        for p in plans:
-            check = validate_plan(scene, p)
+        for check in walk_verdicts(run, seed):
             h.update(f"{check.valid} {check.failed_step} {check.reason}\n".encode())
     return h.hexdigest()
 
@@ -202,13 +212,8 @@ def test_validator_verdicts_match_digest():
 def test_verdict_corpus_rejects_as_well_as_accepts():
     # The digest gates rejections only if the mutants draw them: collisions among them.
     run = benchmark_module()
-    verdicts = []
-    for seed in range(run.WALK_SEED0, run.WALK_SEED0 + 10):
-        scene, walk = run.random_walk(seed)
-        rng = random.Random(seed)
-        for _ in range(MUTANTS_PER_WALK):
-            verdicts.append(validate_plan(scene, mutant(walk, scene.candidates, rng)))
-    reasons = {v.reason for v in verdicts}
+    seeds = range(run.WALK_SEED0, run.WALK_SEED0 + 10)
+    reasons = {check.reason for seed in seeds for check in walk_verdicts(run, seed)[1:]}
     assert {None, "relocation is not collision-free"} <= reasons
     assert "pick location does not match the object's current region" in reasons
 

@@ -297,6 +297,13 @@ class TestScalarTunnelTest:
             assert hits == ((True, True) if (target, disc) in LATTICE_TANGENCIES else (False, False))
 
 
+def any_leg_hits(anchor, legs, width, center, radius) -> bool:
+    """``tunnel_hits`` on ``(c, s, length)`` legs as k tunnels, reduced with ``.any(axis=0)``."""
+    c, s, length = (np.array([leg[i] for leg in legs]).reshape(-1, 1) for i in range(3))
+    hits = tunnel_hits(anchor, (c, s), length, width, np.array([center]), radius)
+    return bool(hits.any(axis=0)[0])
+
+
 def legs_and_array(anchor, targets, center, width, radius):
     """``tunnel_hits_disc`` on the legs to ``targets`` and ``tunnel_hits`` on them as k tunnels."""
     legs = []
@@ -305,9 +312,7 @@ def legs_and_array(anchor, targets, center, width, radius):
         legs.append((*t.direction, t.length))
     dx, dy = center[0] - anchor[0], center[1] - anchor[1]
     scalar = tunnel_hits_disc(dx, dy, legs, 0.5 * width, radius)
-    c, s, length = (np.array([[leg[i]] for leg in legs]).reshape(-1, 1) for i in range(3))
-    array = tunnel_hits(anchor, (c, s), length, width, np.array([center]), radius)
-    return scalar, bool(array.any(axis=0)[0])
+    return scalar, any_leg_hits(anchor, legs, width, center, radius)
 
 
 class TestLegsForm:
@@ -339,10 +344,9 @@ class TestLegsForm:
         # a NaN bound on and a comparison drops it, and no leg has one, since
         # a NaN length comes with a NaN direction.
         dx, dy = center[0] - 10.0, center[1] + 3.0
-        c, s, length = (np.array([[leg[i]] for leg in legs]).reshape(-1, 1) for i in range(3))
         with np.errstate(all="ignore"):  # huge triples overflow in numpy's products
-            array = tunnel_hits((10.0, -3.0), (c, s), length, 4.0, np.array([center]), 1.0)
-        assert tunnel_hits_disc(dx, dy, legs, 2.0, 1.0) == bool(array.any(axis=0)[0])
+            array = any_leg_hits((10.0, -3.0), legs, 4.0, center, 1.0)
+        assert tunnel_hits_disc(dx, dy, legs, 2.0, 1.0) == array
 
     def test_tangent_pairs_among_other_legs(self):
         scene = single_object_scene()
@@ -384,7 +388,8 @@ class TestOverflowingLegs:
         solo = make_scene([Point(10, 10)], [Point(12, 12)], robot_home=self.HOME)
         act = Action(0, Point(10, 10), Point(12, 12))
         with np.errstate(over="ignore"):
-            assert action_valid(solo, solo.start, act) == action_valid_by_legs(solo, solo.start, act)
+            expected = action_valid_by_legs(solo, solo.start, act)
+        assert action_valid(solo, solo.start, act) == expected
 
     def test_validate_command_answers(self, tmp_path, capsys):
         # Both legs are infinitely long and touch every other disc, so the step collides.

@@ -77,8 +77,8 @@ def tunnel_to(
     """
     dx = target[0] - anchor[0]
     dy = target[1] - anchor[1]
-    # numpy's hypot, as in the batched ``placement_sweep_mask``: the same bits.
-    dist = float(np.hypot(dx, dy))
+    # The bits of numpy's hypot, as in the batched ``placement_sweep_mask``.
+    dist = leg_length(dx, dy)
     if dist == 0.0:
         raise ValueError("tunnel target coincides with its anchor")
     return Tunnel(

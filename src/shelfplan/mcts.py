@@ -240,8 +240,10 @@ def new_region(
     disc parked at its goal, so the object does not land in a spot it could
     never leave once the stage finishes.
     Ties in distance fall to the lower grid index. The disc and sweep tests
-    are one ``free`` entry per other object, and a bit set that ends empty
-    returns ``[]`` before any array work.
+    are one ``free`` entry per other object, and the nearest-first pick is
+    ``OcclusionTable.closest``, bit-set operations on the ``ranked`` entry of
+    the object's point; a bit set that ends empty returns ``[]`` before that
+    entry is looked up.
     """
     table = ctx.table
     blocked = table.row(positions[ctx.focus]) | table.row(ctx.focus_goal)
@@ -255,9 +257,7 @@ def new_region(
         ok &= table.clear(ctx.focus_goal)
     if not ok:
         return []
-    order = table.nearest(positions[obj])
-    accepted = table.candidate_mask(ok)[order]
-    return order[np.flatnonzero(accepted)[:EXPANSION_WIDTH]].tolist()
+    return table.closest(positions[obj], ok, EXPANSION_WIDTH)
 
 
 def _direct_move(ctx: StageContext, positions: list[int]) -> tuple[Move, ...]:

@@ -129,7 +129,8 @@ def placement_sweep_mask(scene: Scene, targets: np.ndarray, obstacles: np.ndarra
     b = scene.object_radius
     home = np.asarray(scene.robot_home, dtype=float)
     vec = targets - home
-    dist = np.hypot(vec[:, :1], vec[:, 1:])  # one tunnel per row
+    with np.errstate(over="ignore"):  # a leg past the largest float is inf, as in ``leg_length``
+        dist = np.hypot(vec[:, :1], vec[:, 1:])  # one tunnel per row
     # Targets coinciding with the home anchor cannot be aimed at; mark blocked.
     degenerate = dist[:, 0] == 0.0
     dist[degenerate] = 1.0

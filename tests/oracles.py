@@ -112,6 +112,21 @@ def action_valid_by_legs(scene: Scene, arrangement, action: Action) -> bool:
     return not any(tunnel_disc_mask(t, pos[others], b).any() for t in legs)
 
 
+def closest_by_argsort(table, j: int, ok: int, count: int) -> list[int]:
+    """``OcclusionTable.closest`` as buffer choice once made it, with arrays.
+
+    The candidates in stable argsort order of their squared distances from
+    point ``j`` (ties to the lower index), masked by the bit set ``ok``, and
+    the first ``count`` of those kept.
+    """
+    n = table.n_candidates
+    d2 = ((table.coords[:n] - table.coords[j]) ** 2).sum(axis=1)
+    order = np.argsort(d2, kind="stable")
+    raw = np.frombuffer(ok.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    accepted = np.unpackbits(raw, count=n, bitorder="little").view(bool)[order]
+    return order[np.flatnonzero(accepted)[:count]].tolist()
+
+
 def bfs_min_steps(scene: Scene, goal_test, max_depth: int = 12) -> int | None:
     """Optimal action count over candidate-grid arrangements, by BFS.
 

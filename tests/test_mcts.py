@@ -38,7 +38,7 @@ from shelfplan.motion import home_tunnel
 from shelfplan.occlusion import OcclusionTable
 from shelfplan.topology import build_dependency_graph, stage_order
 
-from oracles import bfs_min_steps
+from oracles import bfs_min_steps, closest_by_argsort
 
 BUDGET = SearchBudget(max_iterations=5000, wall_clock_limit=None)
 
@@ -161,6 +161,32 @@ class TestNewRegion:
         found = new_region(ctx, 1, set(), at(ctx, scene.start))
         assert found[0] == ctx.table.index_of(Point(16, 16))
         assert action_valid(scene, scene.start, Action(1, scene.start[1], Point(16, 16)))
+
+    def test_equals_the_argsort_pick_in_plans(self, monkeypatch):
+        # Every buffer choice of four hard and four fine-grid plans, against
+        # the array pick it once made, on the bit set it built.
+        asked, found = [], []
+        closest, real = OcclusionTable.closest, mcts.new_region
+
+        def closest_spy(self, j, ok, count):
+            asked.append((self, j, ok, count))
+            return closest(self, j, ok, count)
+
+        def new_region_spy(*args, **kwargs):
+            found.append(real(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(OcclusionTable, "closest", closest_spy)
+        monkeypatch.setattr(mcts, "new_region", new_region_spy)
+        for grid, seeds, counts in ((1.0, range(80, 84), (7, 8)), (0.5, range(4), (5, 6))):
+            for seed in seeds:
+                n = counts[seed % 2]
+                config = SceneConfig(n_objects=n, rng_seed=seed, grid_resolution=grid)
+                assert plan(generate_scene(config), BUDGET, seed=seed).success
+        assert len(asked) > 100 and found.count([]) == len(found) - len(asked)
+        expected = [closest_by_argsort(*call) for call in asked]
+        assert [f for f in found if f] == expected
+        assert {count for *_, count in asked} == {mcts.EXPANSION_WIDTH}
 
     def test_full_rejection_returns_empty(self):
         # a tunnel as wide as the workspace rejects every candidate

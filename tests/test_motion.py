@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +9,14 @@ from hypothesis import strategies as st
 from shelfplan import (
     Action,
     Plan,
+    PlanReport,
     Point,
     SceneConfig,
+    SearchBudget,
     action_valid,
     generate_scene,
     make_scene,
+    plan,
     plan_to_json,
     scene_to_json,
 )
@@ -390,6 +396,32 @@ class TestOverflowingLegs:
         with np.errstate(over="ignore"):
             expected = action_valid_by_legs(solo, solo.start, act)
         assert action_valid(solo, solo.start, act) == expected
+
+    def test_tunnels_take_an_infinite_length_without_a_warning(self):
+        scene = self.scene()
+        targets = scene.candidates[::7]
+        obstacle = Disc(scene.start[1], scene.object_radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leg = home_tunnel(scene, Point(10, 10))
+            clear = placement_sweep_mask(
+                scene, np.asarray(targets, dtype=float), np.asarray([obstacle.center])
+            )
+            scalar = [not tunnel_intersects_disc(home_tunnel(scene, t), obstacle) for t in targets]
+        with np.errstate(over="ignore"):
+            assert leg.length == float(np.hypot(10 - self.HOME.x, 10 - self.HOME.y)) + 1.0
+        assert leg.length == math.inf and leg.direction == Point(0.0, 0.0)
+        # A leg of direction (0, 0) and infinite length touches every disc, on either path.
+        assert clear.tolist() == scalar == [False] * len(targets)
+
+    def test_plan_answers_without_a_warning(self):
+        # The pick-up legs of all three objects are infinite and touch every
+        # other disc, so each object waits on the others: a cycle.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = plan(self.scene(), SearchBudget(wall_clock_limit=None), seed=0)
+        assert isinstance(report, PlanReport)
+        assert not report.success and report.failure_kind == "topology-cycle"
 
     def test_validate_command_answers(self, tmp_path, capsys):
         # Both legs are infinitely long and touch every other disc, so the step collides.

@@ -4,13 +4,17 @@ Entries are bit sets (bit ``k`` for point ``k``). Each kind is compared with
 the function the search called before the table existed, over every point
 pair of a scene: ``row`` with ``tunnel_disc_mask`` (and the scalar
 ``tunnel_intersects_disc``), ``clear`` with ``placement_sweep_mask``, ``far``
-with ``discs_overlap``, ``free`` with ``far & clear``, ``nearest`` with a
-stable sort of the squared distances, and ``reach`` with ``distance``. All
+with ``discs_overlap``, ``free`` with ``far & clear``, ``ranked`` with a
+stable sort of the squared distances, ``closest`` with the array pick that
+buffer choice made before (``oracles.closest_by_argsort``), and ``reach``
+with ``distance``. All
 tunnel paths share one kernel, so ``row`` and ``clear`` agree with each other
 too, exact tangencies included.
 """
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +48,8 @@ from shelfplan.motion import home_tunnel, placement_sweep_mask
 from shelfplan import mcts, occlusion, planner
 from shelfplan.occlusion import OcclusionTable, occupancy, other_points, to_bits
 from shelfplan.planner import retarget_buffers
+
+from oracles import closest_by_argsort
 
 SCENES = {
     "default-grid": lambda: make_scene([Point(4, 4), Point(16, 16)], [Point(16, 4), Point(4, 16)]),
@@ -162,13 +168,26 @@ class TestKernelEquivalence:
         for j in range(len(table.points)):
             assert table.free(j) == cold.far(j) & cold.clear(j), table.points[j]
 
-    def test_nearest_is_stable_distance_order(self, table):
+    def test_ranked_is_stable_distance_order(self, table):
         grid = np.asarray(table.scene.candidates, dtype=float)
+        n = table.n_candidates
         for j in range(0, len(table.points), 11):
-            order = table.nearest(j)
+            prefixes, rank = table.ranked(j)
             d2 = ((grid - table.coords[j]) ** 2).sum(axis=1)
-            assert np.array_equal(order, np.argsort(d2, kind="stable"))
-            assert order.dtype == np.uint16 and not order.flags.writeable
+            order = np.argsort(d2, kind="stable")
+            assert np.array_equal(np.asarray(rank)[order], np.arange(n))
+            assert rank.format == "H" and rank.readonly
+            sizes = [prefix.bit_count() for prefix in prefixes]
+            assert sizes == [math.ceil(2 ** (k / 2)) for k in range(6, 6 + len(sizes))]
+            assert sizes[-1] < n <= math.ceil(math.sqrt(2) * sizes[-1])
+            for prefix, m in zip(prefixes, sizes):
+                assert prefix == to_bits(np.isin(np.arange(n), order[:m]))
+
+    def test_squared_distances_are_summed_squares_bit_for_bit(self, table):
+        # ``far`` and ``ranked`` read these: the row sum of squared differences.
+        for j in range(len(table.points)):
+            expected = ((table.coords - table.coords[j]) ** 2).sum(axis=1)
+            assert np.array_equal(table._distances(j), expected), table.points[j]
 
     def test_reach_is_distance_bit_for_bit(self, table):
         # Re-targeting orders candidates by sums of these entries, so each must
@@ -512,7 +531,7 @@ def entries(table):
         "clear": [table.clear(j) for j in size],
         "far": [table.far(j) for j in size],
         "free": [table.free(j) for j in size],
-        "nearest": [table.nearest(j).tolist() for j in size],
+        "ranked": [table.ranked(j) for j in size],
     }
 
 
@@ -627,22 +646,29 @@ def recording(real, calls):
 
 
 def test_no_candidate_selection_on_an_empty_bit_set(monkeypatch):
-    # Buffer choice and re-targeting return before any array work once no
-    # candidate is left. ``new_region`` returns [] exactly then, which these
-    # scenes make it do.
-    asked, found, retargets = [], [], []
-    candidate_mask = OcclusionTable.candidate_mask
+    # Buffer choice returns before it reads a ``ranked`` entry, and
+    # re-targeting before any array work, once no candidate is left.
+    # ``new_region`` returns [] exactly then, which these scenes make it do;
+    # ``candidate_mask`` is re-targeting's alone, at most once a step.
+    picked, masks, found, retargets = [], [], [], []
+    closest, candidate_mask = OcclusionTable.closest, OcclusionTable.candidate_mask
+
+    def closest_spy(self, j, ok, count):
+        picked.append(ok)
+        return closest(self, j, ok, count)
 
     def mask_spy(self, bits):
-        asked.append(bits)
+        masks.append(bits)
         return candidate_mask(self, bits)
 
+    monkeypatch.setattr(OcclusionTable, "closest", closest_spy)
     monkeypatch.setattr(OcclusionTable, "candidate_mask", mask_spy)
     monkeypatch.setattr(mcts, "new_region", recording(mcts.new_region, found))
     monkeypatch.setattr(planner, "_retarget_step", recording(planner._retarget_step, retargets))
     hard_plans(HARD_SEEDS)
-    assert asked and all(asked)
-    assert [] in found and retargets
+    assert picked and all(picked) and [] in found
+    assert len(picked) == len(found) - found.count([])
+    assert masks and all(masks) and len(masks) <= len(retargets)
 
 
 def hard_plans(seeds):
@@ -669,3 +695,55 @@ def test_hard_plans_do_not_depend_on_what_the_store_held(monkeypatch):
     monkeypatch.setattr(OcclusionTable, "shared", classmethod(lambda cls, *args: cls(*args)))
     cold = hard_plans(HARD_SEEDS)
     assert forward == backward == cold
+
+
+# Tables for the nearest-first pick: the 1.0 and 0.5 grids, and off-grid
+# points 1e-7 from a candidate or with exact ties: (10.5, 10.5) lies as far
+# from four candidates, (7.5, 14) from two, and a candidate from its four
+# neighbours.
+CLOSEST_SCENES = {
+    "default-grid": SCENES["default-grid"],
+    "half-grid": SCENES["half-grid"],
+    "near-grid": lambda: make_scene(
+        [Point(16.0000001, 16), Point(4, 3.9999999), Point(10.5, 10.5)],
+        [Point(3.9999999, 12), Point(16, 8.0000001), Point(7.5, 14)],
+    ),
+}
+
+
+@functools.cache
+def closest_table(name):
+    return OcclusionTable(CLOSEST_SCENES[name]())
+
+
+def bits_of(indices):
+    return occupancy(set(int(i) for i in indices))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_closest_equals_the_argsort_pick(data):
+    table = closest_table(data.draw(st.sampled_from(sorted(CLOSEST_SCENES)), label="table"))
+    n, size = table.n_candidates, len(table.points)
+    j = data.draw(st.one_of(st.integers(size - 6, size - 1), st.integers(0, size - 1)), label="j")
+    d2 = ((table.coords[:n] - table.coords[j]) ** 2).sum(axis=1)
+    order = np.argsort(d2, kind="stable")
+    index, rank = st.integers(0, n - 1), st.integers(0, n)
+    # A band of the distance order: ``ok``'s nearest candidates lie at any depth.
+    band = st.builds(lambda a, b: bits_of(order[min(a, b) : max(a, b)]), rank, rank)
+    ok = data.draw(
+        st.one_of(
+            st.just(0),
+            st.just((1 << n) - 1),
+            st.lists(index, max_size=4).map(bits_of),
+            st.lists(index, min_size=5, max_size=60).map(bits_of),
+            st.integers(0, (1 << n) - 1),
+            band,
+            st.builds(lambda a, b: a | b, band, st.lists(index, max_size=8).map(bits_of)),
+        ),
+        label="ok",
+    )
+    count = data.draw(st.one_of(st.just(mcts.EXPANSION_WIDTH), st.integers(0, 40)), label="count")
+    got = table.closest(j, ok, count)
+    assert got == closest_by_argsort(table, j, ok, count)
+    assert all(type(i) is int for i in got)

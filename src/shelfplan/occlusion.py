@@ -2,11 +2,11 @@
 
 Every position a search can put an object on is a candidate grid point, a
 start point or a goal point. The table numbers these P points (the candidates
-first, in grid order, then any off-grid start or goal point) and caches the
-answers between them as bit sets, Python ints whose bit ``k`` stands for
-point ``k``. Each entry is computed on first use by the same function the
-search would otherwise call, so a looked-up answer equals a recomputed one
-bit for bit:
+first, in grid order, then any off-grid start or goal point, then any other
+point of a plan it was built for) and caches the answers between them as bit
+sets, Python ints whose bit ``k`` stands for point ``k``. Each entry is
+computed on first use by the same function the search would otherwise call,
+so a looked-up answer equals a recomputed one bit for bit:
 
 - ``row(t)``: the point discs the home tunnel to point ``t`` touches
   (``tunnel_disc_mask``);
@@ -25,9 +25,9 @@ bit for bit:
 
 ``move_valid`` combines them into ``action_valid`` for one relocation between
 table points, given the bit set of the points the other objects stand on
-(``occupancy``). Each point is a candidate or a start or goal point that
-``Scene`` checked, so its disc lies in the workspace; any other point is left
-to the float geometry.
+(``occupancy``). Every table point's disc lies in the workspace: ``Scene``
+checks the start and goal points, and a plan's own point joins a table only
+when its disc does.
 
 Both tunnel entries come from one kernel (``geometry.tunnel_hits``), so for a
 candidate ``t`` bit ``t`` of ``clear(j)`` is set exactly when bit ``j`` of
@@ -46,17 +46,19 @@ and goal points it indexes; for any other scene it builds and keeps the
 scene's own table. A table ``serves`` every scene of its shelf. The store
 assumes one thread: an entry is filled by a plain list write, and two writes
 of one entry store equal values. ``OcclusionTable(scene)`` stays cold and
-private to its caller.
+private to its caller, and so does ``OcclusionTable(scene, points)``, the
+table the optimiser builds for a plan whose points the store lacks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Point, tunnel_disc_mask
+from .geometry import Disc, Point, disc_in_workspace, tunnel_disc_mask
 from .motion import home_tunnel, placement_sweep_mask
 from .scene import Arrangement, ObjectId, Scene
 
@@ -101,7 +103,14 @@ def to_bits(mask: np.ndarray) -> int:
 class OcclusionTable:
     """Lazily filled collision answers between the points of one scene."""
 
-    def __init__(self, scene: Scene) -> None:
+    def __init__(self, scene: Scene, points: Iterable[Point] = ()) -> None:
+        """A cold table over the scene's points and then those of ``points`` on the floor.
+
+        ``points`` are a plan's own points. Each one whose disc lies in the
+        workspace gets the next index, as a Point of floats, unless an equal
+        point has one already; any other point, NaN and ±inf included, is left
+        out, so every table point's disc lies in the workspace.
+        """
         self.scene = scene
         self.n_candidates = len(scene.candidates)
         index = {p: i for i, p in enumerate(scene.candidates)}
@@ -109,9 +118,13 @@ class OcclusionTable:
             raise ValueError("scene candidates must be distinct points")
         for p in scene.start + scene.goal:
             index.setdefault(p, len(index))
+        for p in points:
+            if p not in index and disc_in_workspace(Disc(p, scene.object_radius), scene.workspace):
+                index[Point(float(p.x), float(p.y))] = len(index)
         self._index = index
         self.points = tuple(index)
-        self.coords = np.asarray(self.points, dtype=float)
+        coords = itertools.chain.from_iterable(self.points)
+        self.coords = np.fromiter(coords, float, 2 * len(index)).reshape(-1, 2)
         self._xy = np.ascontiguousarray(self.coords.T)
         self._min_gap2 = (2.0 * scene.object_radius) ** 2
         size = len(self.points)
@@ -148,15 +161,9 @@ class OcclusionTable:
         """Every one of ``points`` is a point of the table."""
         return all(p in self._index for p in points)
 
-    def indexes_for(self, scene: Scene, points: Iterable[Point]) -> bool:
-        """Every one of ``points`` is a candidate or a start or goal point of ``scene``.
-
-        Those are the points ``OcclusionTable(scene)`` indexes. The table
-        ``shared`` returns for ``scene`` indexes them too and may index more,
-        so a path picked by this test does not depend on what the store held.
-        """
-        index, n, ends = self._index, self.n_candidates, scene.start + scene.goal
-        return all(index.get(p, n) < n or p in ends for p in points)
+    def get(self, p: Point) -> int | None:
+        """Index of a position, or None when the table lacks it."""
+        return self._index.get(p)
 
     def index_of(self, p) -> int:
         """Index of a position; ``ValueError`` if the scene has no such point."""

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,72 +58,42 @@ class PlanReport:
 _LEAVES = "destination leaves the workspace"
 _COLLIDES = "relocation is not collision-free"
 
-Key = int | Point  # a point as a replay names it: a table index, or the Point itself
-Keys = tuple[Key, ...]  # an arrangement: the key of every object
+Keys = tuple[int, ...]  # an arrangement: the table index of every object
 
 
 class _Step(NamedTuple):
-    """One relocation in point keys."""
+    """One relocation in table indices; None stands for a point the table lacks."""
 
     obj: ObjectId
-    src: Key
-    dst: Key
+    src: int | None
+    dst: int | None
 
 
 class _Replay:
-    """Replays of a plan's steps in point keys.
+    """Replays of a plan's steps on an arrangement.
 
-    ``index`` maps a point to its key and ``point`` maps a key back to its
-    point; equal points share one key. A subclass says why a step cannot be
-    applied (``check``). ``run`` asks ``check`` only about the step it applies
-    next, after ``begin`` on the arrangement it starts from, so a subclass
-    may follow the arrangement through these two calls.
+    A subclass says why a step cannot be applied (``check``). ``run`` asks
+    ``check`` only about the step it applies next, after ``begin`` on the
+    arrangement it starts from, so a subclass may follow the arrangement
+    through these two calls.
     """
 
-    def __init__(self, scene: Scene, index: Callable[[Point], Key], point: Callable[[Key], Point]):
-        self.scene = scene
-        self.index = index
-        self.point = point
-        self.start: Keys = tuple(index(p) for p in scene.start)
-
-    def begin(self, arr: Sequence[Key]) -> None:
+    def begin(self, arr: Sequence) -> None:
         """A run starts from ``arr``."""
 
-    def check(self, arr: Sequence[Key], step: _Step) -> str | None:
+    def check(self, arr: Sequence, step: _Step | Action) -> str | None:
         """Why ``step`` cannot be applied to ``arr``, or None when ``run`` applies it."""
         raise NotImplementedError
 
-    def steps(self, actions: Sequence[Action]) -> list[_Step]:
-        index = self.index
-        return [_Step(a.obj, index(a.src), index(a.dst)) for a in actions]
-
-    def plan(self, steps: Sequence[_Step]) -> Plan:
-        """The plan of ``steps``: the one place that builds output ``Action`` objects."""
-        point = self.point
-        return Plan(tuple(Action(step.obj, point(step.src), point(step.dst)) for step in steps))
-
-    def trail(self, steps: Sequence[_Step]) -> list[Keys]:
-        """The trail of ``steps``: the arrangement before each step, then the final one.
-
-        Raises ``InvalidPlanError`` when the steps do not replay.
-        """
-        arr, trail = list(self.start), []
-        failed, reason = self.run(steps, arr, trail)
-        if failed is not None:
-            raise InvalidPlanError(f"input plan invalid at step {failed}: {reason}")
-        trail.append(tuple(arr))
-        return trail
-
     def run(
-        self, steps: Sequence[_Step | Action], arr: list[Key], trail: list[Keys] | None = None
+        self, steps: Sequence[_Step | Action], arr: list, trail: list[tuple] | None = None
     ) -> tuple[int | None, str | None]:
-        """Replay ``steps`` on ``arr``, the point key of every object, in place.
+        """Replay ``steps`` on ``arr``, the point of every object, in place.
 
         Each step must name a known object and pick it up at its current
         point, and then pass ``check``. Returns ``(failed_step,
         reason)``, both None when every step applied. With ``trail``, appends
-        the arrangement before each applied step. Where a key is the Point
-        itself (``_FloatReplay``), a plan's ``Action``s are steps as they are.
+        the arrangement before each applied step.
         """
         n = len(arr)
         self.begin(arr)
@@ -145,13 +115,14 @@ class _Replay:
 class _FloatReplay(_Replay):
     """Steps checked on the float geometry: the validator's check, independent of the table.
 
-    A point's key is the Point itself, so an arrangement is a list of Points.
+    An arrangement is a list of Points, and a plan's ``Action``s are replayed
+    as its steps.
     """
 
     def __init__(self, scene: Scene) -> None:
-        super().__init__(scene, lambda p: p, lambda p: p)
+        self.scene = scene
 
-    def check(self, arr: Sequence[Point], step: _Step | Action) -> str | None:
+    def check(self, arr: Sequence[Point], step: Action) -> str | None:
         scene = self.scene
         if action_valid(scene, arr, step):  # a step never has src == dst
             return None
@@ -160,35 +131,77 @@ class _FloatReplay(_Replay):
 
 
 class _TableReplay(_Replay):
-    """Steps looked up in an occlusion table that indexes every point of the plan.
+    """Steps looked up in an occlusion table that indexes the plan's points on the floor.
 
-    A point's key is its table index. A table point's disc lies in the
-    workspace, so a rejected step collides. The replay keeps the bit set of
+    The optimiser's one replay (see ``_plan_table``). A point's key is its
+    table index. A plan point the table lacks has the key None: its disc
+    leaves the workspace, so no object stands there and a pick-up there does
+    not match, and a step placing an object there leaves the workspace. A
+    table point's disc lies in the workspace, so any other rejected step
+    collides, as ``validate_plan`` says of it. The replay keeps the bit set of
     the points the objects stand on as it applies steps: a step clears its
     pick-up bit and sets its destination bit. No other object stands on the
     destination, since ``far(dst)`` lacks ``dst``.
     """
 
     def __init__(self, scene: Scene, table: OcclusionTable) -> None:
-        super().__init__(scene, table.index_of, table.points.__getitem__)
         self.table = table
+        self.start: Keys = tuple(map(table.index_of, scene.start))
         self.occupied = 0
 
     def begin(self, arr: Sequence[int]) -> None:
         self.occupied = occupancy(arr)
 
     def check(self, arr: Sequence[int], step: _Step) -> str | None:
+        if step.dst is None:
+            return _LEAVES
         others = self.occupied & ~(1 << step.src)
         if not self.table.move_valid(others, step.src, step.dst):
             return _COLLIDES
         self.occupied = others | 1 << step.dst
         return None
 
+    def steps(self, actions: Sequence[Action]) -> list[_Step]:
+        key = self.table.get
+        return [_Step(a.obj, key(a.src), key(a.dst)) for a in actions]
+
+    def plan(self, steps: Sequence[_Step]) -> Plan:
+        """The plan of ``steps``: the one place that builds output ``Action`` objects."""
+        point = self.table.points
+        return Plan(tuple(Action(step.obj, point[step.src], point[step.dst]) for step in steps))
+
+    def trail(self, steps: Sequence[_Step]) -> list[Keys]:
+        """The trail of ``steps``: the arrangement before each step, then the final one.
+
+        Raises ``InvalidPlanError`` when the steps do not replay.
+        """
+        arr, trail = list(self.start), []
+        failed, reason = self.run(steps, arr, trail)
+        if failed is not None:
+            raise InvalidPlanError(f"input plan invalid at step {failed}: {reason}")
+        trail.append(tuple(arr))
+        return trail
+
+
+def _plan_table(scene: Scene, plan: Plan) -> OcclusionTable:
+    """A table that indexes every point of ``plan`` whose disc lies in the workspace.
+
+    ``OcclusionTable.shared(scene)`` when it has every point of the plan, as
+    for every plan ``plan()`` returns; otherwise a private
+    ``OcclusionTable(scene, points)`` that adds the plan's points to the
+    scene's and leaves the store as it was. The two number the candidates
+    alike and agree on every entry, so the optimiser's output does not depend
+    on what the store held.
+    """
+    points = [p for a in plan.actions for p in (a.src, a.dst)]
+    table = OcclusionTable.shared(scene)
+    return table if table.covers(points) else OcclusionTable(scene, points)
+
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
     """Independent float replay of the plan's own Points: every step valid and the goal reached.
 
-    A float replay's key is the Point itself, so the plan's ``Action``s are
+    The only replay off the occlusion table: the plan's ``Action``s are
     replayed as its steps, with no ``_Step`` built for them.
     """
     arr = list(scene.start)
@@ -201,7 +214,7 @@ def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
 
 
 def _merge_pair(
-    replay: _Replay, steps: list[_Step], trail: list[Keys], t: int, s: int
+    replay: _TableReplay, steps: list[_Step], trail: list[Keys], t: int, s: int
 ) -> tuple[list[_Step], list[Keys]] | None:
     """The plan and trail with consecutive moves ``t`` and ``s`` of one object merged.
 
@@ -223,7 +236,7 @@ def _merge_pair(
 
 
 def _collapse_runs(
-    replay: _Replay, steps: list[_Step], trail: list[Keys]
+    replay: _TableReplay, steps: list[_Step], trail: list[Keys]
 ) -> tuple[list[_Step], list[Keys]]:
     """Merge one object's moves in adjacent steps, scanning left to right.
 
@@ -246,7 +259,7 @@ def _collapse_runs(
 
 
 def _sweep_merge(
-    replay: _Replay, steps: list[_Step], trail: list[Keys]
+    replay: _TableReplay, steps: list[_Step], trail: list[Keys]
 ) -> tuple[list[_Step], list[Keys], bool]:
     """At most one merge per object, of two consecutive moves that are not adjacent steps.
 
@@ -268,7 +281,7 @@ def _sweep_merge(
 
 
 def _shorten(
-    replay: _Replay, steps: list[_Step], trail: list[Keys]
+    replay: _TableReplay, steps: list[_Step], trail: list[Keys]
 ) -> tuple[list[_Step], list[Keys]]:
     """``optimize_plan``'s merges on steps that replay and their trail, to a fixpoint."""
     while True:
@@ -290,23 +303,13 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     total displacement. Raises ``InvalidPlanError``, with the step and reason
     ``validate_plan`` reports, when the input plan does not replay.
 
-    The plan is replayed once, in point keys, and its trail of arrangements
-    is then kept up to date through every merge, so a merge replays only the
-    steps it changes. When every pick-up and destination of the plan is a
-    candidate or a start or goal point of the scene, as in every plan
-    ``plan()`` returns, a key is an index of ``OcclusionTable.shared(scene)``
-    and each step is looked up in that table; the output's points are then
-    the table's, each equal to the input's. Otherwise, for a plan with
-    another point, such as an off-grid destination, a key is the input's own
-    Point and every step is checked on the validator's float geometry, which
-    gives the same answers. The path depends on the plan and the scene only,
-    not on what the shared table held before.
+    The plan is replayed once, in the indices of its table (``_plan_table``),
+    and its trail of arrangements is then kept up to date through every
+    merge, so a merge replays only the steps it changes. Each step is looked
+    up in the table, and the output's points are the table's: Points of
+    floats, each equal to the input's.
     """
-    table = OcclusionTable.shared(scene)
-    if table.indexes_for(scene, (p for a in plan.actions for p in (a.src, a.dst))):
-        replay: _Replay = _TableReplay(scene, table)
-    else:
-        replay = _FloatReplay(scene)
+    replay = _TableReplay(scene, _plan_table(scene, plan))
     steps = replay.steps(plan.actions)
     return replay.plan(_shorten(replay, steps, replay.trail(steps))[0])
 
@@ -401,20 +404,16 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     skip only tests that a full rescan would answer with None, and they
     re-target as it would.
 
-    The plan is replayed once, in the indices of ``OcclusionTable.shared(
-    scene)``, into a trail of arrangements as in ``optimize_plan``. A
+    The plan is replayed once, in the indices of its table (``_plan_table``),
+    into a trail of arrangements as in ``optimize_plan``. A
     re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
     from ``n + 1`` on; in between, replaying the steps would give the old
     arrangements with the object at its new point, so that is what the trail
     gets. The output equals ``tests/oracles.retarget_by_full_replay``, which
-    replays the whole plan for every trial. Raises ``ValueError`` when a
-    point of the plan is neither a candidate nor a start or goal point of
-    the scene, which no plan the search returns has, and
-    ``InvalidPlanError`` when the plan does not replay.
+    replays the whole plan for every trial. Raises ``InvalidPlanError`` when
+    the plan does not replay.
     """
-    table = OcclusionTable.shared(scene)
-    if not table.indexes_for(scene, (p for a in plan.actions for p in (a.src, a.dst))):
-        raise ValueError("re-targeting needs a plan on the scene's table points")
+    table = _plan_table(scene, plan)
     replay = _TableReplay(scene, table)
     steps = replay.steps(plan.actions)
     _retarget(table, steps, replay.trail(steps))

@@ -181,16 +181,20 @@ def replay_plan(scene: Scene, actions) -> tuple[bool, list[Point] | None]:
     return True, positions
 
 
-def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6):
+def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6, off_grid: float = 0.0):
     """A scene whose goal is the endpoint of a random valid action walk.
 
     Returns (scene, actions); the walk re-moves objects often, so plan
-    optimization has genuine merge opportunities.
+    optimization has genuine merge opportunities. A share ``off_grid`` of
+    the tried destinations is drawn uniformly over the floor, off the
+    candidate grid; the rest are candidates. At the default 0 no draw is
+    made for it, so those walks stay as they were.
     """
     from shelfplan import SceneConfig, generate_scene, make_scene
 
     rng = np.random.default_rng(seed)
     base = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+    b, ws = base.object_radius, base.workspace
     positions = list(base.start)
     actions: list[Action] = []
     guard = 0
@@ -198,7 +202,10 @@ def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6):
         guard += 1
         # From three objects on, the last one never moves: the others repeat more.
         obj = int(rng.integers(min(n_objects, max(2, n_objects - 1))))
-        dst = base.candidates[int(rng.integers(len(base.candidates)))]
+        if off_grid and rng.random() < off_grid:
+            dst = Point(float(rng.uniform(b, ws.width - b)), float(rng.uniform(b, ws.depth - b)))
+        else:
+            dst = base.candidates[int(rng.integers(len(base.candidates)))]
         if dst == positions[obj]:
             continue
         act = Action(obj, positions[obj], dst)

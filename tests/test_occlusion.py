@@ -80,8 +80,28 @@ def full_clear(table):
     return np.array([unpack(table.clear(j), table.n_candidates) for j in range(len(table.points))])
 
 
-@pytest.fixture(scope="module", params=sorted(SCENES))
+# A plan's own points for a private table: off-grid ones on the floor, one of
+# them twice, a start or goal point, int candidates, and points whose disc
+# leaves the floor or that are not finite, which the table leaves out.
+PLAN_POINTS = (
+    Point(4.5, 9.25),
+    Point(10, 10),
+    Point(12.75, 3.125),
+    Point(0.5, 3.0),
+    Point(math.nan, math.nan),
+    Point(math.inf, 5.0),
+    Point(5.0, -math.inf),
+    Point(4.5, 9.25),
+    Point(16.1, 3.8),  # a goal point of the off-grid scene
+    Point(7, 19),
+    Point(19, 7.5),
+)
+
+
+@pytest.fixture(scope="module", params=[*sorted(SCENES), "off-grid-plan"])
 def table(request):
+    if request.param == "off-grid-plan":
+        return OcclusionTable(SCENES["off-grid"](), PLAN_POINTS)
     return OcclusionTable(SCENES[request.param]())
 
 
@@ -95,6 +115,27 @@ class TestPoints:
     def test_off_grid_points_are_appended(self):
         table = OcclusionTable(SCENES["off-grid"]())
         assert len(table.points) == table.n_candidates + 6
+
+    def test_plan_points_on_the_floor_are_appended_once_as_floats(self):
+        scene = SCENES["off-grid"]()
+        table = OcclusionTable(scene, PLAN_POINTS)
+        cold = OcclusionTable(scene)
+        assert table.points[: len(cold.points)] == cold.points
+        added = [Point(4.5, 9.25), Point(12.75, 3.125), Point(19.0, 7.5)]
+        assert list(table.points[len(cold.points) :]) == added
+        assert all(type(c) is float for p in table.points for c in p)
+
+    def test_int_plan_points_are_stored_as_floats(self):
+        # The radius-1.5 grid has its points at half units, so (7, 9) is off it.
+        scene = dataclasses.replace(SCENES["default-grid"](), object_radius=1.5)
+        table = OcclusionTable(scene, [Point(7, 9)])
+        assert table.index_of(Point(7, 9)) == len(table.points) - 1 == table.n_candidates + 4
+        assert all(type(c) is float for p in table.points for c in p)
+
+    def test_coords_are_the_points_as_an_array(self, table):
+        expected = np.asarray(table.points, dtype=float)
+        assert table.coords.dtype == expected.dtype and table.coords.shape == expected.shape
+        assert table.coords.tobytes() == expected.tobytes()
 
     def test_index_round_trip(self, table):
         idx = table.indices(table.scene.start)
@@ -136,6 +177,50 @@ class TestPoints:
         table = OcclusionTable(SCENES["default-grid"]())
         with pytest.raises(ValueError, match=r"\(16\.5, 16\.0\) is not a candidate"):
             table.indices((Point(10, 5), Point(16.5, 16.0)))
+
+
+def plan_points(scene):
+    """Points a plan may name: the scene's own, ints, points on and off the floor, NaN and ±inf."""
+    r, ws = scene.object_radius, scene.workspace
+    return st.one_of(
+        st.sampled_from(scene.candidates + scene.start + scene.goal),
+        st.builds(Point, st.integers(-2, 22), st.integers(-2, 22)),
+        st.builds(Point, st.floats(r, ws.width - r), st.floats(r, ws.depth - r)),
+        st.builds(Point, st.floats(-2.0, 22.0), st.floats(-2.0, 22.0)),
+        st.builds(Point, st.floats(), st.floats()),
+    )
+
+
+@functools.cache
+def cold_table(name):
+    return OcclusionTable(SCENES[name]())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_plan_points_join_a_table_only_on_the_floor(data):
+    # A table built for a plan numbers the scene's points as a cold table does,
+    # then each new plan point whose disc lies on the floor, once and as floats,
+    # and its entries for the scene's points are the cold table's.
+    name = data.draw(st.sampled_from(sorted(SCENES)), label="scene")
+    scene, cold = SCENES[name](), cold_table(name)
+    points = data.draw(st.lists(plan_points(scene), max_size=12), label="points")
+    table = OcclusionTable(scene, points)
+    r, ws = scene.object_radius, scene.workspace
+    on_floor = [p for p in points if disc_in_workspace(Disc(p, r), ws)]
+    new = dict.fromkeys(Point(float(p.x), float(p.y)) for p in on_floor if not cold.covers([p]))
+    assert table.points == cold.points + tuple(new)
+    assert all(type(c) is float and math.isfinite(c) for p in table.points for c in p)
+    for p in points:
+        assert table.covers([p]) == disc_in_workspace(Disc(p, r), ws), p
+    low = (1 << len(cold.points)) - 1
+    picks = st.lists(st.integers(0, len(cold.points) - 1), min_size=1, max_size=4)
+    for j in data.draw(picks, label="scene points"):
+        assert table.row(j) & low == cold.row(j)
+        assert table.far(j) & low == cold.far(j)
+        assert (table.clear(j), table.free(j)) == (cold.clear(j), cold.free(j))
+        assert table.ranked(j) == cold.ranked(j)
+        assert np.array_equal(table.reach(j), cold.reach(j))
 
 
 class TestKernelEquivalence:
@@ -345,8 +430,8 @@ def move_check(scene, arrangement, act):
 
     The scene starts at ``arrangement`` and ends with ``act.dst`` among points
     of ``SPREAD`` that clear it. None when the destination disc leaves the
-    floor: no scene, so no table, holds that point, and a plan with such a
-    step is checked on the float geometry.
+    floor: no scene, so no table, holds that point, and the optimiser's
+    replay says a plan with such a step leaves the workspace.
     """
     b = scene.object_radius
     filler = [p for p in SPREAD if not discs_overlap(Disc(p, b), Disc(act.dst, b))]
@@ -405,14 +490,15 @@ class TestMoveValid:
     @pytest.mark.parametrize(
         "dst", [(0.5, 10.0), (10.0, 19.5), (np.nan, np.nan), (np.inf, 5.0), (5.0, -np.inf)]
     )
-    def test_destination_off_the_floor_is_left_to_the_float_check(self, dst):
-        # No scene holds the point, so no table does, and the optimiser reports
-        # the validator's reason for the step.
+    def test_destination_off_the_floor_leaves_the_workspace(self, dst):
+        # No scene holds the point, so no table does, not even one built for the
+        # plan, and the optimiser reports the validator's reason for the step.
         scene = SCENES["default-grid"]()
         arrangement = (Point(4.0, 4.0), Point(16.0, 16.0))
         act = Action(0, Point(4.0, 4.0), Point(*dst))
         assert not action_valid(scene, arrangement, act)
         assert move_check(scene, arrangement, act) is None
+        assert not OcclusionTable(scene, [act.dst]).covers([act.dst])
         with pytest.raises(InvalidPlanError, match="step 0: destination leaves the workspace"):
             optimize_plan(Plan((act,)), scene)
 
@@ -589,25 +675,28 @@ class TestSharedStore:
     def test_optimizing_an_off_grid_plan_keeps_the_shelf_table(self):
         scene = SCENES["default-grid"]()
         shelf = OcclusionTable.shared(scene)
+        points = shelf.points
         off_grid_move = Action(0, Point(4, 4), Point(4.5, 9.25))
         assert optimize_plan(Plan((off_grid_move,)), scene).actions == (off_grid_move,)
+        walk = Plan((off_grid_move, Action(0, Point(4.5, 9.25), Point(16, 4))))
+        retarget_buffers(walk, make_scene(scene.start, [Point(16, 4), Point(16, 16)]))
         assert OcclusionTable.shared(scene) is shelf
+        assert shelf.points == points and not shelf.covers([Point(4.5, 9.25)])
 
     def test_a_plan_off_the_scene_takes_one_path_whatever_the_store_held(self, monkeypatch):
-        # An off-grid scene leaves (10.25, 10) in the store. A grid scene's plan
-        # through that point still takes the float path, which keeps the input's
-        # int coordinates, and re-targeting still refuses it.
+        # A grid scene's plan through (10.25, 10) gets a private table that adds
+        # the point. An off-grid scene then leaves the point in the store, whose
+        # table the plan gets next: optimised and re-targeted, it is the same.
         grid = make_scene([Point(4, 5)], [Point(4, 8)])
         via = Point(10.25, 10)
         walk = Plan((Action(0, Point(4, 5), via), Action(0, via, Point(4, 8))))
         monkeypatch.setattr(occlusion, "_store", None)
-        fresh = plan_to_json(optimize_plan(walk, grid))
-        assert '"from": [4, 5]' in fresh
+        assert not OcclusionTable.shared(grid).covers([via])
+        fresh = [plan_to_json(f(walk, grid)) for f in (optimize_plan, retarget_buffers)]
+        assert '"from": [4.0, 5.0]' in fresh[0]
         OcclusionTable.shared(make_scene([via], [Point(16, 16)]))
         assert OcclusionTable.shared(grid).covers([via])
-        assert plan_to_json(optimize_plan(walk, grid)) == fresh
-        with pytest.raises(ValueError, match="table points"):
-            retarget_buffers(walk, grid)
+        assert [plan_to_json(f(walk, grid)) for f in (optimize_plan, retarget_buffers)] == fresh
 
     def test_off_grid_plan_builds_one_table_that_a_grid_plan_reuses(self, monkeypatch):
         # Hard scene 81 with its starts moved off the grid: the search and the

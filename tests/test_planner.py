@@ -182,15 +182,16 @@ class TestOptimizePlan:
         assert out.actions == (Action(0, Point(4, 5), Point(10, 10)),)
         assert '"from": [4.0, 5.0], "object": 0, "to": [10.0, 10.0]' in plan_to_json(out)
 
-    def test_float_path_keeps_the_input_points(self):
-        # (4.25, 16) is off the grid, so the steps are replayed on the input's own Points.
+    def test_off_grid_plan_outputs_the_table_points(self):
+        # (4.25, 16) is off the grid, so the steps are replayed on a table that
+        # adds it: the output's points equal the input's, printed as floats.
         scene = make_scene([Point(4, 5)], [Point(10, 10)])
         first = Action(0, Point(4, 5), Point(4.25, 16))
         second = Action(0, Point(4.25, 16), Point(10, 10))
         out = optimize_plan(Plan((first, second)), scene)
         (merged,) = out.actions
-        assert merged.src is first.src and merged.dst is second.dst
-        assert '"from": [4, 5], "object": 0, "to": [10, 10]' in plan_to_json(out)
+        assert merged.src == first.src and merged.dst == second.dst
+        assert '"from": [4.0, 5.0], "object": 0, "to": [10.0, 10.0]' in plan_to_json(out)
 
     def test_round_trip_vanishes(self):
         scene = make_scene([Point(4, 5), Point(16, 15)], [Point(4, 5), Point(16, 6)])
@@ -310,6 +311,19 @@ class TestOptimizePlan:
         scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=steps)
         out = optimize_plan(Plan(tuple(actions)), scene)
         assert list(out.actions) == optimize_by_full_replay(scene, actions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_objects=st.integers(1, 5),
+        steps=st.integers(1, 24),
+        off_grid=st.sampled_from([0.3, 0.7, 1.0]),
+    )
+    def test_equals_full_replay_oracle_on_off_grid_walks(self, seed, n_objects, steps, off_grid):
+        scene, actions = random_walk_instance(seed, n_objects, steps, off_grid)
+        out = optimize_plan(Plan(tuple(actions)), scene)
+        assert list(out.actions) == optimize_by_full_replay(scene, actions)
+        assert all(type(c) is float for a in out.actions for p in (a.src, a.dst) for c in p)
 
     @pytest.mark.parametrize("bad", sorted(BAD_SECOND_STEPS), ids=str)
     def test_invalid_input_error_matches_validator(self, bad):
@@ -475,6 +489,17 @@ class TestRetargetBuffers:
         scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=steps)
         check_retarget(scene, Plan(tuple(actions)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_objects=st.integers(1, 5),
+        steps=st.integers(1, 24),
+        off_grid=st.sampled_from([0.3, 0.7, 1.0]),
+    )
+    def test_equals_full_replay_oracle_on_off_grid_walks(self, seed, n_objects, steps, off_grid):
+        scene, actions = random_walk_instance(seed, n_objects, steps, off_grid)
+        check_retarget(scene, Plan(tuple(actions)))
+
     def test_buffer_on_the_way_replaces_a_detour(self):
         # Alone on the shelf, the object parks far off its line to the goal;
         # the best candidate lies on that line, so the detour becomes straight.
@@ -517,32 +542,47 @@ class TestRetargetBuffers:
         with pytest.raises(InvalidPlanError, match="input plan invalid at step 0"):
             retarget_buffers(broken, scene)
 
+    @pytest.mark.parametrize("bad", sorted(BAD_SECOND_STEPS), ids=str)
+    def test_invalid_input_error_matches_validator(self, bad):
+        scene, raw = bad_second_step(bad)
+        check = validate_plan(scene, raw)
+        with pytest.raises(InvalidPlanError) as err:
+            retarget_buffers(raw, scene)
+        assert str(err.value) == f"input plan invalid at step 1: {check.reason}"
+
     def test_shifted_pick_up_rejected(self):
         # The goal puts (4 + 1e-10, 5) in the table, and the plan picks the
         # object up there although it stands on (4, 5).
         near, away = Point(4 + 1e-10, 5), Point(10, 10)
         scene = make_scene([Point(4, 5)], [near])
         shifted = Plan((Action(0, near, away), Action(0, away, near)))
-        assert OcclusionTable.shared(scene).indexes_for(scene, [near, away])
+        assert OcclusionTable.shared(scene).covers([near, away])
         with pytest.raises(InvalidPlanError) as err:
             retarget_buffers(shifted, scene)
         assert str(err.value) == f"input plan invalid at step 0: {PICK_MISMATCH}"
 
-    def test_off_table_point_rejected(self):
+    def test_off_table_point_retargeted(self):
+        # (10.25, 10) is no point of the scene's table: the optimiser's table adds it.
         scene = make_scene([Point(4, 5)], [Point(4, 5)])
         off_grid = Plan(
             (Action(0, Point(4, 5), Point(10.25, 10)), Action(0, Point(10.25, 10), Point(4, 5)))
         )
         assert validate_plan(scene, off_grid).valid
-        with pytest.raises(ValueError, match="table points"):
-            retarget_buffers(off_grid, scene)
+        assert not OcclusionTable.shared(scene).covers([Point(10.25, 10)])
+        out = check_retarget(scene, off_grid)
+        assert out.actions[0].dst == Point(4, 4)  # the nearest candidate but the pick-up
 
 
-@pytest.fixture(params=["table", "float"])
+def never_covers(self, points):
+    """``OcclusionTable.covers`` patched so that no table has a plan's points."""
+    return False
+
+
+@pytest.fixture(params=["shared", "private"])
 def step_check(request, monkeypatch):
-    """Optimise on the occlusion table, or with every step on the float geometry."""
-    if request.param == "float":
-        monkeypatch.setattr(OcclusionTable, "indexes_for", lambda self, scene, points: False)
+    """Optimise on the shared table, or on a private table over the scene's and the plan's points."""
+    if request.param == "private":
+        monkeypatch.setattr(OcclusionTable, "covers", never_covers)
     return request.param
 
 
@@ -558,7 +598,7 @@ class TestMergeShortcut:
         assert validate_plan(scene, Plan(tuple(actions))).valid  # construction sanity
         points = [p for a in actions for p in (a.src, a.dst)]
         table = OcclusionTable.shared(scene)
-        assert table.indexes_for(scene, points) == (step_check == "table")
+        assert table.covers(points) == (step_check == "shared")
         out = optimize_plan(Plan(tuple(actions)), scene)
         assert validate_plan(scene, out).valid
         assert list(out.actions) == optimize_by_full_replay(scene, actions)
@@ -595,7 +635,7 @@ class TestMergeShortcut:
     def test_own_middle_move_picking_up_off_the_object_is_rejected(self, step_check):
         # Object 3 leaves B', 5e-10 off the grid point B; object 0 is put on B'
         # and then picked up at B, where it does not stand. Both are table
-        # points, so the table path rejects the step as the float path does.
+        # points, so the table replay rejects the step as the validator does.
         B = Point(3, 14)
         shifted = Point(B.x + 5e-10, B.y - 5e-10)
         A, C, away = Point(15, 15), Point(3, 1), Point(8, 17)
@@ -612,7 +652,7 @@ class TestMergeShortcut:
         ]
         points = [p for a in actions for p in (a.src, a.dst)]
         table = OcclusionTable.shared(scene)
-        assert table.indexes_for(scene, points) == (step_check == "table")
+        assert table.covers(points) == (step_check == "shared")
         assert_pick_up_rejected(scene, actions, 3)
 
     def test_own_middle_move_picking_up_away_from_the_merged_point(self, step_check, monkeypatch):
@@ -645,7 +685,7 @@ class TestMergeShortcut:
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), n_objects=st.integers(1, 5), steps=st.integers(1, 24))
-@pytest.mark.parametrize("kind", ["table", "float"])
+@pytest.mark.parametrize("kind", ["shared", "private"])
 def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
     # Every collapse and merge hands on the trail a replay of its steps from
     # the start would give: the merge's skip of the suffix and plan()'s
@@ -668,13 +708,13 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        if kind == "float":
-            mp.setattr(OcclusionTable, "indexes_for", lambda self, scene, points: False)
+        if kind == "private":
+            mp.setattr(OcclusionTable, "covers", never_covers)
         mp.setattr(planner, "_collapse_runs", collapse_spy)
         mp.setattr(planner, "_sweep_merge", sweep_spy)
         out = optimize_plan(Plan(tuple(actions)), scene)
     replay = used[0]
-    assert isinstance(replay, planner._TableReplay) == (kind == "table")
+    assert (replay.table is OcclusionTable.shared(scene)) == (kind == "shared")
     for kept, trail in handed_on:
         arr, fresh = list(replay.start), []
         assert replay.run(kept, arr, fresh) == (None, None)
@@ -734,7 +774,7 @@ class TestValidatePlan:
         def refuse(*args, **kwargs):
             raise AssertionError("validate_plan read the occlusion table")
 
-        methods = ("__init__", "shared", "covers", "indexes_for", "index_of", "move_valid")
+        methods = ("__init__", "shared", "covers", "get", "index_of", "move_valid")
         methods += ("row", "far", "clear")
         for name in methods:
             monkeypatch.setattr(OcclusionTable, name, refuse)

@@ -136,10 +136,16 @@ def tunnel_hits_disc(dx: float, dy: float, legs, half_width: float, r: float) ->
     ``legs`` is a sequence of ``(c, s, length)`` tunnels from one anchor, and
     the answer is whether any of them touches the disc: the k-tunnel form of
     ``tunnel_hits`` reduced with ``.any(axis=0)``; no legs answers False.
-    Each leg takes the same operations in the same order (numpy squares by
+    Each leg takes the operations of ``tunnel_hits`` (numpy squares by
     multiplying), so both answer alike bit for bit, exact tangencies and NaN
-    legs included. The clamps are comparisons, not ``min``/``max`` builtin
-    calls, which on CPython 3.11 make a call about three times as costly.
+    legs included. The lateral term comes first, and a leg whose squared
+    lateral gap ``dv * dv`` exceeds ``r * r`` is skipped before its
+    along-spine term is computed. The skip is exact: ``du * du`` is at least
+    0 or NaN, and rounding is monotone, so ``fl(du * du + dv * dv)`` is at
+    least ``dv * dv`` or NaN, and the full test would answer False too. Most
+    discs of a shelf lie beside a leg, not past its end, so most legs stop
+    there. The clamps are comparisons, not ``min``/``max`` builtin calls,
+    which on CPython 3.11 make a call about three times as costly.
     ``max(a, b)`` returns ``a`` unless ``b > a``, and ``min(a, b)`` returns
     ``a`` unless ``b < a``, so each conditional expression below returns the
     builtin's very value, NaN, signed zeros and infinities included
@@ -150,13 +156,16 @@ def tunnel_hits_disc(dx: float, dy: float, legs, half_width: float, r: float) ->
     """
     rr = r * r
     for c, s, length in legs:
-        u = dx * c + dy * s
         v = -dx * s + dy * c
-        lo = 0.0 if 0.0 > u else u
-        du = u - (length if length < lo else lo)
         lo = -half_width if -half_width > v else v
         dv = v - (half_width if half_width < lo else lo)
-        if du * du + dv * dv <= rr:
+        vv = dv * dv
+        if vv > rr:
+            continue  # beside the leg: the sum below would be at least vv
+        u = dx * c + dy * s
+        lo = 0.0 if 0.0 > u else u
+        du = u - (length if length < lo else lo)
+        if du * du + vv <= rr:
             return True
     return False
 

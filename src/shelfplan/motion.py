@@ -76,13 +76,14 @@ def action_valid(scene: Scene, arrangement, action: Action) -> bool:
         return False
     x, y = dst
     reach = (2.0 * b) ** 2
+    others = []
     for o, p in enumerate(arrangement):
         if o != obj:
             ex = p[0] - x
             ey = p[1] - y
             if ex * ex + ey * ey < reach:
                 return False
-    others = [o for o in range(n) if o != obj]
+            others.append(o)
     return not collision_objs(scene, arrangement, others, action.src, dst)
 
 
@@ -95,9 +96,12 @@ def collision_objs(
     ``tunnel_to``, its length from ``leg_length``, which gives ``np.hypot``'s
     bits. Each candidate takes one ``tunnel_hits_disc`` call over all the
     legs, so it answers as ``tunnel_disc_mask(home_tunnel(scene, target),
-    ...)`` on each target bit for bit. The per-candidate loop timed cheaper
-    than one packed ``tunnel_hits`` call up to about 300 candidates (README,
-    "A scalar tunnel test"); a default shelf holds at most 21 objects.
+    ...)`` on each target bit for bit. A disc beside a leg ends that leg's
+    test at its lateral term, exactly (see ``tunnel_hits_disc``). The
+    per-candidate loop timed cheaper than one packed ``tunnel_hits`` call up
+    to about 300 candidates before that skip, which only makes it cheaper
+    (README, "A scalar tunnel test"); a default shelf holds at most 21
+    objects.
     Raises ``ValueError`` when a target coincides with the robot home, as
     ``home_tunnel`` does, even with no candidates.
     """

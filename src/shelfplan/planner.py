@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -133,7 +134,7 @@ class _FloatReplay(_Replay):
 class _TableReplay(_Replay):
     """Steps looked up in an occlusion table that indexes the plan's points on the floor.
 
-    The optimiser's one replay (see ``_plan_table``). A point's key is its
+    The optimiser's one replay (see ``_plan_replay``). A point's key is its
     table index. A plan point the table lacks has the key None: its disc
     leaves the workspace, so no object stands there and a pick-up there does
     not match, and a step placing an object there leaves the workspace. A
@@ -183,19 +184,23 @@ class _TableReplay(_Replay):
         return trail
 
 
-def _plan_table(scene: Scene, plan: Plan) -> OcclusionTable:
-    """A table that indexes every point of ``plan`` whose disc lies in the workspace.
+def _plan_replay(scene: Scene, plan: Plan) -> tuple[_TableReplay, list[_Step]]:
+    """A replay on a table that indexes every point of ``plan`` on the floor, and the plan's steps.
 
-    ``OcclusionTable.shared(scene)`` when it has every point of the plan, as
-    for every plan ``plan()`` returns; otherwise a private
-    ``OcclusionTable(scene, points)`` that adds the plan's points to the
-    scene's and leaves the store as it was. The two number the candidates
-    alike and agree on every entry, so the optimiser's output does not depend
-    on what the store held.
+    Each point is looked up once in ``OcclusionTable.shared(scene)``, which
+    has every point of a plan ``plan()`` returns. When it lacks one, the
+    steps are looked up again in a private ``OcclusionTable(scene, points)``
+    that adds the plan's points to the scene's and leaves the store as it
+    was. The two number the candidates alike and agree on every entry, so
+    the optimiser's output does not depend on what the store held.
     """
-    points = [p for a in plan.actions for p in (a.src, a.dst)]
-    table = OcclusionTable.shared(scene)
-    return table if table.covers(points) else OcclusionTable(scene, points)
+    replay = _TableReplay(scene, OcclusionTable.shared(scene))
+    steps = replay.steps(plan.actions)
+    if any(step.src is None or step.dst is None for step in steps):
+        points = [p for a in plan.actions for p in (a.src, a.dst)]
+        replay = _TableReplay(scene, OcclusionTable(scene, points))
+        steps = replay.steps(plan.actions)
+    return replay, steps
 
 
 def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
@@ -213,6 +218,23 @@ def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
     return PlanCheck(True)
 
 
+def _window(table: OcclusionTable, steps: Sequence[_Step], k: int, n: int, ok: int) -> int:
+    """The points of bit set ``ok`` where an object may stand through steps ``k + 1`` to ``n - 1``.
+
+    Those steps move other objects. An object standing on point ``q`` leaves
+    such a step valid, given that it was valid without the object, iff ``q``
+    is clear of the step's destination disc (``far(dst)``) and of both its
+    tunnels (``row(src)`` and ``row(dst)``): ``move_valid`` tests each other
+    object's point on its own. Stops as soon as no point of ``ok`` is left.
+    """
+    for m in range(k + 1, n):
+        if not ok:
+            break
+        step = steps[m]
+        ok &= table.far(step.dst) & ~(table.row(step.src) | table.row(step.dst))
+    return ok
+
+
 def _merge_pair(
     replay: _TableReplay, steps: list[_Step], trail: list[Keys], t: int, s: int
 ) -> tuple[list[_Step], list[Keys]] | None:
@@ -220,19 +242,32 @@ def _merge_pair(
 
     The merged move replaces step ``t`` and step ``s`` is dropped; a merge
     that puts the object back exactly where it was picked up drops both. The
-    merged move and the steps between, which move other objects, are replayed
-    from ``trail[t]``. A replay that passes ends on ``trail[s + 1]``: the
-    object goes from ``trail[t][obj]`` to ``last.dst``, and the others as
-    before. So the suffix replays as before and is kept as it is. Returns
-    None when the replay fails.
+    merge is decided without a replay. The steps between move other objects
+    and were valid with the object on ``trail[s][obj]``; with it on its new
+    point ``q = last.dst`` they stay valid iff ``q`` is in their
+    ``_window``: one bit, tested against each step. That test comes first:
+    it costs less than the other, and on the benchmark's replay walks it
+    rejects more pairs. The merged move must then pass ``move_valid`` on
+    ``trail[t]``; a round trip has none. The merged plan then replays to
+    ``trail[s + 1]``: the object goes from ``trail[t][obj]`` to ``q``, and
+    the others as before. So the suffix replays as before and is kept as it
+    is, and between the pair the trail takes the old arrangements with the
+    object on ``q``. The answer equals ``tests/oracles.merge_by_replay``,
+    which replays the merged move and the steps between. Returns None when
+    the merge breaks the plan.
     """
     first, last = steps[t], steps[s]
-    middle = steps[t + 1 : s]
-    head = [_Step(first.obj, first.src, last.dst)] if first.src != last.dst else []
-    arr, part = list(trail[t]), []
-    if replay.run(head + middle, arr, part)[0] is not None:
+    obj, src, q = first.obj, first.src, last.dst
+    if not _window(replay.table, steps, t, s, 1 << q):
         return None
-    return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
+    head, part = [], []
+    if src != q:
+        others = occupancy(trail[t]) & ~(1 << src)
+        if not replay.table.move_valid(others, src, q):
+            return None
+        head, part = [_Step(obj, src, q)], [trail[t]]
+    part += [arr[:obj] + (q,) + arr[obj + 1 :] for arr in trail[t + 1 : s]]
+    return steps[:t] + head + steps[t + 1 : s] + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
 
 
 def _collapse_runs(
@@ -265,19 +300,28 @@ def _sweep_merge(
 
     Each object's pairs of consecutive moves are tried left to right (see
     ``_merge_pair``), so the steps between a pair move only other objects.
+    Every object's move indices are collected in one pass over the steps. A
+    merge drops moves of its own object only, so a later object's index
+    falls by the number of dropped moves before it.
     """
-    changed = False
-    for obj in sorted({step.obj for step in steps}):
-        indices = [i for i, step in enumerate(steps) if step.obj == obj]
-        for t, s in zip(indices, indices[1:]):
+    moves: dict[ObjectId, list[int]] = {}
+    for i, step in enumerate(steps):
+        moves.setdefault(step.obj, []).append(i)
+    gone: list[int] = []  # the input indices of dropped moves, in order
+    for obj in sorted(moves):
+        indices = moves[obj]
+        now = [i - bisect_left(gone, i) for i in indices] if gone else indices
+        for j in range(len(now) - 1):
+            t, s = now[j], now[j + 1]
             if s == t + 1:
                 continue  # adjacent pairs belong to the collapse pass
             merged = _merge_pair(replay, steps, trail, t, s)
             if merged is not None:
+                first = j if len(merged[0]) == len(steps) - 2 else j + 1  # round trip: both
+                gone = sorted(gone + indices[first : j + 2])
                 steps, trail = merged
-                changed = True
                 break
-    return steps, trail, changed
+    return steps, trail, bool(gone)
 
 
 def _shorten(
@@ -303,14 +347,14 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     total displacement. Raises ``InvalidPlanError``, with the step and reason
     ``validate_plan`` reports, when the input plan does not replay.
 
-    The plan is replayed once, in the indices of its table (``_plan_table``),
+    The plan is replayed once, in the indices of its table (``_plan_replay``),
     and its trail of arrangements is then kept up to date through every
-    merge, so a merge replays only the steps it changes. Each step is looked
-    up in the table, and the output's points are the table's: Points of
-    floats, each equal to the input's.
+    merge. A merge replays nothing: ``_merge_pair`` decides it on bit sets
+    of the table and rebuilds the trail only for a merge it keeps. Each
+    point is looked up in the table once, and the output's points are the
+    table's: Points of floats, each equal to the input's.
     """
-    replay = _TableReplay(scene, _plan_table(scene, plan))
-    steps = replay.steps(plan.actions)
+    replay, steps = _plan_replay(scene, plan)
     return replay.plan(_shorten(replay, steps, replay.trail(steps))[0])
 
 
@@ -322,11 +366,12 @@ def _retarget_step(
     Step ``k`` puts its object on a buffer point and step ``n`` is the
     object's next move. A candidate ``b`` may take the buffer point's place
     when the plan with ``src_k→b`` and ``b→dst_n`` still replays: ``b``'s disc
-    and placing sweep clear every other object at step ``k`` (``free``); at
-    ``b`` the object blocks no tunnel and no destination of the steps in
-    between; and its pick-up tunnel from ``b`` is clear at step ``n``. The
-    others stand still in between, so these bit-set tests are the whole
-    replay, and the first one that leaves no candidate ends it. Of the valid
+    and placing sweep clear every other object at step ``k`` (``free``); ``b``
+    is in the ``_window`` of the steps in between, the rule ``_merge_pair``
+    applies to its new point; and its pick-up tunnel from ``b`` is clear at
+    step ``n``. The others stand still in between, so these bit-set tests
+    are the whole replay, and the first one that leaves no candidate ends it
+    (``_window`` stops within the steps). Of the valid
     candidates, the one with the least detour ``d(src_k, b) + d(b, dst_n)``
     is taken, ties to the lower index, if that detour is shorter than the
     buffer point's.
@@ -338,8 +383,7 @@ def _retarget_step(
         ok &= table.free(p)
     if not ok:
         return None
-    for step in steps[k + 1 : n]:
-        ok &= ~(table.row(step.src) | table.row(step.dst)) & table.far(step.dst)
+    ok = _window(table, steps, k, n, ok)
     if not ok:
         return None
     for p in other_points(trail[n], obj):
@@ -404,7 +448,7 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     skip only tests that a full rescan would answer with None, and they
     re-target as it would.
 
-    The plan is replayed once, in the indices of its table (``_plan_table``),
+    The plan is replayed once, in the indices of its table (``_plan_replay``),
     into a trail of arrangements as in ``optimize_plan``. A
     re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
     from ``n + 1`` on; in between, replaying the steps would give the old
@@ -413,10 +457,8 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     replays the whole plan for every trial. Raises ``InvalidPlanError`` when
     the plan does not replay.
     """
-    table = _plan_table(scene, plan)
-    replay = _TableReplay(scene, table)
-    steps = replay.steps(plan.actions)
-    _retarget(table, steps, replay.trail(steps))
+    replay, steps = _plan_replay(scene, plan)
+    _retarget(replay.table, steps, replay.trail(steps))
     return replay.plan(steps)
 
 

@@ -22,6 +22,7 @@ from shelfplan.geometry import (
     tunnel_disc_mask,
 )
 from shelfplan.motion import home_tunnel
+from shelfplan.planner import _Step
 
 
 def arrangement_valid(a, scene: Scene) -> bool:
@@ -181,28 +182,44 @@ def replay_plan(scene: Scene, actions) -> tuple[bool, list[Point] | None]:
     return True, positions
 
 
-def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6, off_grid: float = 0.0):
+def random_walk_instance(
+    seed: int,
+    n_objects: int = 3,
+    steps: int = 6,
+    off_grid: float = 0.0,
+    back: float = 0.0,
+    tunnel_width: float = 4.0,
+):
     """A scene whose goal is the endpoint of a random valid action walk.
 
     Returns (scene, actions); the walk re-moves objects often, so plan
-    optimization has genuine merge opportunities. A share ``off_grid`` of
-    the tried destinations is drawn uniformly over the floor, off the
+    optimization has genuine merge opportunities. A share ``back`` of the
+    tried destinations of an object that has moved is the point it left on
+    its last move, so its last two moves make a round trip. A share
+    ``off_grid`` of the others is drawn uniformly over the floor, off the
     candidate grid; the rest are candidates. At the default 0 no draw is
-    made for it, so those walks stay as they were.
+    made for either, so those walks stay as they were. Below a tunnel width
+    of ``2 * object_radius`` a disc can overlap a destination disc without
+    touching its tunnel.
     """
     from shelfplan import SceneConfig, generate_scene, make_scene
 
     rng = np.random.default_rng(seed)
-    base = generate_scene(SceneConfig(n_objects=n_objects, rng_seed=seed))
+    base = generate_scene(
+        SceneConfig(n_objects=n_objects, rng_seed=seed, tunnel_width=tunnel_width)
+    )
     b, ws = base.object_radius, base.workspace
     positions = list(base.start)
+    left: dict[int, Point] = {}  # the point each object left on its last move
     actions: list[Action] = []
     guard = 0
     while len(actions) < steps and guard < 400:
         guard += 1
         # From three objects on, the last one never moves: the others repeat more.
         obj = int(rng.integers(min(n_objects, max(2, n_objects - 1))))
-        if off_grid and rng.random() < off_grid:
+        if back and obj in left and rng.random() < back:
+            dst = left[obj]
+        elif off_grid and rng.random() < off_grid:
             dst = Point(float(rng.uniform(b, ws.width - b)), float(rng.uniform(b, ws.depth - b)))
         else:
             dst = base.candidates[int(rng.integers(len(base.candidates)))]
@@ -210,9 +227,10 @@ def random_walk_instance(seed: int, n_objects: int = 3, steps: int = 6, off_grid
             continue
         act = Action(obj, positions[obj], dst)
         if action_valid(base, tuple(positions), act):
+            left[obj] = positions[obj]
             positions[obj] = dst
             actions.append(act)
-    scene = make_scene(base.start, tuple(positions))
+    scene = make_scene(base.start, tuple(positions), tunnel_width=tunnel_width)
     return scene, actions
 
 
@@ -261,6 +279,26 @@ def _merged(scene: Scene, actions: list[Action], t: int, s: int) -> list[Action]
         return None
     assert new[-1] == old[-1]
     return candidate
+
+
+def merge_by_replay(replay, steps: list, trail: list, t: int, s: int) -> tuple[list, list] | None:
+    """``planner._merge_pair`` as a replay of the merged move and the steps between the pair.
+
+    ``replay`` is the optimiser's ``_TableReplay`` and ``steps`` and
+    ``trail`` its table steps and their arrangements. The merged move
+    replaces step ``t`` and step ``s`` is dropped, or both go when the merged
+    move would end where it starts. ``head + middle`` is replayed step by step
+    on the table from ``trail[t]``, and the trail between the pair is the
+    replay's. Returns the merged ``(steps, trail)``, or None when a step of
+    the replay fails.
+    """
+    first, last = steps[t], steps[s]
+    middle = steps[t + 1 : s]
+    head = [_Step(first.obj, first.src, last.dst)] if first.src != last.dst else []
+    arr, part = list(trail[t]), []
+    if replay.run(head + middle, arr, part)[0] is not None:
+        return None
+    return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
 
 
 def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:

@@ -17,6 +17,7 @@ from shelfplan.geometry import (
     distance,
     leg_length,
     tunnel_disc_mask,
+    tunnel_hits,
     tunnel_hits_disc,
     tunnel_intersects_disc,
     tunnel_to,
@@ -177,6 +178,99 @@ class TestClampsByComparison:
         dx, dy, c, s, length, half, r = args
         args = (dx, dy, ((c, s, length),), half, r)
         assert tunnel_hits_disc(*args) == tunnel_hits_disc_by_min_max(*args)
+
+
+def kernel_answers(dx, dy, legs, half, r) -> tuple[bool, bool, bool]:
+    """``tunnel_hits_disc``, its un-culled ``min``/``max`` oracle, and ``tunnel_hits``.
+
+    The last runs the legs as k tunnels from the origin, reduced with
+    ``.any(axis=0)``.
+    """
+    c, s, length = (np.array([leg[i] for leg in legs], float).reshape(-1, 1) for i in range(3))
+    with np.errstate(all="ignore"):  # non-finite legs and centres make NaN on the way
+        hits = tunnel_hits((0.0, 0.0), (c, s), length, 2.0 * half, np.array([[dx, dy]]), r)
+    args = (dx, dy, legs, half, r)
+    return tunnel_hits_disc(*args), tunnel_hits_disc_by_min_max(*args), bool(hits.any(axis=0)[0])
+
+
+def ulps(x: float, n: int) -> list[float]:
+    """``x`` and the ``n`` floats on either side of it, in order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -INF))
+        above.append(math.nextafter(above[-1], INF))
+    return below[:0:-1] + above
+
+
+def side_centres(c: float, s: float, u: float, v: float) -> list[tuple[float, float]]:
+    """Centres ``u`` along and ``v`` beside the ``(c, s)`` spine, by the kernel's lateral term.
+
+    Searches the coordinates a few ulps around the exact centre for those
+    whose rounded lateral term ``-dx * s + dy * c`` is the largest below
+    ``v``, exactly ``v``, and the smallest above it: one ulp either side on an
+    axis-aligned spine. Empty when no centre there gives exactly ``v``.
+    """
+    x0, y0 = u * c - v * s, u * s + v * c
+    terms = {-dx * s + dy * c: (dx, dy) for dx in ulps(x0, 24) for dy in ulps(y0, 24)}
+    if v not in terms:
+        return []
+    below = max(t for t in terms if t < v)
+    above = min(t for t in terms if t > v)
+    return [terms[below], terms[v], terms[above]]
+
+
+class TestLateralCull:
+    """The kernel skips a leg on its lateral term alone, and answers as the un-culled forms.
+
+    The boundary is a lateral gap of exactly ``h + r``: the disc touches the
+    tunnel's side there, so the cull must not fire at equality.
+    """
+
+    # (c, s) spines: four axis-aligned, and two tilted legs of the default
+    # shelf from its home (10, -3), to (13, 8) and to (2, 12).
+    SPINES = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    SPINES += [tuple(tunnel_to(Point(13.0, 8.0), Point(10.0, -3.0), 1.0, 4.0).direction)]
+    SPINES += [tuple(tunnel_to(Point(2.0, 12.0), Point(10.0, -3.0), 1.0, 4.0).direction)]
+
+    # h + r and (h + r) - h == r exactly, so a lateral term of h + r is an exact tangency.
+    @pytest.mark.parametrize("spine", SPINES, ids=str)
+    @pytest.mark.parametrize("half, r", [(2.0, 1.0), (0.75, 1.0), (2.0, 0.5), (1.25, 0.375)])
+    def test_side_tangency_and_one_ulp_either_side(self, spine, half, r):
+        c, s = spine
+        length = 12.0
+        found = 0
+        for u in (0.0, 0.25, 0.5, 1.0, 5.0, length):  # along the side, ends included
+            for side in (1.0, -1.0):
+                centres = side_centres(c, s, u, side * (half + r))
+                found += bool(centres)
+                for k, (dx, dy) in enumerate(centres):
+                    got = kernel_answers(dx, dy, ((c, s, length),), half, r)
+                    # On the side or inside touches; one ulp outside misses.
+                    outside = k == (2 if side > 0 else 0)
+                    assert got == (not outside,) * 3, (spine, u, side, k)
+        assert found == 12
+
+    @pytest.mark.parametrize("spine", SPINES, ids=str)
+    def test_side_tangency_among_other_legs(self, spine):
+        # The culled leg comes before, after or between legs that miss the disc.
+        c, s = spine
+        dx, dy = side_centres(c, s, 0.5, 3.0)[1]
+        miss = [(NAN, NAN, INF), (-s, c, 1.0), (NAN, 0.0, INF)]
+        for legs in ([(c, s, 12.0), *miss], [*miss, (c, s, 12.0)], miss):
+            got = kernel_answers(dx, dy, legs, 2.0, 1.0)
+            assert got == ((c, s, 12.0) in legs,) * 3, (spine, legs)
+
+    def test_non_finite_legs_and_centres(self):
+        # The legs a scene can make from a non-finite target, and finite ones;
+        # centres NaN, infinite, on the side and on the spine.
+        legs = [(NAN, NAN, INF), (NAN, NAN, NAN), (NAN, 0.0, INF), (0.0, NAN, INF)]
+        legs += [(0.0, 1.0, INF), (1.0, 0.0, 12.0), (INF, 0.0, 12.0), (0.0, -INF, 12.0)]
+        coords = [NAN, INF, -INF, 0.0, -0.0, 3.0, -3.0, 5.0]
+        for dx, dy in itertools.product(coords, coords):
+            for k in (1, 2):
+                for chosen in itertools.permutations(legs, k):
+                    got = kernel_answers(dx, dy, list(chosen), 2.0, 1.0)
+                    assert got[0] == got[1] == got[2], (dx, dy, chosen)
 
 
 def same_float(a: float, b: float) -> bool:

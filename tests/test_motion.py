@@ -433,6 +433,58 @@ class TestOverflowingLegs:
         assert capsys.readouterr().out == "invalid at step 0: relocation is not collision-free\n"
 
 
+class TestSideTangency:
+    """A disc touching a straight-ahead tunnel's side collides; one ulp farther out it does not.
+
+    Object 0 goes from (10, 5) to (10, 12), straight ahead of the home at
+    (10, -3), and object 1 stands at (13, 8) or (7, 8): exactly ``h + r =
+    3`` beside both legs, within the placing leg's span. The kernel's
+    lateral cull must not fire at that equality.
+    """
+
+    MOVE = Action(0, Point(10.0, 5.0), Point(10.0, 12.0))
+
+    @staticmethod
+    def scene(x):
+        return make_scene([Point(10.0, 5.0), Point(x, 8.0)], [Point(10.0, 12.0), Point(x, 8.0)])
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_tangent_disc_collides_and_one_ulp_out_does_not(self, side):
+        tangent = 10.0 + 3.0 * side
+        inward, outward = math.nextafter(tangent, 10.0), math.nextafter(tangent, side * np.inf)
+        for x in (inward, tangent, outward):
+            scene = self.scene(x)
+            touches = abs(x - 10.0) <= 3.0
+            assert action_valid(scene, scene.start, self.MOVE) == (not touches), x
+            assert action_valid_by_legs(scene, scene.start, self.MOVE) == (not touches), x
+            hits = collision_objs(scene, scene.start, [1], self.MOVE.src, self.MOVE.dst)
+            assert hits == ({1} if touches else set()), x
+
+    def test_validate_command_rejects_the_tangent_step(self, tmp_path, capsys):
+        scene_path, plan_path = tmp_path / "scene.json", tmp_path / "plan.json"
+        scene_path.write_text(scene_to_json(self.scene(13.0)))
+        plan_path.write_text(plan_to_json(Plan((self.MOVE,))))
+        assert main(["validate", str(scene_path), str(plan_path)]) == 1
+        assert capsys.readouterr().out == "invalid at step 0: relocation is not collision-free\n"
+
+    def test_non_finite_centres_answer_as_the_masks(self):
+        # NaN and infinite centres touch nothing, beside a tangent and a clear disc.
+        scene = single_object_scene()
+        arrangement = [Point(np.nan, 5.0), Point(np.inf, 8.0), Point(-np.inf, -np.inf)]
+        arrangement += [Point(13.0, np.nan), Point(13.0, 8.0), Point(7.0, 8.0), Point(17.0, 8.0)]
+        centres = np.asarray(arrangement, dtype=float)
+        ids = range(len(arrangement))
+        nowhere = [Point(np.inf, 5.0), Point(np.nan, 5.0)]
+        for targets in ([Point(10.0, 12.0)], [Point(10.0, 5.0), Point(10.0, 12.0)], nowhere):
+            expected = set()
+            for target in targets:
+                with np.errstate(all="ignore"):
+                    mask = tunnel_disc_mask(home_tunnel(scene, target), centres, 1.0)
+                expected |= set(np.flatnonzero(mask).tolist())
+            assert collision_objs(scene, arrangement, ids, *targets) == expected, targets
+        assert collision_objs(scene, arrangement, ids, Point(10.0, 12.0)) == {4, 5}
+
+
 class TestPlacementSweepMask:
     def test_no_obstacles_clears_every_target_but_the_home(self):
         scene = single_object_scene()  # home at (10, -3)

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from json_fuzz import hostile_edits
 from oracles import (
+    merge_by_replay,
     optimize_by_full_replay,
     random_walk_instance,
     replay_plan,
@@ -573,24 +574,35 @@ class TestRetargetBuffers:
         assert out.actions[0].dst == Point(4, 4)  # the nearest candidate but the pick-up
 
 
-def never_covers(self, points):
-    """``OcclusionTable.covers`` patched so that no table has a plan's points."""
-    return False
+class BlindTable(OcclusionTable):
+    """A shelf table that has none of a plan's points, so the optimiser builds a private one."""
+
+    def get(self, p):
+        return None
+
+    def covers(self, points):
+        return False
+
+
+def blind_store(monkeypatch):
+    """``OcclusionTable.shared`` patched to hand out a fresh ``BlindTable``."""
+    monkeypatch.setattr(OcclusionTable, "shared", classmethod(lambda cls, scene: BlindTable(scene)))
 
 
 @pytest.fixture(params=["shared", "private"])
 def step_check(request, monkeypatch):
     """Optimise on the shared table, or on a private table over the scene's and the plan's points."""
     if request.param == "private":
-        monkeypatch.setattr(OcclusionTable, "covers", never_covers)
+        blind_store(monkeypatch)
     return request.param
 
 
 class TestMergeShortcut:
-    """A merge replays the merged move and the steps between the pair.
+    """A merge is decided on bit sets: the merged move, and the new point against the steps between.
 
     Object 0 goes A -> B, others move, then it goes B -> C. Merged, it stands
-    on C while the others move, so each of their steps must clear C. No pair
+    on C while the others move, so C must lie in the window of their steps:
+    clear of each one's destination disc and of both its tunnels. No pair
     with a move of object 0 between them is tried.
     """
 
@@ -599,6 +611,7 @@ class TestMergeShortcut:
         points = [p for a in actions for p in (a.src, a.dst)]
         table = OcclusionTable.shared(scene)
         assert table.covers(points) == (step_check == "shared")
+        assert tried_merges(step_check, scene, actions)  # each answer is the replay's
         out = optimize_plan(Plan(tuple(actions)), scene)
         assert validate_plan(scene, out).valid
         assert list(out.actions) == optimize_by_full_replay(scene, actions)
@@ -709,7 +722,7 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
 
     with pytest.MonkeyPatch.context() as mp:
         if kind == "private":
-            mp.setattr(OcclusionTable, "covers", never_covers)
+            blind_store(mp)
         mp.setattr(planner, "_collapse_runs", collapse_spy)
         mp.setattr(planner, "_sweep_merge", sweep_spy)
         out = optimize_plan(Plan(tuple(actions)), scene)
@@ -720,6 +733,61 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
         assert replay.run(kept, arr, fresh) == (None, None)
         assert trail == fresh + [tuple(arr)]
     assert replay.plan(handed_on[-1][0]) == out
+
+
+def tried_merges(kind, scene, actions) -> list[tuple[bool, bool, bool]]:
+    """Optimise ``actions``, checking every pair ``_merge_pair`` is asked about against the replay.
+
+    On the shared table, or on a private one (``kind``). Each answer must
+    equal ``oracles.merge_by_replay``'s, plan and trail alike. Returns, for
+    each pair, whether it is adjacent, a round trip, and kept.
+    """
+    tried = []
+    merge_pair = planner._merge_pair
+
+    def spy(replay, steps, trail, t, s):
+        got = merge_pair(replay, steps, trail, t, s)
+        assert got == merge_by_replay(replay, steps, trail, t, s), (t, s)
+        tried.append((s == t + 1, steps[t].src == steps[s].dst, got is not None))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "private":
+            blind_store(mp)
+        mp.setattr(planner, "_merge_pair", spy)
+        out = optimize_plan(Plan(tuple(actions)), scene)
+    assert list(out.actions) == optimize_by_full_replay(scene, actions)
+    return tried
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_objects=st.integers(1, 6),
+    steps=st.integers(1, 30),
+    off_grid=st.sampled_from([0.0, 0.3, 1.0]),
+    back=st.sampled_from([0.0, 0.3, 0.7]),
+    width=st.sampled_from([4.0, 1.5]),
+)
+@pytest.mark.parametrize("kind", ["shared", "private"])
+def test_merge_equals_the_replay_merge(kind, seed, n_objects, steps, off_grid, back, width):
+    # Grid and off-grid walks, with round trips in some, on either table; in
+    # tunnels narrower than a disc a destination can block a point no tunnel touches.
+    scene, actions = random_walk_instance(seed, n_objects, steps, off_grid, back, width)
+    tried_merges(kind, scene, actions)
+
+
+@pytest.mark.parametrize("kind", ["shared", "private"])
+def test_replay_merge_check_sees_every_kind_of_pair(kind):
+    # Pairs apart, round trips or not, kept and rejected; adjacent pairs of
+    # both kinds. An adjacent pair always merges: its merged move picks up
+    # and places where the pair's two moves did, among the same objects.
+    seen = set()
+    for seed in range(12):
+        scene, actions = random_walk_instance(seed, 6, 30, off_grid=0.3, back=0.5)
+        seen.update(tried_merges(kind, scene, actions))
+    apart = {(False, round_trip, kept) for round_trip in (False, True) for kept in (False, True)}
+    assert apart | {(True, False, True), (True, True, True)} == seen
 
 
 class TestValidatePlan:

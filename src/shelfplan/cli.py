@@ -115,7 +115,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    rows, _ = run_suite(cfg, out_dir=args.out, progress=progress)
+    try:
+        rows, _ = run_suite(cfg, out_dir=args.out, progress=progress)
+    except SceneGenerationError as exc:
+        raise InputError(f"cannot generate a scene: {exc}") from exc
     header = f"{'level':<8}{'cases':>6}{'succ%':>8}{'steps':>14}{'dist':>16}{'time_s':>8}"
     print(header)
     for r in rows:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -240,21 +239,22 @@ def _merge_pair(
 ) -> tuple[list[_Step], list[Keys]] | None:
     """The plan and trail with consecutive moves ``t`` and ``s`` of one object merged.
 
-    The merged move replaces step ``t`` and step ``s`` is dropped; a merge
-    that puts the object back exactly where it was picked up drops both. The
-    merge is decided without a replay. The steps between move other objects
-    and were valid with the object on ``trail[s][obj]``; with it on its new
-    point ``q = last.dst`` they stay valid iff ``q`` is in their
-    ``_window``: one bit, tested against each step. That test comes first:
-    it costs less than the other, and on the benchmark's replay walks it
-    rejects more pairs. The merged move must then pass ``move_valid`` on
-    ``trail[t]``; a round trip has none. The merged plan then replays to
-    ``trail[s + 1]``: the object goes from ``trail[t][obj]`` to ``q``, and
-    the others as before. So the suffix replays as before and is kept as it
-    is, and between the pair the trail takes the old arrangements with the
-    object on ``q``. The answer equals ``tests/oracles.merge_by_replay``,
-    which replays the merged move and the steps between. Returns None when
-    the merge breaks the plan.
+    The two moves have other steps between them: adjacent ones merge in
+    ``_collapse_runs``, with no check. The merged move replaces step ``t``
+    and step ``s`` is dropped; a merge that puts the object back exactly
+    where it was picked up drops both. The merge is decided without a
+    replay. The steps between move other objects and were valid with the
+    object on ``trail[s][obj]``; with it on its new point ``q = last.dst``
+    they stay valid iff ``q`` is in their ``_window``: one bit, tested
+    against each step. That test comes first: it costs less than the other,
+    and on the benchmark's replay walks it rejects more pairs. The merged
+    move must then pass ``move_valid`` on ``trail[t]``; a round trip has
+    none. The merged plan then replays to ``trail[s + 1]``: the object goes
+    from ``trail[t][obj]`` to ``q``, and the others as before. So the suffix
+    replays as before and is kept as it is, and between the pair the trail
+    takes the old arrangements with the object on ``q``. The answer equals
+    ``tests/oracles.merge_by_replay``, which replays the merged move and the
+    steps between. Returns None when the merge breaks the plan.
     """
     first, last = steps[t], steps[s]
     obj, src, q = first.obj, first.src, last.dst
@@ -270,69 +270,62 @@ def _merge_pair(
     return steps[:t] + head + steps[t + 1 : s] + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
 
 
-def _collapse_runs(
-    replay: _TableReplay, steps: list[_Step], trail: list[Keys]
-) -> tuple[list[_Step], list[Keys]]:
-    """Merge one object's moves in adjacent steps, scanning left to right.
+def _collapse_runs(steps: list[_Step], trail: list[Keys]) -> tuple[list[_Step], list[Keys]]:
+    """Merge one object's moves in adjacent steps, in one left-to-right stack pass.
 
-    Each adjacent pair goes to ``_merge_pair``. A merged move may merge with
-    the next step, and after a merge that drops both moves the scan steps back
-    one place, since the steps on either side are now adjacent.
+    A step that moves the object of the last kept step merges into it: the
+    kept step takes the step's destination, or, when that is where the kept
+    step picked the object up, both go and the steps on either side become
+    adjacent. No merge needs a check: the merged move picks up where the
+    first move did and places where the second did, among the same other
+    objects, with no step between them for ``_window`` to test. A kept step
+    starts from the arrangement it did, so the trail keeps the input
+    entries of the kept steps and the end.
     """
-    k = 0
-    while k + 1 < len(steps):
-        merged = None
-        if steps[k].obj == steps[k + 1].obj:
-            merged = _merge_pair(replay, steps, trail, k, k + 1)
-        if merged is None:
-            k += 1
-            continue
-        if len(merged[0]) == len(steps) - 2:  # both moves dropped
-            k = max(k - 1, 0)
-        steps, trail = merged
-    return steps, trail
+    kept: list[_Step] = []
+    before: list[Keys] = []
+    for step, arr in zip(steps, trail):
+        if not kept or kept[-1].obj != step.obj:
+            kept.append(step)
+            before.append(arr)
+        elif kept[-1].src == step.dst:
+            kept.pop()
+            before.pop()
+        else:
+            kept[-1] = kept[-1]._replace(dst=step.dst)
+    return kept, before + trail[-1:]
 
 
 def _sweep_merge(
     replay: _TableReplay, steps: list[_Step], trail: list[Keys]
-) -> tuple[list[_Step], list[Keys], bool]:
+) -> tuple[list[_Step], list[Keys]]:
     """At most one merge per object, of two consecutive moves that are not adjacent steps.
 
-    Each object's pairs of consecutive moves are tried left to right (see
-    ``_merge_pair``), so the steps between a pair move only other objects.
-    Every object's move indices are collected in one pass over the steps. A
-    merge drops moves of its own object only, so a later object's index
-    falls by the number of dropped moves before it.
+    Objects go in order, and each one's pairs of consecutive moves are tried
+    left to right (see ``_merge_pair``) on its move indices in the current
+    steps, so the steps between a pair move only other objects.
     """
-    moves: dict[ObjectId, list[int]] = {}
-    for i, step in enumerate(steps):
-        moves.setdefault(step.obj, []).append(i)
-    gone: list[int] = []  # the input indices of dropped moves, in order
-    for obj in sorted(moves):
-        indices = moves[obj]
-        now = [i - bisect_left(gone, i) for i in indices] if gone else indices
-        for j in range(len(now) - 1):
-            t, s = now[j], now[j + 1]
-            if s == t + 1:
-                continue  # adjacent pairs belong to the collapse pass
-            merged = _merge_pair(replay, steps, trail, t, s)
+    for obj in sorted({step.obj for step in steps}):
+        moves = [i for i, step in enumerate(steps) if step.obj == obj]
+        for t, s in zip(moves, moves[1:]):
+            merged = None if s == t + 1 else _merge_pair(replay, steps, trail, t, s)
             if merged is not None:
-                first = j if len(merged[0]) == len(steps) - 2 else j + 1  # round trip: both
-                gone = sorted(gone + indices[first : j + 2])
                 steps, trail = merged
                 break
-    return steps, trail, bool(gone)
+    return steps, trail
 
 
 def _shorten(
     replay: _TableReplay, steps: list[_Step], trail: list[Keys]
 ) -> tuple[list[_Step], list[Keys]]:
-    """``optimize_plan``'s merges on steps that replay and their trail, to a fixpoint."""
+    """``optimize_plan``'s merges on steps that replay and their trail, to a fixpoint.
+
+    Every merge drops a step, so a round that drops none ends it.
+    """
     while True:
         n = len(steps)
-        steps, trail = _collapse_runs(replay, steps, trail)
-        steps, trail, swept = _sweep_merge(replay, steps, trail)
-        if not (swept or len(steps) < n):
+        steps, trail = _sweep_merge(replay, *_collapse_runs(steps, trail))
+        if len(steps) == n:
             return steps, trail
 
 
@@ -341,18 +334,20 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
 
     Merges two consecutive moves of one object whenever the merged move and
     the other objects' steps between them replay to the arrangement the
-    plan had after the second move (see ``_merge_pair``): first every pair in
-    adjacent steps, then pairs with other steps between them, iterating both
-    passes to a fixpoint (``_shorten``). Never increases the step count or the
-    total displacement. Raises ``InvalidPlanError``, with the step and reason
-    ``validate_plan`` reports, when the input plan does not replay.
+    plan had after the second move: first every pair in adjacent steps
+    (``_collapse_runs``), then pairs with other steps between them
+    (``_sweep_merge``), iterating both passes to a fixpoint (``_shorten``).
+    Never increases the step count or the total displacement. Raises
+    ``InvalidPlanError``, with the step and reason ``validate_plan``
+    reports, when the input plan does not replay.
 
     The plan is replayed once, in the indices of its table (``_plan_replay``),
     and its trail of arrangements is then kept up to date through every
-    merge. A merge replays nothing: ``_merge_pair`` decides it on bit sets
-    of the table and rebuilds the trail only for a merge it keeps. Each
-    point is looked up in the table once, and the output's points are the
-    table's: Points of floats, each equal to the input's.
+    merge. A merge replays nothing: an adjacent pair always merges, and
+    ``_merge_pair`` decides the others on bit sets of the table and
+    rebuilds the trail only for a merge it keeps. Each point is looked up
+    in the table once, and the output's points are the table's: Points of
+    floats, each equal to the input's.
     """
     replay, steps = _plan_replay(scene, plan)
     return replay.plan(_shorten(replay, steps, replay.trail(steps))[0])

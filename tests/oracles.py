@@ -301,6 +301,28 @@ def merge_by_replay(replay, steps: list, trail: list, t: int, s: int) -> tuple[l
     return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
 
 
+def collapse_by_replay(replay, steps: list, trail: list) -> tuple[list, list]:
+    """``planner._collapse_runs`` as a scan of adjacent pairs, each merged by ``merge_by_replay``.
+
+    Scans left to right. A pair of one object's moves in adjacent steps is
+    merged when its replay succeeds, and the merged move may merge with the
+    next step; after a merge that drops both moves the scan steps back one
+    place, since the steps on either side are now adjacent.
+    """
+    k = 0
+    while k + 1 < len(steps):
+        merged = None
+        if steps[k].obj == steps[k + 1].obj:
+            merged = merge_by_replay(replay, steps, trail, k, k + 1)
+        if merged is None:
+            k += 1
+            continue
+        if len(merged[0]) == len(steps) - 2:  # both moves dropped
+            k = max(k - 1, 0)
+        steps, trail = merged
+    return steps, trail
+
+
 def optimize_by_full_replay(scene: Scene, actions) -> list[Action]:
     """The optimiser's merge rule, each candidate replayed in full (see ``_merged``).
 

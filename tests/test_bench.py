@@ -414,6 +414,7 @@ class TestCli:
             ("gen --objects 0", "need at least one object"),
             ("gen --objects 40", "could not place 40 objects"),
             ("bench --grid-res 0", "grid resolution must be positive"),
+            ("bench --difficulty hard --cases 1 --grid-res 18", "could not place 7 objects"),
         ],
     )
     def test_unusable_generation_setting_is_input_error(self, tmp_path, capsys, argv, message):

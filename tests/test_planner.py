@@ -26,7 +26,7 @@ from shelfplan import (
 from shelfplan.geometry import Disc, discs_overlap, tunnel_intersects_disc
 from shelfplan.motion import home_tunnel
 from shelfplan import planner
-from shelfplan.occlusion import OcclusionTable
+from shelfplan.occlusion import OcclusionTable, occupancy
 from shelfplan.planner import retarget_buffers
 from shelfplan.topology import build_dependency_graph
 
@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from json_fuzz import hostile_edits
 from oracles import (
+    collapse_by_replay,
     merge_by_replay,
     optimize_by_full_replay,
     random_walk_instance,
@@ -708,16 +709,15 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
     used = []  # the optimiser's replay
     collapse_runs, sweep_merge = planner._collapse_runs, planner._sweep_merge
 
-    def collapse_spy(replay, steps, trail):
-        used.append(replay)
-        out = collapse_runs(replay, steps, trail)
+    def collapse_spy(steps, trail):
+        out = collapse_runs(steps, trail)
         handed_on.append(out)
         return out
 
     def sweep_spy(replay, steps, trail):
         used.append(replay)
         out = sweep_merge(replay, steps, trail)
-        handed_on.append(out[:2])
+        handed_on.append(out)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -779,15 +779,72 @@ def test_merge_equals_the_replay_merge(kind, seed, n_objects, steps, off_grid, b
 
 @pytest.mark.parametrize("kind", ["shared", "private"])
 def test_replay_merge_check_sees_every_kind_of_pair(kind):
-    # Pairs apart, round trips or not, kept and rejected; adjacent pairs of
-    # both kinds. An adjacent pair always merges: its merged move picks up
-    # and places where the pair's two moves did, among the same objects.
+    # Pairs apart, round trips or not, kept and rejected. Adjacent pairs
+    # never reach the check: they merge in the collapse pass.
     seen = set()
     for seed in range(12):
         scene, actions = random_walk_instance(seed, 6, 30, off_grid=0.3, back=0.5)
         seen.update(tried_merges(kind, scene, actions))
     apart = {(False, round_trip, kept) for round_trip in (False, True) for kept in (False, True)}
-    assert apart | {(True, False, True), (True, True, True)} == seen
+    assert apart == seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_objects=st.integers(1, 6),
+    steps=st.integers(1, 30),
+    off_grid=st.sampled_from([0.0, 0.3, 1.0]),
+    back=st.sampled_from([0.0, 0.3, 0.7]),
+    width=st.sampled_from([4.0, 1.0, 0.5]),
+)
+def test_collapse_equals_the_replay_scan(seed, n_objects, steps, off_grid, back, width):
+    # The stack pass checks no pair; the scan replays each adjacent pair and
+    # steps back after a round trip. They agree, steps and trail alike, and
+    # the scan leaves no adjacent pair unmerged.
+    scene, actions = random_walk_instance(seed, n_objects, steps, off_grid, back, width)
+    replay, table_steps = planner._plan_replay(scene, Plan(tuple(actions)))
+    trail = replay.trail(table_steps)
+    scanned = collapse_by_replay(replay, table_steps, trail)
+    assert planner._collapse_runs(table_steps, trail) == scanned
+    kept = scanned[0]
+    assert all(a.obj != b.obj for a, b in zip(kept, kept[1:]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_objects=st.integers(2, 6),
+    steps=st.integers(2, 20),
+    off_grid=st.sampled_from([0.0, 0.3]),
+    width=st.sampled_from([1.0, 0.5]),
+)
+def test_window_equals_move_valid_step_by_step(seed, n_objects, steps, off_grid, width):
+    # In tunnels narrower than a disc an object can park beside a step's
+    # destination, touching neither tunnel: only the destination disc term
+    # of the window keeps that point out.
+    scene, actions = random_walk_instance(seed, n_objects, steps, off_grid, 0.0, width)
+    replay, table_steps = planner._plan_replay(scene, Plan(tuple(actions)))
+    table, trail = replay.table, replay.trail(table_steps)
+    full = (1 << table.n_candidates) - 1
+
+    def allowed(m: int, obj: int) -> int:
+        """The candidates where ``obj`` may stand while step ``m`` moves another object."""
+        step = table_steps[m]
+        others = occupancy(trail[m]) & ~(1 << trail[m][obj] | 1 << step.src)
+        bits = 0
+        for q in range(table.n_candidates):
+            if table.move_valid(others | 1 << q, step.src, step.dst):
+                bits |= 1 << q
+        return bits
+
+    for k, first in enumerate(table_steps):
+        ok = full
+        for n in range(k + 1, len(table_steps)):
+            if table_steps[n].obj == first.obj:
+                break
+            ok &= allowed(n, first.obj)
+            assert planner._window(table, table_steps, k, n + 1, full) == ok, (k, n)
 
 
 class TestValidatePlan:

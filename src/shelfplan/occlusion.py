@@ -178,11 +178,6 @@ class OcclusionTable:
         """Index vector of an arrangement."""
         return [self.index_of(p) for p in arrangement]
 
-    def candidate_mask(self, bits: int) -> np.ndarray:
-        """Bool array over the candidates of a bit set."""
-        raw = np.frombuffer(bits.to_bytes((self.n_candidates + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, count=self.n_candidates, bitorder="little").view(bool)
-
     def row(self, t: int) -> int:
         """Point discs that the home tunnel to point ``t`` touches."""
         hits = self._rows[t]

@@ -14,7 +14,7 @@ from .geometry import Disc, Point, disc_in_workspace, distance
 from .mcts import SearchBudget, StageContext, StageExhausted, StageIterationLimit
 from .mcts import StageTimeout, require_budget, solve_stage
 from .motion import Action, action_valid
-from .occlusion import OcclusionTable, occupancy, other_points
+from .occlusion import OcclusionTable, occupancy, other_points, to_bits
 from .scene import ObjectId, Scene, list_from_json, point_from_json, require_int
 from .topology import CycleError, build_dependency_graph, stage_order
 
@@ -59,6 +59,8 @@ _LEAVES = "destination leaves the workspace"
 _COLLIDES = "relocation is not collision-free"
 
 Keys = tuple[int, ...]  # an arrangement: the table index of every object
+# (src, buffer point, dst) -> the shorter candidates, their detours and the buffer point's
+Detours = dict[tuple[int, int, int], tuple[int, np.ndarray, float]]
 
 
 class _Step(NamedTuple):
@@ -354,26 +356,36 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
 
 
 def _retarget_step(
-    table: OcclusionTable, steps: list[_Step], trail: list[Keys], k: int, n: int
+    table: OcclusionTable, steps: list[_Step], trail: list[Keys], k: int, n: int, detours: Detours
 ) -> int | None:
     """The candidate to re-target buffer step ``k`` to, or None to keep its point.
 
     Step ``k`` puts its object on a buffer point and step ``n`` is the
-    object's next move. A candidate ``b`` may take the buffer point's place
-    when the plan with ``src_k→b`` and ``b→dst_n`` still replays: ``b``'s disc
-    and placing sweep clear every other object at step ``k`` (``free``); ``b``
-    is in the ``_window`` of the steps in between, the rule ``_merge_pair``
-    applies to its new point; and its pick-up tunnel from ``b`` is clear at
-    step ``n``. The others stand still in between, so these bit-set tests
-    are the whole replay, and the first one that leaves no candidate ends it
-    (``_window`` stops within the steps). Of the valid
-    candidates, the one with the least detour ``d(src_k, b) + d(b, dst_n)``
-    is taken, ties to the lower index, if that detour is shorter than the
-    buffer point's.
+    object's next move. A candidate ``b`` other than ``src_k`` and ``dst_n``
+    whose detour ``d(src_k, b) + d(b, dst_n)`` is shorter than the buffer
+    point's may take its place when the plan with ``src_k→b`` and ``b→dst_n``
+    still replays: ``b``'s disc and placing sweep clear every other object at
+    step ``k`` (``free``); ``b`` is in the ``_window`` of the steps in
+    between, the rule ``_merge_pair`` applies to its new point; and its
+    pick-up tunnel from ``b`` is clear at step ``n``. The others stand still
+    in between, so these bit-set tests are the whole replay, and the first
+    one that leaves no candidate ends it (``_window`` stops within the
+    steps). The shorter candidates and their detours depend only on the
+    three points, so ``detours`` keeps them for every scan of a ``_retarget``
+    pass. Of the valid candidates, an ascending scan of the bits takes the
+    least detour, moving only to a strictly shorter one: ties go to the
+    lower index.
     """
     first, then = steps[k], steps[n]
-    obj, src, dst = first.obj, first.src, then.dst
-    ok = (1 << table.n_candidates) - 1 & ~(1 << src | 1 << dst)
+    obj, src, via, dst = first.obj, first.src, first.dst, then.dst
+    entry = detours.get((src, via, dst))
+    if entry is None:
+        detour = table.reach(src) + table.reach(dst)
+        at = table.points
+        current = distance(at[src], at[via]) + distance(at[via], at[dst])
+        shorter = to_bits(detour < current) & ~(1 << src | 1 << dst)
+        entry = detours[src, via, dst] = (shorter, detour, current)
+    ok, detour, best = entry
     for p in other_points(trail[k], obj):
         ok &= table.free(p)
     if not ok:
@@ -383,43 +395,40 @@ def _retarget_step(
         return None
     for p in other_points(trail[n], obj):
         ok &= table.clear(p)
-    if not ok:
-        return None
-    detour = table.reach(src) + table.reach(dst)
-    b = int(np.where(table.candidate_mask(ok), detour, np.inf).argmin())
-    via = table.points[first.dst]
-    current = distance(table.points[src], via) + distance(via, table.points[dst])
-    return b if detour[b] < current else None
+    b = None
+    while ok:
+        c = (ok & -ok).bit_length() - 1
+        if detour[c] < best:
+            b, best = c, detour[c]
+        ok &= ok - 1
+    return b
 
 
 def _retarget(table: OcclusionTable, steps: list[_Step], trail: list[Keys]) -> None:
-    """``retarget_buffers``' scans on table steps that replay and their trail, in place."""
+    """``retarget_buffers``' scans on table steps that replay and their trail, in place.
+
+    Every scan tests every pair in order, and the scans repeat until one
+    re-targets nothing. One ``detours`` memo serves all of them.
+    """
     following: dict[int, int] = {}  # buffer step -> the same object's next step
     last: dict[ObjectId, int] = {}
     for n, step in enumerate(steps):
         if step.obj in last:
             following[last[step.obj]] = n
         last[step.obj] = n
-    pairs = sorted(following.items())
-    stale = [True] * len(pairs)
-    while any(stale):
-        for i, (k, n) in enumerate(pairs):
-            if not stale[i]:
-                continue
-            stale[i] = False
-            b = _retarget_step(table, steps, trail, k, n)
+    detours: Detours = {}
+    changed = True
+    while changed:
+        changed = False
+        for k, n in sorted(following.items()):
+            b = _retarget_step(table, steps, trail, k, n, detours)
             if b is None:
                 continue
             obj = steps[k].obj
             steps[k], steps[n] = steps[k]._replace(dst=b), steps[n]._replace(src=b)
             for m in range(k + 1, n + 1):
                 trail[m] = trail[m][:obj] + (b,) + trail[m][obj + 1 :]
-            # Pair (k2, n2) reads steps k2 to n2 and the trail at k2 and n2, so
-            # only a re-target whose window overlaps its own can change its
-            # answer. Pair i itself would now keep b: its detour is no shorter.
-            for j, (k2, n2) in enumerate(pairs):
-                if j != i and k2 <= n and k <= n2:
-                    stale[j] = True
+            changed = True
 
 
 def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
@@ -428,20 +437,12 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     A buffer step puts an object down where it does not stay: the object
     moves again later. ``new_region`` picks buffer points near where the
     object stands, not on the way to where it goes next, so the detour
-    through a buffer point can often be shortened. Buffer steps are scanned
-    in order and each is re-targeted as ``_retarget_step`` decides, and the
-    scan repeats until nothing changes (``_retarget``). The plan keeps its
-    steps and its final arrangement, and its displacement only shrinks.
-
-    A buffer step ``k`` and the object's next step ``n`` form a pair whose
-    answer depends only on steps ``k`` to ``n``, so each pair carries a stale
-    flag. A scan tests only stale pairs and clears their flags; a re-target
-    of ``(k', n')`` sets the flags of the other pairs whose window ``[k, n]``
-    overlaps ``[k', n']``. The scans end once no pair is stale. A pair that
-    is not stale would keep its point: its window is as it was when it last
-    kept it, or when it was re-targeted to the least detour. So the scans
-    skip only tests that a full rescan would answer with None, and they
-    re-target as it would.
+    through a buffer point can often be shortened. Each scan tests every
+    buffer step in order and re-targets it as ``_retarget_step`` decides,
+    and the scans repeat until one re-targets nothing (``_retarget``). The
+    plan keeps its steps and its final arrangement, and its displacement
+    only shrinks. A step's shorter candidates and their detours are worked
+    out once per ``(src, buffer point, dst)`` for all the scans.
 
     The plan is replayed once, in the indices of its table (``_plan_replay``),
     into a trail of arrangements as in ``optimize_plan``. A

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Disc, discs_overlap, tunnel_intersects_disc
+from .geometry import Disc, tunnel_intersects_disc
 from .motion import home_tunnel
 from .scene import ObjectId, Scene
 
@@ -36,7 +36,7 @@ def build_dependency_graph(scene: Scene) -> DependencyGraph:
     """Pairwise goal-blocking relations, evaluated with all other objects ignored.
 
     Object ``i`` blocks object ``j`` when ``i``'s goal disc touches ``j``'s
-    goal placing tunnel or overlaps ``j``'s goal disc.
+    goal placing tunnel. Goal discs never overlap: ``Scene`` rejects them.
     """
     n = scene.n_objects
     b = scene.object_radius
@@ -47,9 +47,7 @@ def build_dependency_graph(scene: Scene) -> DependencyGraph:
         for j in range(n):
             if i == j:
                 continue
-            if tunnel_intersects_disc(place_tunnels[j], goal_discs[i]) or discs_overlap(
-                goal_discs[i], goal_discs[j]
-            ):
+            if tunnel_intersects_disc(place_tunnels[j], goal_discs[i]):
                 edges.add((j, i))
     return DependencyGraph(n=n, edges=frozenset(edges))
 

@@ -145,7 +145,9 @@ class TestPoints:
     def test_bits_round_trip(self, table):
         rng = np.random.default_rng(5)
         mask = rng.random(table.n_candidates) < 0.3
-        assert np.array_equal(table.candidate_mask(to_bits(mask)), mask)
+        bits = to_bits(mask)
+        set_bits = [k for k in range(bits.bit_length()) if bits >> k & 1]
+        assert set_bits == np.flatnonzero(mask).tolist()
         assert to_bits(np.zeros(0, dtype=bool)) == 0
 
     def test_integer_points_read_as_floats(self):
@@ -735,29 +737,57 @@ def recording(real, calls):
 
 
 def test_no_candidate_selection_on_an_empty_bit_set(monkeypatch):
-    # Buffer choice returns before it reads a ``ranked`` entry, and
-    # re-targeting before any array work, once no candidate is left.
-    # ``new_region`` returns [] exactly then, which these scenes make it do;
-    # ``candidate_mask`` is re-targeting's alone, at most once a step.
-    picked, masks, found, retargets = [], [], [], []
-    closest, candidate_mask = OcclusionTable.closest, OcclusionTable.candidate_mask
+    # Buffer choice returns before it reads a ``ranked`` entry once no
+    # candidate is left. ``new_region`` returns [] exactly then, which these
+    # scenes make it do.
+    picked, found = [], []
+    closest = OcclusionTable.closest
 
     def closest_spy(self, j, ok, count):
         picked.append(ok)
         return closest(self, j, ok, count)
 
-    def mask_spy(self, bits):
-        masks.append(bits)
-        return candidate_mask(self, bits)
-
     monkeypatch.setattr(OcclusionTable, "closest", closest_spy)
-    monkeypatch.setattr(OcclusionTable, "candidate_mask", mask_spy)
     monkeypatch.setattr(mcts, "new_region", recording(mcts.new_region, found))
-    monkeypatch.setattr(planner, "_retarget_step", recording(planner._retarget_step, retargets))
     hard_plans(HARD_SEEDS)
     assert picked and all(picked) and [] in found
     assert len(picked) == len(found) - found.count([])
-    assert masks and all(masks) and len(masks) <= len(retargets)
+
+
+def test_retargeting_builds_each_detour_bit_set_once_a_pass(monkeypatch):
+    # Re-targeting turns one bool array into a bit set per (src, buffer
+    # point, dst) of a ``_retarget`` pass, however often its scans test the
+    # pair, and builds no bool array from a bit set.
+    passes, testing = [], []
+    retarget, retarget_step, bits = planner._retarget, planner._retarget_step, planner.to_bits
+
+    def retarget_spy(*args):
+        passes.append([])
+        return retarget(*args)
+
+    def step_spy(table, steps, trail, k, n, detours):
+        testing.append((steps[k].src, steps[k].dst, steps[n].dst))
+        try:
+            return retarget_step(table, steps, trail, k, n, detours)
+        finally:
+            testing.pop()
+
+    def bits_spy(mask):
+        assert mask.dtype == bool and len(testing) == 1
+        passes[-1].append(testing[0])
+        return bits(mask)
+
+    def unpack_spy(*args, **kwargs):
+        raise AssertionError("a bit set was unpacked into an array")
+
+    monkeypatch.setattr(planner, "_retarget", retarget_spy)
+    monkeypatch.setattr(planner, "_retarget_step", step_spy)
+    monkeypatch.setattr(planner, "to_bits", bits_spy)
+    monkeypatch.setattr(np, "unpackbits", unpack_spy)
+    hard_plans(HARD_SEEDS)
+    assert len(passes) == len(HARD_SEEDS) and any(passes)
+    assert all(len(built) == len(set(built)) for built in passes)
+    assert not hasattr(OcclusionTable, "candidate_mask")
 
 
 def hard_plans(seeds):

@@ -460,17 +460,16 @@ class TestRetargetBuffers:
         assert validate_plan(scene, raw).valid
         check_retarget(scene, raw)
 
-    def test_stale_pairs_make_fewer_tests_than_a_full_rescan(self, monkeypatch):
-        # A full rescan tests every buffer step in every scan, as the oracle does.
+    def test_every_scan_tests_every_buffer_step(self, monkeypatch):
+        # As the oracle does: each scan tests every pair, until one re-targets nothing.
         calls = []
         real = planner._retarget_step
 
         def counted(*args):
-            calls.append(args[3:])  # the pair (k, n)
+            calls.append(args[3:5])  # the pair (k, n)
             return real(*args)
 
         monkeypatch.setattr(planner, "_retarget_step", counted)
-        made = rescan = 0
         for _, seed, n_objects, grid in golden_cases():
             scene = generate_scene(
                 SceneConfig(n_objects=n_objects, rng_seed=seed, grid_resolution=grid)
@@ -480,10 +479,7 @@ class TestRetargetBuffers:
             expected = retarget_by_full_replay(scene, raw.actions, counts)
             calls.clear()
             assert list(retarget_buffers(raw, scene).actions) == expected
-            assert counts["pairs"] <= len(calls) <= counts["pairs"] * counts["scans"]
-            made += len(calls)
-            rescan += counts["pairs"] * counts["scans"]
-        assert made < rescan
+            assert len(calls) == counts["pairs"] * counts["scans"]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n_objects=st.integers(1, 5), steps=st.integers(1, 24))

@@ -1,8 +1,10 @@
 import pytest
 
 from shelfplan import Point, SceneConfig, generate_scene, make_scene
+from shelfplan.bench import LEVEL_OBJECT_COUNTS
 from shelfplan.geometry import Disc, tunnel_intersects_disc
 from shelfplan.motion import home_tunnel
+from shelfplan.occlusion import OcclusionTable
 from shelfplan.topology import CycleError, DependencyGraph, build_dependency_graph, stage_order
 
 
@@ -32,6 +34,27 @@ class TestDependencyGraph:
             scene = generate_scene(SceneConfig(n_objects=6, rng_seed=seed))
             g = build_dependency_graph(scene)
             assert all(u != v for u, v in g.edges)
+
+    @pytest.mark.parametrize("grid", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "n_objects", sorted({n for counts in LEVEL_OBJECT_COUNTS.values() for n in counts})
+    )
+    def test_edges_are_the_goal_tunnel_rows(self, n_objects, grid):
+        # Object i blocks j exactly when the home tunnel to j's goal touches
+        # i's goal disc: bit goal_i of the table's row(goal_j).
+        for seed in range(10):
+            scene = generate_scene(
+                SceneConfig(n_objects=n_objects, rng_seed=seed, grid_resolution=grid)
+            )
+            table = OcclusionTable(scene)
+            goal = table.indices(scene.goal)
+            expected = {
+                (j, i)
+                for j in range(n_objects)
+                for i in range(n_objects)
+                if i != j and table.row(goal[j]) >> goal[i] & 1
+            }
+            assert build_dependency_graph(scene).edges == expected
 
     def test_self_edge_rejected_by_type(self):
         with pytest.raises(ValueError):

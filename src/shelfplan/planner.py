@@ -1,5 +1,12 @@
 """Multi-stage planning: one tree search per object in topology order, then
-plan optimization, buffer re-targeting and an independent replay validator."""
+plan optimization, buffer re-targeting and an independent replay validator.
+
+Each job has its own replay loop. ``validate_plan`` replays a plan's
+``Action``s on the float geometry. The optimiser and the re-targeter replay
+table steps once into a trail of arrangements (``_table_steps``, ``_trail``)
+and build their output with ``_as_plan``. The two loops share only the
+pick-up check (``_pick_error``) and the reasons they give.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Disc, Point, disc_in_workspace, distance
+from .geometry import Disc, disc_in_workspace, distance
 from .mcts import SearchBudget, StageContext, StageExhausted, StageIterationLimit
 from .mcts import StageTimeout, require_budget, solve_stage
 from .motion import Action, action_valid
@@ -71,122 +78,41 @@ class _Step(NamedTuple):
     dst: int | None
 
 
-class _Replay:
-    """Replays of a plan's steps on an arrangement.
+def _pick_error(arr: Sequence, step: _Step | Action) -> str | None:
+    """Why ``step`` cannot pick its object up in arrangement ``arr``, or None when it can.
 
-    A subclass says why a step cannot be applied (``check``). ``run`` asks
-    ``check`` only about the step it applies next, after ``begin`` on the
-    arrangement it starts from, so a subclass may follow the arrangement
-    through these two calls.
+    The object must be known and stand exactly on the step's pick-up point.
     """
-
-    def begin(self, arr: Sequence) -> None:
-        """A run starts from ``arr``."""
-
-    def check(self, arr: Sequence, step: _Step | Action) -> str | None:
-        """Why ``step`` cannot be applied to ``arr``, or None when ``run`` applies it."""
-        raise NotImplementedError
-
-    def run(
-        self, steps: Sequence[_Step | Action], arr: list, trail: list[tuple] | None = None
-    ) -> tuple[int | None, str | None]:
-        """Replay ``steps`` on ``arr``, the point of every object, in place.
-
-        Each step must name a known object and pick it up at its current
-        point, and then pass ``check``. Returns ``(failed_step,
-        reason)``, both None when every step applied. With ``trail``, appends
-        the arrangement before each applied step.
-        """
-        n = len(arr)
-        self.begin(arr)
-        for k, step in enumerate(steps):
-            obj = step.obj
-            if not 0 <= obj < n:
-                return k, f"unknown object {obj}"
-            if arr[obj] != step.src:
-                return k, "pick location does not match the object's current region"
-            reason = self.check(arr, step)
-            if reason is not None:
-                return k, reason
-            if trail is not None:
-                trail.append(tuple(arr))
-            arr[obj] = step.dst
-        return None, None
+    if not 0 <= step.obj < len(arr):
+        return f"unknown object {step.obj}"
+    if arr[step.obj] != step.src:
+        return "pick location does not match the object's current region"
+    return None
 
 
-class _FloatReplay(_Replay):
-    """Steps checked on the float geometry: the validator's check, independent of the table.
+def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
+    """Independent float replay of the plan's own Points: every step valid and the goal reached.
 
-    An arrangement is a list of Points, and a plan's ``Action``s are replayed
-    as its steps.
+    The only replay off the occlusion table: each ``Action`` must pick its
+    object up where it stands and pass ``action_valid`` on the arrangement
+    it is applied to. It shares no loop with the optimiser's ``_trail``.
     """
-
-    def __init__(self, scene: Scene) -> None:
-        self.scene = scene
-
-    def check(self, arr: Sequence[Point], step: Action) -> str | None:
-        scene = self.scene
-        if action_valid(scene, arr, step):  # a step never has src == dst
-            return None
-        inside = disc_in_workspace(Disc(step.dst, scene.object_radius), scene.workspace)
-        return _COLLIDES if inside else _LEAVES
-
-
-class _TableReplay(_Replay):
-    """Steps looked up in an occlusion table that indexes the plan's points on the floor.
-
-    The optimiser's one replay (see ``_plan_replay``). A point's key is its
-    table index. A plan point the table lacks has the key None: its disc
-    leaves the workspace, so no object stands there and a pick-up there does
-    not match, and a step placing an object there leaves the workspace. A
-    table point's disc lies in the workspace, so any other rejected step
-    collides, as ``validate_plan`` says of it. The replay keeps the bit set of
-    the points the objects stand on as it applies steps: a step clears its
-    pick-up bit and sets its destination bit. No other object stands on the
-    destination, since ``far(dst)`` lacks ``dst``.
-    """
-
-    def __init__(self, scene: Scene, table: OcclusionTable) -> None:
-        self.table = table
-        self.start: Keys = tuple(map(table.index_of, scene.start))
-        self.occupied = 0
-
-    def begin(self, arr: Sequence[int]) -> None:
-        self.occupied = occupancy(arr)
-
-    def check(self, arr: Sequence[int], step: _Step) -> str | None:
-        if step.dst is None:
-            return _LEAVES
-        others = self.occupied & ~(1 << step.src)
-        if not self.table.move_valid(others, step.src, step.dst):
-            return _COLLIDES
-        self.occupied = others | 1 << step.dst
-        return None
-
-    def steps(self, actions: Sequence[Action]) -> list[_Step]:
-        key = self.table.get
-        return [_Step(a.obj, key(a.src), key(a.dst)) for a in actions]
-
-    def plan(self, steps: Sequence[_Step]) -> Plan:
-        """The plan of ``steps``: the one place that builds output ``Action`` objects."""
-        point = self.table.points
-        return Plan(tuple(Action(step.obj, point[step.src], point[step.dst]) for step in steps))
-
-    def trail(self, steps: Sequence[_Step]) -> list[Keys]:
-        """The trail of ``steps``: the arrangement before each step, then the final one.
-
-        Raises ``InvalidPlanError`` when the steps do not replay.
-        """
-        arr, trail = list(self.start), []
-        failed, reason = self.run(steps, arr, trail)
-        if failed is not None:
-            raise InvalidPlanError(f"input plan invalid at step {failed}: {reason}")
-        trail.append(tuple(arr))
-        return trail
+    arr = list(scene.start)
+    for k, step in enumerate(plan.actions):
+        reason = _pick_error(arr, step)
+        if reason is None and not action_valid(scene, arr, step):  # a step never has src == dst
+            inside = disc_in_workspace(Disc(step.dst, scene.object_radius), scene.workspace)
+            reason = _COLLIDES if inside else _LEAVES
+        if reason is not None:
+            return PlanCheck(False, k, reason)
+        arr[step.obj] = step.dst
+    if arr != list(scene.goal):
+        return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
+    return PlanCheck(True)
 
 
-def _plan_replay(scene: Scene, plan: Plan) -> tuple[_TableReplay, list[_Step]]:
-    """A replay on a table that indexes every point of ``plan`` on the floor, and the plan's steps.
+def _table_steps(scene: Scene, plan: Plan) -> tuple[OcclusionTable, list[_Step]]:
+    """A table that indexes every point of ``plan`` on the floor, and the plan's steps in it.
 
     Each point is looked up once in ``OcclusionTable.shared(scene)``, which
     has every point of a plan ``plan()`` returns. When it lacks one, the
@@ -195,28 +121,56 @@ def _plan_replay(scene: Scene, plan: Plan) -> tuple[_TableReplay, list[_Step]]:
     was. The two number the candidates alike and agree on every entry, so
     the optimiser's output does not depend on what the store held.
     """
-    replay = _TableReplay(scene, OcclusionTable.shared(scene))
-    steps = replay.steps(plan.actions)
+
+    def steps_in(table: OcclusionTable) -> list[_Step]:
+        key = table.get
+        return [_Step(a.obj, key(a.src), key(a.dst)) for a in plan.actions]
+
+    table = OcclusionTable.shared(scene)
+    steps = steps_in(table)
     if any(step.src is None or step.dst is None for step in steps):
-        points = [p for a in plan.actions for p in (a.src, a.dst)]
-        replay = _TableReplay(scene, OcclusionTable(scene, points))
-        steps = replay.steps(plan.actions)
-    return replay, steps
+        table = OcclusionTable(scene, [p for a in plan.actions for p in (a.src, a.dst)])
+        steps = steps_in(table)
+    return table, steps
 
 
-def validate_plan(scene: Scene, plan: Plan) -> PlanCheck:
-    """Independent float replay of the plan's own Points: every step valid and the goal reached.
+def _trail(table: OcclusionTable, start: Keys, steps: Sequence[_Step]) -> list[Keys]:
+    """The trail of ``steps`` from ``start``: the arrangement before each step, then the final one.
 
-    The only replay off the occlusion table: the plan's ``Action``s are
-    replayed as its steps, with no ``_Step`` built for them.
+    The optimiser's one replay, in table indices. A plan point the table
+    lacks has the key None (see ``_table_steps``): its disc leaves the
+    workspace, so no object stands there and a pick-up there does not match,
+    and a step placing an object there leaves the workspace. A table point's
+    disc lies in the workspace, so any other rejected step collides, as
+    ``validate_plan`` says of it. The replay keeps the bit set of the points
+    the objects stand on: a step clears its pick-up bit and sets its
+    destination bit. No other object stands on the destination, since
+    ``far(dst)`` lacks ``dst``. Raises ``InvalidPlanError``, with the step
+    and reason ``validate_plan`` reports, when the steps do not replay.
     """
-    arr = list(scene.start)
-    step, reason = _FloatReplay(scene).run(plan.actions, arr)
-    if step is not None:
-        return PlanCheck(False, step, reason)
-    if arr != list(scene.goal):
-        return PlanCheck(False, len(plan.actions), "terminal arrangement misses the goal")
-    return PlanCheck(True)
+    arr, trail = list(start), []
+    occupied = occupancy(arr)
+    for k, step in enumerate(steps):
+        reason = _pick_error(arr, step)
+        if reason is None:
+            others = occupied & ~(1 << step.src)
+            if step.dst is None:
+                reason = _LEAVES
+            elif not table.move_valid(others, step.src, step.dst):
+                reason = _COLLIDES
+        if reason is not None:
+            raise InvalidPlanError(f"input plan invalid at step {k}: {reason}")
+        trail.append(tuple(arr))
+        arr[step.obj] = step.dst
+        occupied = others | 1 << step.dst
+    trail.append(tuple(arr))
+    return trail
+
+
+def _as_plan(table: OcclusionTable, steps: Sequence[_Step]) -> Plan:
+    """The plan of ``steps``: the one place that builds output ``Action`` objects."""
+    point = table.points
+    return Plan(tuple(Action(step.obj, point[step.src], point[step.dst]) for step in steps))
 
 
 def _window(table: OcclusionTable, steps: Sequence[_Step], k: int, n: int, ok: int) -> int:
@@ -237,7 +191,7 @@ def _window(table: OcclusionTable, steps: Sequence[_Step], k: int, n: int, ok: i
 
 
 def _merge_pair(
-    replay: _TableReplay, steps: list[_Step], trail: list[Keys], t: int, s: int
+    table: OcclusionTable, steps: list[_Step], trail: list[Keys], t: int, s: int
 ) -> tuple[list[_Step], list[Keys]] | None:
     """The plan and trail with consecutive moves ``t`` and ``s`` of one object merged.
 
@@ -260,12 +214,12 @@ def _merge_pair(
     """
     first, last = steps[t], steps[s]
     obj, src, q = first.obj, first.src, last.dst
-    if not _window(replay.table, steps, t, s, 1 << q):
+    if not _window(table, steps, t, s, 1 << q):
         return None
     head, part = [], []
     if src != q:
         others = occupancy(trail[t]) & ~(1 << src)
-        if not replay.table.move_valid(others, src, q):
+        if not table.move_valid(others, src, q):
             return None
         head, part = [_Step(obj, src, q)], [trail[t]]
     part += [arr[:obj] + (q,) + arr[obj + 1 :] for arr in trail[t + 1 : s]]
@@ -299,7 +253,7 @@ def _collapse_runs(steps: list[_Step], trail: list[Keys]) -> tuple[list[_Step], 
 
 
 def _sweep_merge(
-    replay: _TableReplay, steps: list[_Step], trail: list[Keys]
+    table: OcclusionTable, steps: list[_Step], trail: list[Keys]
 ) -> tuple[list[_Step], list[Keys]]:
     """At most one merge per object, of two consecutive moves that are not adjacent steps.
 
@@ -310,7 +264,7 @@ def _sweep_merge(
     for obj in sorted({step.obj for step in steps}):
         moves = [i for i, step in enumerate(steps) if step.obj == obj]
         for t, s in zip(moves, moves[1:]):
-            merged = None if s == t + 1 else _merge_pair(replay, steps, trail, t, s)
+            merged = None if s == t + 1 else _merge_pair(table, steps, trail, t, s)
             if merged is not None:
                 steps, trail = merged
                 break
@@ -318,7 +272,7 @@ def _sweep_merge(
 
 
 def _shorten(
-    replay: _TableReplay, steps: list[_Step], trail: list[Keys]
+    table: OcclusionTable, steps: list[_Step], trail: list[Keys]
 ) -> tuple[list[_Step], list[Keys]]:
     """``optimize_plan``'s merges on steps that replay and their trail, to a fixpoint.
 
@@ -326,7 +280,7 @@ def _shorten(
     """
     while True:
         n = len(steps)
-        steps, trail = _sweep_merge(replay, *_collapse_runs(steps, trail))
+        steps, trail = _sweep_merge(table, *_collapse_runs(steps, trail))
         if len(steps) == n:
             return steps, trail
 
@@ -343,16 +297,17 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
     ``InvalidPlanError``, with the step and reason ``validate_plan``
     reports, when the input plan does not replay.
 
-    The plan is replayed once, in the indices of its table (``_plan_replay``),
-    and its trail of arrangements is then kept up to date through every
-    merge. A merge replays nothing: an adjacent pair always merges, and
+    The plan is replayed once, in the indices of its table
+    (``_table_steps``, ``_trail``), and its trail of arrangements is then
+    kept up to date through every merge. A merge replays nothing: an adjacent pair always merges, and
     ``_merge_pair`` decides the others on bit sets of the table and
     rebuilds the trail only for a merge it keeps. Each point is looked up
     in the table once, and the output's points are the table's: Points of
     floats, each equal to the input's.
     """
-    replay, steps = _plan_replay(scene, plan)
-    return replay.plan(_shorten(replay, steps, replay.trail(steps))[0])
+    table, steps = _table_steps(scene, plan)
+    trail = _trail(table, tuple(map(table.index_of, scene.start)), steps)
+    return _as_plan(table, _shorten(table, steps, trail)[0])
 
 
 def _retarget_step(
@@ -444,18 +399,18 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
     only shrinks. A step's shorter candidates and their detours are worked
     out once per ``(src, buffer point, dst)`` for all the scans.
 
-    The plan is replayed once, in the indices of its table (``_plan_replay``),
-    into a trail of arrangements as in ``optimize_plan``. A
-    re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
+    The plan is replayed once, in the indices of its table
+    (``_table_steps``, ``_trail``), into a trail of arrangements as in
+    ``optimize_plan``. A re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
     from ``n + 1`` on; in between, replaying the steps would give the old
     arrangements with the object at its new point, so that is what the trail
     gets. The output equals ``tests/oracles.retarget_by_full_replay``, which
     replays the whole plan for every trial. Raises ``InvalidPlanError`` when
     the plan does not replay.
     """
-    replay, steps = _plan_replay(scene, plan)
-    _retarget(replay.table, steps, replay.trail(steps))
-    return replay.plan(steps)
+    table, steps = _table_steps(scene, plan)
+    _retarget(table, steps, _trail(table, tuple(map(table.index_of, scene.start)), steps))
+    return _as_plan(table, steps)
 
 
 def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> PlanReport:
@@ -467,12 +422,12 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     ``optimize_plan(retarget_buffers(optimize_plan(raw)))`` for the search's
     raw plan ``raw``. The stages run in the indices of
     ``OcclusionTable.shared(scene)``, which indexes the start once, and
-    their moves are collected as replay steps. Those steps are replayed once
-    into their trail (``InvalidPlanError`` if the search made an invalid
-    move), and the first two passes run on that one trail, as
+    their moves are collected as table steps. Those steps are replayed once
+    into their trail by ``_trail`` (``InvalidPlanError`` if the search made
+    an invalid move), and the first two passes run on that one trail, as
     ``optimize_plan`` and ``retarget_buffers`` run on the trail of the plan
-    they are given (``_shorten``, ``_retarget``). ``_TableReplay.plan``
-    then builds the plan's ``Action``s once, for the final ``optimize_plan``.
+    they are given (``_shorten``, ``_retarget``). ``_as_plan`` then
+    builds the plan's ``Action``s once, for the final ``optimize_plan``.
     The wall-clock budget is split evenly across the remaining stages, so
     time unused by early stages rolls forward. A seed that is not a
     non-negative int (bools included), or a budget that is neither a
@@ -496,8 +451,8 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
     rng = np.random.default_rng(seed)
     # Entries fill as the search asks, and later plans on the same shelf reuse them.
     table = OcclusionTable.shared(scene)
-    replay = _TableReplay(scene, table)
-    positions = list(replay.start)
+    start: Keys = tuple(map(table.index_of, scene.start))
+    positions = list(start)
     steps: list[_Step] = []
     ctx = StageContext(scene, order, 0, table)
     for index in range(len(order)):
@@ -520,9 +475,9 @@ def plan(scene: Scene, budget: SearchBudget | None = None, seed: int = 0) -> Pla
         for obj, dst in chunk:
             steps.append(_Step(obj, positions[obj], dst))
             positions[obj] = dst
-    steps, trail = _shorten(replay, steps, replay.trail(steps))
+    steps, trail = _shorten(table, steps, _trail(table, start, steps))
     _retarget(table, steps, trail)
-    return report(True, optimize_plan(replay.plan(steps), scene), None)
+    return report(True, optimize_plan(_as_plan(table, steps), scene), None)
 
 
 def plan_to_dict(plan: Plan, wall_time: float | None = None) -> dict:

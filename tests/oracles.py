@@ -281,27 +281,48 @@ def _merged(scene: Scene, actions: list[Action], t: int, s: int) -> list[Action]
     return candidate
 
 
-def merge_by_replay(replay, steps: list, trail: list, t: int, s: int) -> tuple[list, list] | None:
+def table_trail(table, start, steps) -> list | None:
+    """A step-by-step replay of table ``steps`` from ``start``, or None if a step fails.
+
+    Entry ``k`` is the arrangement before step ``k`` and the last entry the
+    end. Each step must name a known object and pick it up exactly where it
+    stands, and then pass ``table.move_valid`` against a bit set of the
+    other objects' points built afresh from the arrangement.
+    """
+    arr = list(start)
+    seen = [tuple(arr)]
+    for step in steps:
+        if not 0 <= step.obj < len(arr) or arr[step.obj] != step.src:
+            return None
+        others = sum(1 << p for i, p in enumerate(arr) if i != step.obj)
+        if step.dst is None or not table.move_valid(others, step.src, step.dst):
+            return None
+        arr[step.obj] = step.dst
+        seen.append(tuple(arr))
+    return seen
+
+
+def merge_by_replay(table, steps: list, trail: list, t: int, s: int) -> tuple[list, list] | None:
     """``planner._merge_pair`` as a replay of the merged move and the steps between the pair.
 
-    ``replay`` is the optimiser's ``_TableReplay`` and ``steps`` and
-    ``trail`` its table steps and their arrangements. The merged move
-    replaces step ``t`` and step ``s`` is dropped, or both go when the merged
-    move would end where it starts. ``head + middle`` is replayed step by step
-    on the table from ``trail[t]``, and the trail between the pair is the
-    replay's. Returns the merged ``(steps, trail)``, or None when a step of
-    the replay fails.
+    ``table`` is the optimiser's occlusion table and ``steps`` and ``trail``
+    its table steps and their arrangements. The merged move replaces step
+    ``t`` and step ``s`` is dropped, or both go when the merged move would
+    end where it starts. ``head + middle`` is replayed step by step on the
+    table from ``trail[t]`` (``table_trail``), and the trail between the pair
+    is the replay's. Returns the merged ``(steps, trail)``, or None when a
+    step of the replay fails.
     """
     first, last = steps[t], steps[s]
     middle = steps[t + 1 : s]
     head = [_Step(first.obj, first.src, last.dst)] if first.src != last.dst else []
-    arr, part = list(trail[t]), []
-    if replay.run(head + middle, arr, part)[0] is not None:
+    seen = table_trail(table, trail[t], head + middle)
+    if seen is None:
         return None
-    return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + part + trail[s + 1 :]
+    return steps[:t] + head + middle + steps[s + 1 :], trail[:t] + seen[:-1] + trail[s + 1 :]
 
 
-def collapse_by_replay(replay, steps: list, trail: list) -> tuple[list, list]:
+def collapse_by_replay(table, steps: list, trail: list) -> tuple[list, list]:
     """``planner._collapse_runs`` as a scan of adjacent pairs, each merged by ``merge_by_replay``.
 
     Scans left to right. A pair of one object's moves in adjacent steps is
@@ -313,7 +334,7 @@ def collapse_by_replay(replay, steps: list, trail: list) -> tuple[list, list]:
     while k + 1 < len(steps):
         merged = None
         if steps[k].obj == steps[k + 1].obj:
-            merged = merge_by_replay(replay, steps, trail, k, k + 1)
+            merged = merge_by_replay(table, steps, trail, k, k + 1)
         if merged is None:
             k += 1
             continue

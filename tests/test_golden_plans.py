@@ -28,6 +28,7 @@ import pytest
 
 from shelfplan import (
     Action,
+    InvalidPlanError,
     Plan,
     SceneConfig,
     SearchBudget,
@@ -37,6 +38,7 @@ from shelfplan import (
     plan_to_json,
     validate_plan,
 )
+from shelfplan.planner import retarget_buffers
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_plans.json"
@@ -150,14 +152,19 @@ def mutant(walk: Plan, candidates, rng: random.Random) -> Plan:
     return Plan(tuple(actions))
 
 
-def walk_verdicts(run, seed: int) -> list:
-    """``validate_plan``'s verdicts on replay walk ``seed`` and then on its mutants.
+def walk_plans(run, seed: int) -> tuple:
+    """Replay walk ``seed``'s scene, and the walk followed by its mutants.
 
     The ``MUTANTS_PER_WALK`` mutants are drawn with ``random.Random(seed)``.
     """
     scene, walk = run.random_walk(seed)
     rng = random.Random(seed)
-    plans = [walk] + [mutant(walk, scene.candidates, rng) for _ in range(MUTANTS_PER_WALK)]
+    return scene, [walk] + [mutant(walk, scene.candidates, rng) for _ in range(MUTANTS_PER_WALK)]
+
+
+def walk_verdicts(run, seed: int) -> list:
+    """``validate_plan``'s verdicts on replay walk ``seed`` and then on its mutants."""
+    scene, plans = walk_plans(run, seed)
     return [validate_plan(scene, p) for p in plans]
 
 
@@ -216,6 +223,35 @@ def test_verdict_corpus_rejects_as_well_as_accepts():
     reasons = {check.reason for seed in seeds for check in walk_verdicts(run, seed)[1:]}
     assert {None, "relocation is not collision-free"} <= reasons
     assert "pick location does not match the object's current region" in reasons
+
+
+def test_optimiser_rejects_what_the_validator_rejects():
+    # The validator and the optimiser's table replay are separate loops. On
+    # every replay walk and mutant, optimize_plan and retarget_buffers raise
+    # validate's step and reason, and accept a valid plan or one that misses
+    # only the goal, which they do not check.
+    run = benchmark_module()
+    seen = set()
+    for seed in range(run.WALK_SEED0, run.WALK_SEED0 + run.REPLAY_WALKS):
+        scene, plans = walk_plans(run, seed)
+        for p in plans:
+            check = validate_plan(scene, p)
+            seen.add(check.reason)
+            for operation in (optimize_plan, retarget_buffers):
+                if check.valid or check.reason == "terminal arrangement misses the goal":
+                    operation(p, scene)
+                    continue
+                with pytest.raises(InvalidPlanError) as err:
+                    operation(p, scene)
+                expected = f"input plan invalid at step {check.failed_step}: {check.reason}"
+                assert str(err.value) == expected, (seed, operation.__name__)
+    assert seen == {
+        None,
+        "relocation is not collision-free",
+        "pick location does not match the object's current region",
+        "terminal arrangement misses the goal",
+    }
+
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:

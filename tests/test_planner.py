@@ -41,6 +41,7 @@ from oracles import (
     random_walk_instance,
     replay_plan,
     retarget_by_full_replay,
+    table_trail,
 )
 from test_golden_plans import corpus_cases as golden_cases
 
@@ -358,7 +359,7 @@ def search_output(scene, seed):
     real = planner._retarget
 
     def spy(table, steps, trail):
-        seen.append(planner._TableReplay(scene, table).plan(steps))
+        seen.append(planner._as_plan(table, steps))
         return real(table, steps, trail)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -682,10 +683,10 @@ class TestMergeShortcut:
         tried = []
         merge_pair = planner._merge_pair
 
-        def spy(replay, steps, trail, t, s):
+        def spy(table, steps, trail, t, s):
             between = [step.obj for step in steps[t + 1 : s]]
             tried.append((t, s, steps[t].obj in between))
-            return merge_pair(replay, steps, trail, t, s)
+            return merge_pair(table, steps, trail, t, s)
 
         monkeypatch.setattr(planner, "_merge_pair", spy)
         out = self.optimized(scene, actions, step_check)
@@ -702,7 +703,7 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
     # second optimise rely on it.
     scene, actions = random_walk_instance(seed, n_objects=n_objects, steps=steps)
     handed_on = []  # (steps, trail) out of each pass
-    used = []  # the optimiser's replay
+    used = []  # the optimiser's table
     collapse_runs, sweep_merge = planner._collapse_runs, planner._sweep_merge
 
     def collapse_spy(steps, trail):
@@ -710,9 +711,9 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
         handed_on.append(out)
         return out
 
-    def sweep_spy(replay, steps, trail):
-        used.append(replay)
-        out = sweep_merge(replay, steps, trail)
+    def sweep_spy(table, steps, trail):
+        used.append(table)
+        out = sweep_merge(table, steps, trail)
         handed_on.append(out)
         return out
 
@@ -721,14 +722,26 @@ def test_optimiser_trail_equals_a_fresh_replay(kind, seed, n_objects, steps):
             blind_store(mp)
         mp.setattr(planner, "_collapse_runs", collapse_spy)
         mp.setattr(planner, "_sweep_merge", sweep_spy)
+        checked_trail(mp)
         out = optimize_plan(Plan(tuple(actions)), scene)
-    replay = used[0]
-    assert (replay.table is OcclusionTable.shared(scene)) == (kind == "shared")
+    table = used[0]
+    assert (table is OcclusionTable.shared(scene)) == (kind == "shared")
+    start = tuple(map(table.index_of, scene.start))
     for kept, trail in handed_on:
-        arr, fresh = list(replay.start), []
-        assert replay.run(kept, arr, fresh) == (None, None)
-        assert trail == fresh + [tuple(arr)]
-    assert replay.plan(handed_on[-1][0]) == out
+        assert table_trail(table, start, kept) == trail
+    assert planner._as_plan(table, handed_on[-1][0]) == out
+
+
+def checked_trail(monkeypatch):
+    """Patch ``planner._trail`` to check every trail it returns against ``oracles.table_trail``."""
+    trail = planner._trail
+
+    def spy(table, start, steps):
+        got = trail(table, start, steps)
+        assert got == table_trail(table, start, steps)
+        return got
+
+    monkeypatch.setattr(planner, "_trail", spy)
 
 
 def tried_merges(kind, scene, actions) -> list[tuple[bool, bool, bool]]:
@@ -741,9 +754,9 @@ def tried_merges(kind, scene, actions) -> list[tuple[bool, bool, bool]]:
     tried = []
     merge_pair = planner._merge_pair
 
-    def spy(replay, steps, trail, t, s):
-        got = merge_pair(replay, steps, trail, t, s)
-        assert got == merge_by_replay(replay, steps, trail, t, s), (t, s)
+    def spy(table, steps, trail, t, s):
+        got = merge_pair(table, steps, trail, t, s)
+        assert got == merge_by_replay(table, steps, trail, t, s), (t, s)
         tried.append((s == t + 1, steps[t].src == steps[s].dst, got is not None))
         return got
 
@@ -751,6 +764,7 @@ def tried_merges(kind, scene, actions) -> list[tuple[bool, bool, bool]]:
         if kind == "private":
             blind_store(mp)
         mp.setattr(planner, "_merge_pair", spy)
+        checked_trail(mp)
         out = optimize_plan(Plan(tuple(actions)), scene)
     assert list(out.actions) == optimize_by_full_replay(scene, actions)
     return tried
@@ -799,9 +813,9 @@ def test_collapse_equals_the_replay_scan(seed, n_objects, steps, off_grid, back,
     # steps back after a round trip. They agree, steps and trail alike, and
     # the scan leaves no adjacent pair unmerged.
     scene, actions = random_walk_instance(seed, n_objects, steps, off_grid, back, width)
-    replay, table_steps = planner._plan_replay(scene, Plan(tuple(actions)))
-    trail = replay.trail(table_steps)
-    scanned = collapse_by_replay(replay, table_steps, trail)
+    table, table_steps = planner._table_steps(scene, Plan(tuple(actions)))
+    trail = planner._trail(table, tuple(map(table.index_of, scene.start)), table_steps)
+    scanned = collapse_by_replay(table, table_steps, trail)
     assert planner._collapse_runs(table_steps, trail) == scanned
     kept = scanned[0]
     assert all(a.obj != b.obj for a, b in zip(kept, kept[1:]))
@@ -820,8 +834,8 @@ def test_window_equals_move_valid_step_by_step(seed, n_objects, steps, off_grid,
     # destination, touching neither tunnel: only the destination disc term
     # of the window keeps that point out.
     scene, actions = random_walk_instance(seed, n_objects, steps, off_grid, 0.0, width)
-    replay, table_steps = planner._plan_replay(scene, Plan(tuple(actions)))
-    table, trail = replay.table, replay.trail(table_steps)
+    table, table_steps = planner._table_steps(scene, Plan(tuple(actions)))
+    trail = planner._trail(table, tuple(map(table.index_of, scene.start)), table_steps)
     full = (1 << table.n_candidates) - 1
 
     def allowed(m: int, obj: int) -> int:

@@ -299,11 +299,11 @@ def optimize_plan(plan: Plan, scene: Scene) -> Plan:
 
     The plan is replayed once, in the indices of its table
     (``_table_steps``, ``_trail``), and its trail of arrangements is then
-    kept up to date through every merge. A merge replays nothing: an adjacent pair always merges, and
-    ``_merge_pair`` decides the others on bit sets of the table and
-    rebuilds the trail only for a merge it keeps. Each point is looked up
-    in the table once, and the output's points are the table's: Points of
-    floats, each equal to the input's.
+    kept up to date through every merge. A merge replays nothing: an
+    adjacent pair always merges, and ``_merge_pair`` decides the others on
+    bit sets of the table and rebuilds the trail only for a merge it keeps.
+    Each point is looked up in the table once, and the output's points are
+    the table's: Points of floats, each equal to the input's.
     """
     table, steps = _table_steps(scene, plan)
     trail = _trail(table, tuple(map(table.index_of, scene.start)), steps)
@@ -401,12 +401,13 @@ def retarget_buffers(plan: Plan, scene: Scene) -> Plan:
 
     The plan is replayed once, in the indices of its table
     (``_table_steps``, ``_trail``), into a trail of arrangements as in
-    ``optimize_plan``. A re-target from step ``k`` to ``n`` leaves the trail alone up to ``k`` and
-    from ``n + 1`` on; in between, replaying the steps would give the old
-    arrangements with the object at its new point, so that is what the trail
-    gets. The output equals ``tests/oracles.retarget_by_full_replay``, which
-    replays the whole plan for every trial. Raises ``InvalidPlanError`` when
-    the plan does not replay.
+    ``optimize_plan``. A re-target from step ``k`` to ``n`` leaves the trail
+    alone up to ``k`` and from ``n + 1`` on; in between, replaying the steps
+    would give the old arrangements with the object at its new point, so
+    that is what the trail gets. The output equals
+    ``tests/oracles.retarget_by_full_replay``, which replays the whole plan
+    for every trial. Raises ``InvalidPlanError``, with the step and reason
+    ``validate_plan`` reports, when the input plan does not replay.
     """
     table, steps = _table_steps(scene, plan)
     _retarget(table, steps, _trail(table, tuple(map(table.index_of, scene.start)), steps))
